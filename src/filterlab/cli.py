@@ -11,7 +11,6 @@ Subcommands bind scenario files to the solvers and the Monte Carlo harness:
   paper         full built-in benchmark pipeline with default settings
 
 Exit codes: 0 success, 1 validation/config error, 2 numerical failure.
-The environment variable FILTERLAB_THREADS caps internal parallelism.
 """
 
 import argparse
@@ -20,18 +19,10 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import gap as gap_mod
 from . import harness
 from .errors import NumericalError, ValidationError
-from .network import (
-    ConsensusWeights,
-    SensorGraph,
-    diameter,
-    metropolis_weights,
-    second_largest_eigenvalue,
-)
+from .network import diameter, second_largest_eigenvalue
 from .periodic import PlantModel
 from .spps import DEFAULT_TOL, uniform_observability
 from .filters import modified_sequences
@@ -110,20 +101,6 @@ def _plant_from_config(cfg: dict) -> PlantModel:
     return PlantModel.from_dict(cfg["plant"])
 
 
-def _network_from_config(cfg: dict):
-    if "graph" not in cfg:
-        return None, None
-    graph = SensorGraph.from_dict(cfg["graph"])
-    weights_cfg = cfg.get("weights", "metropolis")
-    if isinstance(weights_cfg, str):
-        if weights_cfg != "metropolis":
-            raise ValidationError(f"unknown weights rule {weights_cfg!r}")
-        weights = metropolis_weights(graph)
-    else:
-        weights = ConsensusWeights(matrix=np.asarray(weights_cfg, dtype=float))
-    return graph, weights
-
-
 def _ensure_out(args) -> str:
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
@@ -178,7 +155,7 @@ def _cmd_solve_dpre(args) -> int:
 def _cmd_observability(args) -> int:
     cfg = _read_config(args.scenario)
     plant = _plant_from_config(cfg)
-    graph, weights = _network_from_config(cfg)
+    graph, weights = harness.network_from_dict(cfg) if "graph" in cfg else (None, None)
     from .periodic import PeriodicSequence, stacked_observation
 
     C_full = PeriodicSequence(
@@ -192,6 +169,8 @@ def _cmd_observability(args) -> int:
         else:
             d = diameter(graph)
             L_list = list(cfg.get("L_values", range(d, d + 3)))
+        if any(L < 0 for L in L_list):
+            raise ValidationError("fusion steps must be >= 0")
         for L in L_list:
             for i in range(plant.N):
                 try:
@@ -207,7 +186,7 @@ def _cmd_observability(args) -> int:
 
 def _cmd_simulate(args) -> int:
     scenario = _scenario_with_overrides(harness.load_scenario(args.scenario), args)
-    results = harness.run_monte_carlo(scenario)
+    results = harness.run_monte_carlo(scenario, tol=args.tol)
     out = _ensure_out(args)
     paths = harness.export_results(results, out)
     _write_run_info(out, {"command": "simulate", "runtime_s": results.runtime_seconds})
@@ -220,9 +199,9 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_gap(args) -> int:
+def _gap_report(args) -> gap_mod.GapReport:
     scenario = _scenario_with_overrides(harness.load_scenario(args.scenario), args)
-    report = gap_mod.build_gap_report(
+    return gap_mod.build_gap_report(
         scenario.plant,
         scenario.weights,
         scenario.L_values,
@@ -230,6 +209,10 @@ def _cmd_gap(args) -> int:
         graph=scenario.graph,
         seed=scenario.seed,
     )
+
+
+def _cmd_gap(args) -> int:
+    report = _gap_report(args)
     out = _ensure_out(args)
     report.to_csv(os.path.join(out, "gap_report.csv"))
     report.to_json(os.path.join(out, "gap_report.json"))
@@ -242,31 +225,10 @@ def _cmd_gap(args) -> int:
 
 
 def _cmd_rates(args) -> int:
-    import csv as _csv
-
-    scenario = _scenario_with_overrides(harness.load_scenario(args.scenario), args)
-    report = gap_mod.build_gap_report(
-        scenario.plant,
-        scenario.weights,
-        scenario.L_values,
-        tol=args.tol,
-        graph=scenario.graph,
-        seed=scenario.seed,
-    )
+    report = _gap_report(args)
     out = _ensure_out(args)
     path = os.path.join(out, "rates.csv")
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["sensor", "L", "rate_q", "sigma2"])
-        for c in report.cells:
-            writer.writerow(
-                [
-                    c.sensor,
-                    c.L,
-                    "" if c.rate != c.rate else f"{c.rate:.17g}",
-                    f"{report.sigma2:.17g}",
-                ]
-            )
+    report.rates_to_csv(path)
     _write_run_info(out, {"command": "rates"})
     finite = [c.rate for c in report.cells if c.rate == c.rate]
     if finite:
@@ -294,6 +256,8 @@ def _cmd_compare_cidf(args) -> int:
 def _cmd_paper(args) -> int:
     scenario = harness.benchmark_scenario()
     scenario = _scenario_with_overrides(scenario, args)
+    if not scenario.L_values:
+        raise ValidationError("the gap report needs at least one L value")
     out = _ensure_out(args)
     with open(os.path.join(out, "scenario.json"), "w") as fh:
         json.dump(harness.scenario_to_dict(scenario), fh, indent=2)
@@ -303,49 +267,17 @@ def _cmd_paper(args) -> int:
         f"diameter={d}, sigma2={second_largest_eigenvalue(scenario.weights):.4f}"
     )
 
-    results = harness.run_monte_carlo(scenario)
+    results = harness.run_monte_carlo(scenario, tol=args.tol)
     harness.export_results(results, out)
     print(f"monte carlo done in {results.runtime_seconds:.1f}s")
 
-    report = gap_mod.build_gap_report(
-        scenario.plant,
-        scenario.weights,
-        scenario.L_values,
-        tol=args.tol,
-        graph=scenario.graph,
-        seed=scenario.seed,
-    )
+    report = results.gap_report
     report.to_csv(os.path.join(out, "gap_report.csv"))
     report.to_json(os.path.join(out, "gap_report.json"))
-
-    import csv as _csv
-
-    with open(os.path.join(out, "rates.csv"), "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["sensor", "L", "rate_q", "sigma2"])
-        for c in report.cells:
-            writer.writerow(
-                [
-                    c.sensor,
-                    c.L,
-                    "" if c.rate != c.rate else f"{c.rate:.17g}",
-                    f"{report.sigma2:.17g}",
-                ]
-            )
-
+    report.rates_to_csv(os.path.join(out, "rates.csv"))
     if "cidf" in scenario.filters and "cmdf" in scenario.filters:
-        rows = []
-        for L in scenario.L_values:
-            mc = results.run("cmdf", L).mse_steady
-            ic = results.run("cidf", L).mse_steady
-            rows.extend(
-                (i, L, float(mc[i]), float(ic[i])) for i in range(scenario.plant.N)
-            )
-        with open(os.path.join(out, "cidf_comparison.csv"), "w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(["sensor", "L", "mse_cmdf", "mse_cidf"])
-            for sensor, L, a, b in rows:
-                writer.writerow([sensor, L, f"{a:.17g}", f"{b:.17g}"])
+        comparison = harness.CidfComparison.from_results(results)
+        comparison.to_csv(os.path.join(out, "cidf_comparison.csv"))
 
     _write_run_info(
         out, {"command": "paper", "runtime_s": results.runtime_seconds}

@@ -7,7 +7,6 @@ import hashlib
 import json
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +15,6 @@ from ._linalg import spectral_norm, sym
 from .errors import NumericalError, ValidationError
 from .network import ConsensusWeights, SensorGraph, second_largest_eigenvalue, weight_power
 from .periodic import PeriodicSequence, PlantModel, stacked_observation
-from .runtime import worker_count
 from .filters import modified_sequences
 from .spps import (
     DEFAULT_TOL,
@@ -312,6 +310,21 @@ class GapReport:
                     ]
                 )
 
+    def rates_to_csv(self, path) -> None:
+        """The decay-rate table: one row per cell, blank where the rate is NaN."""
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["sensor", "L", "rate_q", "sigma2"])
+            for c in self.cells:
+                writer.writerow(
+                    [
+                        c.sensor,
+                        c.L,
+                        "" if math.isnan(c.rate) else f"{c.rate:.17g}",
+                        f"{self.sigma2:.17g}",
+                    ]
+                )
+
     def to_json(self, path) -> None:
         data = {
             "sigma2": self.sigma2,
@@ -345,45 +358,36 @@ def build_gap_report(
     model: PlantModel,
     weights: ConsensusWeights,
     L_values,
-    sensors=None,
     tol: float = DEFAULT_TOL,
     graph: SensorGraph | None = None,
     seed: int | None = None,
-    max_workers: int | None = None,
 ) -> GapReport:
     """Solve every (sensor, L) cell and assemble the report.
 
-    Cells are independent and solved on a thread pool; assembly is a pure
-    reduction over the finished cells.
+    Each swept L also solves L + 1, the numerator of its decay rate.
     """
     L_values = sorted(set(int(L) for L in L_values))
-    sensors = list(range(model.N)) if sensors is None else list(sensors)
+    if not L_values:
+        raise ValidationError("the gap report needs at least one L value")
     central = centralized_dpre(model, tol=tol)
     central_avg = average_performance(central)
-    needed_L = sorted(set(L_values) | {max(L_values) + 1})
+    needed_L = sorted(set(L_values) | {L + 1 for L in L_values})
 
-    def solve_cell(args):
-        i, L = args
-        P_i = cmdf_dpre(model, weights, L, i, tol=tol)
-        P_err = cmdf_error_dple(model, weights, L, i, tol=tol, dpre_solution=P_i)
-        gap_ric = max(
-            spectral_norm(P_i.at(k) - central.at(k)) for k in range(model.period)
-        )
-        gap_cov = max(
-            spectral_norm(P_err.at(k) - central.at(k)) for k in range(model.period)
-        )
-        return (i, L), (gap_ric, gap_cov, average_performance(P_err))
-
-    jobs = [(i, L) for i in sensors for L in needed_L]
-    workers = worker_count(max_workers)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            solved = dict(pool.map(solve_cell, jobs))
-    else:
-        solved = dict(map(solve_cell, jobs))
+    solved = {}
+    for i in range(model.N):
+        for L in needed_L:
+            P_i = cmdf_dpre(model, weights, L, i, tol=tol)
+            P_err = cmdf_error_dple(model, weights, L, i, tol=tol, dpre_solution=P_i)
+            gap_ric = max(
+                spectral_norm(P_i.at(k) - central.at(k)) for k in range(model.period)
+            )
+            gap_cov = max(
+                spectral_norm(P_err.at(k) - central.at(k)) for k in range(model.period)
+            )
+            solved[(i, L)] = (gap_ric, gap_cov, average_performance(P_err))
 
     cells = []
-    for i in sensors:
+    for i in range(model.N):
         previous_gap = None
         for L in L_values:
             gap_ric, gap_cov, perf = solved[(i, L)]

@@ -10,6 +10,7 @@ covariance recursions the theory curves iterate.
 """
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -31,6 +32,7 @@ from .network import (
 )
 from .periodic import PlantModel, benchmark_plant, simulate_trajectory
 from .network import random_geometric_graph
+from .spps import DEFAULT_TOL
 
 KNOWN_FILTERS = ("ckf", "cmdf", "cidf")
 DIVERGENCE_NORM = 1e9
@@ -104,7 +106,7 @@ class FilterRun:
     mse_steady: np.ndarray
     steady_se: np.ndarray
     theory_per_step: np.ndarray | None
-    theory_steady: np.ndarray | None
+    theory_steady: np.ndarray | None = None
     diverged: tuple = ()
 
     @property
@@ -116,7 +118,11 @@ class FilterRun:
 
 @dataclass
 class TrialResults:
-    """All runs of one scenario plus the network diagnostics they share."""
+    """All runs of one scenario plus the network diagnostics they share.
+
+    ``gap_report`` holds the steady theory of the scenario's sweep when it
+    was solved; the steady theory of every run is read from it.
+    """
 
     horizon: int
     trials: int
@@ -127,6 +133,7 @@ class TrialResults:
     centralized_avg: float | None
     runs: list = field(default_factory=list)
     runtime_seconds: float = 0.0
+    gap_report: gap_mod.GapReport | None = None
 
     def run(self, name: str, L: int | None = None) -> FilterRun:
         for r in self.runs:
@@ -310,18 +317,6 @@ def _run_cmdf(scenario, X, Ys, with_theory):
                 xhat[i] = xhat[i] @ M[k, i].T + info[i] @ Ppost[k, i].T
             _mark_divergence(sq, k - 1, xhat)
         stats = _reduce(sq, scenario.steady_window)
-        theory_steady = None
-        if with_theory:
-            scale2 = scenario.noise_scale**2
-            theory_steady = np.array(
-                [
-                    scale2
-                    * gap_mod.average_performance(
-                        gap_mod.cmdf_error_dple(plant, scenario.weights, L, i)
-                    )
-                    for i in range(N)
-                ]
-            )
         runs.append(
             FilterRun(
                 name="cmdf",
@@ -331,7 +326,6 @@ def _run_cmdf(scenario, X, Ys, with_theory):
                 mse_steady=stats[2],
                 steady_se=stats[3],
                 theory_per_step=theory if with_theory else None,
-                theory_steady=theory_steady,
                 diverged=stats[4],
             )
         )
@@ -358,12 +352,6 @@ def _run_ckf(scenario, X, Ys, with_theory):
         xhat[0] = xhat[0] @ M[k].T + info @ Ppost[k].T
         _mark_divergence(sq, k - 1, xhat)
     stats = _reduce(sq, scenario.steady_window)
-    theory_steady = None
-    if with_theory:
-        scale2 = scenario.noise_scale**2
-        theory_steady = np.array(
-            [scale2 * gap_mod.average_performance(gap_mod.centralized_dpre(plant))]
-        )
     return [
         FilterRun(
             name="ckf",
@@ -373,7 +361,6 @@ def _run_ckf(scenario, X, Ys, with_theory):
             mse_steady=stats[2],
             steady_se=stats[3],
             theory_per_step=theory if with_theory else None,
-            theory_steady=theory_steady,
             diverged=stats[4],
         )
     ]
@@ -413,20 +400,25 @@ def _run_cidf(scenario, X, Ys):
                 mse_steady=stats[2],
                 steady_se=stats[3],
                 theory_per_step=None,
-                theory_steady=None,
                 diverged=stats[4],
             )
         )
     return runs
 
 
-def run_monte_carlo(scenario: Scenario, with_theory: bool = True) -> TrialResults:
+def run_monte_carlo(
+    scenario: Scenario, with_theory: bool = True, tol: float = DEFAULT_TOL
+) -> TrialResults:
     """Run every configured filter over independent simulated trials.
 
     Trial l draws its noise from the l-th spawn of the master seed, so runs
     are reproducible and trials mutually independent. A trial whose estimate
     norm exceeds 1e9 (or goes non-finite) is recorded as diverged and dropped
     from the averages; the run aborts if more than 1% of trials diverge.
+
+    With theory, the steady covariances come from one gap report over the
+    scenario's sweep, solved to ``tol``; a scenario without a sweep solves
+    only the centralized filter.
     """
     start = time.perf_counter()
     plant = scenario.plant
@@ -457,16 +449,33 @@ def run_monte_carlo(scenario: Scenario, with_theory: bool = True) -> TrialResult
                 f"(ids {list(r.diverged)[:10]}...)"
             )
 
-    central_avg = None
+    report = central_avg = None
     if with_theory:
-        ckf_runs = [r for r in runs if r.name == "ckf" and r.theory_steady is not None]
-        if ckf_runs:
-            central_avg = float(ckf_runs[0].theory_steady[0])
-        else:
-            central_avg = (
-                scenario.noise_scale**2
-                * gap_mod.average_performance(gap_mod.centralized_dpre(plant))
+        scale2 = scenario.noise_scale**2
+        if scenario.L_values:
+            report = gap_mod.build_gap_report(
+                plant,
+                scenario.weights,
+                scenario.L_values,
+                tol=tol,
+                graph=scenario.graph,
+                seed=scenario.seed,
             )
+            central_avg = scale2 * report.centralized_avg
+        else:
+            central_avg = scale2 * gap_mod.average_performance(
+                gap_mod.centralized_dpre(plant, tol=tol)
+            )
+        for r in runs:
+            if r.name == "ckf":
+                r.theory_steady = np.array([central_avg])
+            elif r.name == "cmdf":
+                r.theory_steady = np.array(
+                    [
+                        scale2 * report.cell(i, r.fusion_steps).avg_perf
+                        for i in range(plant.N)
+                    ]
+                )
     return TrialResults(
         horizon=K,
         trials=h,
@@ -477,16 +486,44 @@ def run_monte_carlo(scenario: Scenario, with_theory: bool = True) -> TrialResult
         centralized_avg=central_avg,
         runs=runs,
         runtime_seconds=time.perf_counter() - start,
+        gap_report=report,
     )
 
 
 @dataclass
 class CidfComparison:
-    """Steady MSE of the consensus filter against the information baseline."""
+    """Steady MSE of the consensus filter against the information baseline.
+
+    ``crossover[i]`` is the smallest L in the sweep from which the
+    consensus-on-measurement filter dominates at sensor i for every larger
+    swept L (None if it never does).
+    """
 
     rows: list
     crossover: dict
     results: TrialResults
+
+    @classmethod
+    def from_results(cls, results: TrialResults) -> "CidfComparison":
+        """Per (sensor, L) rows, in sweep order, from runs of both filters."""
+        mse = {
+            r.fusion_steps: (r.mse_steady, results.run("cidf", r.fusion_steps).mse_steady)
+            for r in results.runs
+            if r.name == "cmdf"
+        }
+        rows = [
+            (i, L, float(mc[i]), float(ic[i]))
+            for L, (mc, ic) in mse.items()
+            for i in range(len(mc))
+        ]
+        Ls = sorted(mse)
+        crossover = {}
+        for i in sorted({row[0] for row in rows}):
+            wins = [mse[L][0][i] < mse[L][1][i] for L in Ls]
+            crossover[i] = next(
+                (L for idx, L in enumerate(Ls) if all(wins[idx:])), None
+            )
+        return cls(rows=rows, crossover=crossover, results=results)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -496,49 +533,11 @@ class CidfComparison:
                 writer.writerow([sensor, L, f"{a:.17g}", f"{b:.17g}"])
 
 
-def compare_cidf(scenario: Scenario, with_theory: bool = False) -> CidfComparison:
-    """Per (sensor, L) steady MSE of both consensus filters.
-
-    ``crossover[i]`` is the smallest L in the sweep from which the
-    consensus-on-measurement filter dominates at sensor i for every larger
-    swept L (None if it never does).
-    """
+def compare_cidf(scenario: Scenario) -> CidfComparison:
+    """Run both consensus filters over the scenario and compare their steady MSE."""
     filters = tuple(dict.fromkeys(scenario.filters + ("cmdf", "cidf")))
-    scenario = Scenario(
-        plant=scenario.plant,
-        graph=scenario.graph,
-        weights=scenario.weights,
-        L_values=scenario.L_values,
-        horizon=scenario.horizon,
-        trials=scenario.trials,
-        seed=scenario.seed,
-        filters=filters,
-        noise_scale=scenario.noise_scale,
-        x0=scenario.x0,
-        steady_window=scenario.steady_window,
-    )
-    results = run_monte_carlo(scenario, with_theory=with_theory)
-    rows = []
-    N = scenario.plant.N
-    for L in scenario.L_values:
-        mc = results.run("cmdf", L).mse_steady
-        ic = results.run("cidf", L).mse_steady
-        for i in range(N):
-            rows.append((i, L, float(mc[i]), float(ic[i])))
-    crossover = {}
-    Ls = sorted(scenario.L_values)
-    for i in range(N):
-        wins = {
-            L: results.run("cmdf", L).mse_steady[i] < results.run("cidf", L).mse_steady[i]
-            for L in Ls
-        }
-        cross = None
-        for idx, L in enumerate(Ls):
-            if all(wins[Lp] for Lp in Ls[idx:]):
-                cross = L
-                break
-        crossover[i] = cross
-    return CidfComparison(rows=rows, crossover=crossover, results=results)
+    scenario = dataclasses.replace(scenario, filters=filters)
+    return CidfComparison.from_results(run_monte_carlo(scenario, with_theory=False))
 
 
 def _fmt(x) -> str:
@@ -573,12 +572,7 @@ def export_results(results: TrialResults, out_dir, stem: str = "results") -> lis
                         [r.label, sensor, k + 1, _fmt(r.mse_per_step[i, k]), _fmt(theory)]
                     )
 
-    # Rates from the theory averages at consecutive swept L values.
-    theory_by_L = {
-        r.fusion_steps: r.theory_steady
-        for r in results.runs
-        if r.name == "cmdf" and r.theory_steady is not None
-    }
+    report = results.gap_report
     with open(steady, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -589,15 +583,8 @@ def export_results(results: TrialResults, out_dir, stem: str = "results") -> lis
             for i in range(nodes):
                 sensor = -1 if r.name == "ckf" else i
                 rate = None
-                if (
-                    r.name == "cmdf"
-                    and results.centralized_avg is not None
-                    and r.fusion_steps in theory_by_L
-                    and r.fusion_steps + 1 in theory_by_L
-                ):
-                    den = theory_by_L[r.fusion_steps][i] - results.centralized_avg
-                    num = theory_by_L[r.fusion_steps + 1][i] - results.centralized_avg
-                    rate = num / den if abs(den) > gap_mod.RATE_FLOOR else None
+                if r.name == "cmdf" and report is not None:
+                    rate = report.cell(i, r.fusion_steps).rate
                 theory = (
                     r.theory_steady[i] if r.theory_steady is not None else None
                 )
@@ -664,19 +651,23 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     return data
 
 
+def network_from_dict(data: dict) -> tuple[SensorGraph, ConsensusWeights]:
+    """The graph and consensus weights of a config's network section."""
+    graph = SensorGraph.from_dict(data["graph"])
+    weights_cfg = data.get("weights", "metropolis")
+    if isinstance(weights_cfg, str):
+        if weights_cfg != "metropolis":
+            raise ValidationError(
+                f"unknown weights rule {weights_cfg!r}; use 'metropolis' or a matrix"
+            )
+        return graph, metropolis_weights(graph)
+    return graph, ConsensusWeights(matrix=np.asarray(weights_cfg, dtype=float))
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     try:
         plant = PlantModel.from_dict(data["plant"])
-        graph = SensorGraph.from_dict(data["graph"])
-        weights_cfg = data.get("weights", "metropolis")
-        if isinstance(weights_cfg, str):
-            if weights_cfg != "metropolis":
-                raise ValidationError(
-                    f"unknown weights rule {weights_cfg!r}; use 'metropolis' or a matrix"
-                )
-            weights = metropolis_weights(graph)
-        else:
-            weights = ConsensusWeights(matrix=np.asarray(weights_cfg, dtype=float))
+        graph, weights = network_from_dict(data)
         return Scenario(
             plant=plant,
             graph=graph,

@@ -1,8 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
+import filterlab.gap
 from filterlab.cli import main
 
 
@@ -129,6 +131,11 @@ class TestObservability:
         assert "sensor 0 L=1: uniformly observable: true" in out
         assert "sensor 2 L=1: uniformly observable: true" in out
 
+    def test_negative_fusion_steps_rejected(self, tiny_scenario, capsys):
+        argv = ["observability", "--scenario", tiny_scenario, "--fusion-steps", "-1"]
+        assert main(argv) == 1
+        assert "sensor 0" not in capsys.readouterr().out
+
 
 class TestErrorPaths:
     def test_unknown_flag_rejected(self, capsys):
@@ -181,8 +188,41 @@ class TestPipelines:
         out = tmp_path / "gap"
         assert main(["gap", "--scenario", tiny_scenario, "--out", str(out)]) == 0
         assert (out / "gap_report.csv").exists()
-        assert main(["rates", "--scenario", tiny_scenario, "--out", str(out)]) == 0
-        assert (out / "rates.csv").exists()
+        # A sweep with holes: each swept L solves its own L + 1.
+        argv = ["rates", "--scenario", tiny_scenario, "--out", str(out)]
+        assert main(argv + ["--fusion-steps", "1,3"]) == 0
+        with open(out / "rates.csv") as fh:
+            assert [row["L"] for row in csv.DictReader(fh)] == ["1", "3"] * 3
+
+    def test_empty_sweep(self, tiny_scenario, tmp_path, capsys):
+        with open(tiny_scenario) as fh:
+            cfg = json.load(fh)
+        del cfg["L_values"]
+        cfg["filters"] = ["ckf"]
+        path = write_json(tmp_path / "ckf_only.json", cfg)
+        out = str(tmp_path / "out")
+        assert main(["simulate", "--scenario", path, "--out", out]) == 0
+        with open(tmp_path / "out" / "results.json") as fh:
+            assert json.load(fh)["centralized_avg"] > 0
+        assert main(["gap", "--scenario", path, "--out", out]) == 1
+        assert main(["rates", "--scenario", path, "--out", out]) == 1
+        assert "at least one L value" in capsys.readouterr().err
+
+    def test_simulate_theory_uses_tol(self, tiny_scenario, tmp_path, monkeypatch):
+        tols = set()
+
+        def recording(solver):
+            def wrapper(*args, **kwargs):
+                tols.add(kwargs.get("tol"))
+                return solver(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("dpre_spps", "dple_spps"):
+            monkeypatch.setattr(filterlab.gap, name, recording(getattr(filterlab.gap, name)))
+        argv = ["simulate", "--scenario", tiny_scenario, "--out", str(tmp_path)]
+        assert main(argv + ["--tol", "1e-7"]) == 0
+        assert tols == {1e-7}
 
     def test_compare_cidf(self, tiny_scenario, tmp_path, capsys):
         out = tmp_path / "cmp"
@@ -203,7 +243,15 @@ class TestPipelines:
 
 
 class TestPaperPipeline:
-    def test_smoke_run_emits_all_csvs(self, tmp_path, capsys):
+    def test_smoke_run_emits_all_csvs(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        solver = filterlab.gap.cmdf_error_dple
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(filterlab.gap, "cmdf_error_dple", counting)
         # Small trial count and a short sweep keep the smoke test brisk.
         out = tmp_path / "paper"
         code = main(
@@ -230,3 +278,19 @@ class TestPaperPipeline:
             scn = json.load(fh)
         assert scn["trials"] == 10
         assert scn["horizon"] == 100
+        # One theory solve per cell: 20 sensors x L = 4, 5 and the rate's 6.
+        assert len(calls) == 60
+
+        def column(name, key, field):
+            with open(out / name) as fh:
+                return {key(row): row[field] for row in csv.DictReader(fh)}
+
+        steady = column(
+            "results_steady.csv",
+            lambda r: (r["sensor"], r["L"]) if r["filter"].startswith("cmdf") else None,
+            "rate_q",
+        )
+        steady.pop(None)
+        assert len(steady) == 40 and all(steady.values())
+        assert steady == column("rates.csv", lambda r: (r["sensor"], r["L"]), "rate_q")
+        assert steady == column("gap_report.csv", lambda r: (r["sensor"], r["L"]), "rate")

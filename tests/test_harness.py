@@ -361,20 +361,6 @@ class TestExports:
                 assert fa.read() == fb.read()
 
 
-class TestWorkerCap:
-    def test_env_variable_caps_parallelism(self, monkeypatch):
-        from filterlab.runtime import worker_count
-
-        monkeypatch.setenv("FILTERLAB_THREADS", "2")
-        assert worker_count() == 2
-        assert worker_count(8) == 2
-        assert worker_count(1) == 1
-        monkeypatch.delenv("FILTERLAB_THREADS")
-        import os
-
-        assert worker_count(3) == min(3, os.cpu_count() or 1)
-
-
 class TestBenchmarkScenario:
     def test_defaults(self):
         scn = benchmark_scenario(trials=10)
