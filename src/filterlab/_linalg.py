@@ -7,7 +7,8 @@ from .errors import NumericalError
 
 
 def sym(M: np.ndarray) -> np.ndarray:
-    return (M + M.T) / 2.0
+    """Symmetric part of a matrix or of each matrix in a (..., n, n) stack."""
+    return (M + M.swapaxes(-1, -2)) / 2.0
 
 
 def spectral_norm(M: np.ndarray) -> float:
@@ -36,4 +37,14 @@ def spd_solve(M: np.ndarray, B: np.ndarray, what: str = "matrix") -> np.ndarray:
 
 
 def spd_inverse(M: np.ndarray, what: str = "matrix") -> np.ndarray:
-    return sym(spd_solve(M, np.eye(M.shape[0]), what=what))
+    """Inverse of a symmetric positive-definite matrix or (..., n, n) stack.
+
+    One batched Cholesky factors the whole stack; a slice that is not
+    positive definite raises NumericalError, as in ``spd_solve``.
+    """
+    try:
+        factor = np.linalg.cholesky(sym(M))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"{what} is not positive definite") from exc
+    inv_factor = np.linalg.inv(factor)
+    return sym(inv_factor.swapaxes(-1, -2) @ inv_factor)

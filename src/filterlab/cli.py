@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 validation/config error, 2 numerical failure.
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
 
@@ -43,6 +44,13 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}")
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)  # argparse reports a ValueError as an invalid value
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"not a finite number > 0: {text!r}")
+    return value
+
+
 def _str_list(text: str) -> list[str]:
     return [tok.strip() for tok in text.split(",") if tok.strip() != ""]
 
@@ -64,7 +72,9 @@ def _build_parser() -> _Parser:
             default=None,
             help="comma list of fusion depths L",
         )
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="solver tolerance")
+        p.add_argument(
+            "--tol", type=_positive_float, default=DEFAULT_TOL, help="solver tolerance"
+        )
         p.add_argument(
             "--filters",
             type=_str_list,

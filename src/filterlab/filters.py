@@ -7,7 +7,6 @@ runs in synchronous rounds: node i only reads neighbor j's previous-round
 value where the weight l_ij is nonzero.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -285,75 +284,6 @@ def _modified_from_row(
         support=support.copy(),
         block_slices=slices,
     )
-
-
-def filter_trace(
-    model: PlantModel,
-    trajectory,
-    kind: str = "cmdf",
-    weights: ConsensusWeights | None = None,
-    L: int = 0,
-    trial: int = 0,
-) -> list[tuple]:
-    """Per-node, per-step trace rows for one trajectory.
-
-    Each row is (trial, k, node, mse_contribution, trace_P) where
-    mse_contribution is the squared error of the node's one-step-ahead
-    estimate at time k and trace_P the trace of its predicted covariance.
-    The centralized filter reports node -1.
-    """
-    K = trajectory.states.shape[0] - 1
-    rows = []
-    if kind == "ckf":
-        state = default_states(model)[0]
-        for k in range(1, K + 1):
-            A, Q = model.A.at(k - 1), model.Q.at(k - 1)
-            pred = A @ state.estimate
-            P_pred = A @ state.covariance @ A.T + Q
-            rows.append(
-                (
-                    trial,
-                    k,
-                    -1,
-                    float(np.sum((pred - trajectory.states[k]) ** 2)),
-                    float(np.trace(P_pred)),
-                )
-            )
-            y_all = np.concatenate([y[k] for y in trajectory.measurements])
-            state = ckf_step(model, state, y_all, k)
-        return rows
-    if kind not in ("cmdf", "cidf"):
-        raise ValidationError(f"unknown filter kind {kind!r}")
-    if weights is None:
-        raise ValidationError("consensus traces need a weight matrix")
-    step = cmdf_step if kind == "cmdf" else cidf_step
-    states = default_states(model)
-    for k in range(1, K + 1):
-        A, Q = model.A.at(k - 1), model.Q.at(k - 1)
-        for i, s in enumerate(states):
-            pred = A @ s.estimate
-            P_pred = A @ s.covariance @ A.T + Q
-            rows.append(
-                (
-                    trial,
-                    k,
-                    i,
-                    float(np.sum((pred - trajectory.states[k]) ** 2)),
-                    float(np.trace(P_pred)),
-                )
-            )
-        y = [yy[k] for yy in trajectory.measurements]
-        states = step(model, weights, L, states, y, k)
-    return rows
-
-
-def trace_to_csv(path, rows) -> None:
-    """Write trace rows with the (trial, k, node, mse_contribution, trace_P) header."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "k", "node", "mse_contribution", "trace_P"])
-        for trial, k, node, mse, tr in rows:
-            writer.writerow([trial, k, node, f"{mse:.17g}", f"{tr:.17g}"])
 
 
 def modified_sequences(

@@ -2,11 +2,20 @@
 scenario, accumulate empirical mean-square errors, and set them against the
 theoretical covariance curves.
 
-The per-node covariances and gains of all three filters are data-independent,
-so each (filter, L) run precomputes its gain schedule once and then advances
-all trials' estimates together with batched affine updates. Empirical MSE is
-computed on the one-step-ahead (predicted) estimates, matching the error
-covariance recursions the theory curves iterate.
+All three filters are one information-form filter over a stack of nodes,
+told apart by two matrices: ``prior_mix`` mixes the nodes' predicted
+information P_j^{-1} x_j and ``fusion`` the sensors' measurement
+information C_j' R_j^{-1} y_j. The centralized Kalman filter (CKF) is one
+node with ([[1]], 1'), the consensus-on-measurement filter (CMDF) is
+(I, N W^L) and the consensus-on-information baseline (CIDF) is (W^L, W^L).
+Node i corrects to x_i = P+_i q_i with
+
+    q_i = sum_j prior_mix_ij P_j^{-1} x_j + sum_j fusion_ij C_j' R_j^{-1} y_j.
+
+The covariances are data-independent, so each run precomputes its schedule
+once, batched over nodes, and one sweep then advances all trials together.
+Empirical MSE is computed on the one-step-ahead (predicted) estimates,
+matching the error covariance recursions the theory curves iterate.
 """
 
 import csv
@@ -142,122 +151,94 @@ class TrialResults:
         raise KeyError((name, L))
 
 
-def _period_tables(plant: PlantModel, weights: ConsensusWeights | None, L: int | None):
-    """Per-period-slot information blocks shared by schedules.
-
-    own[i][kmod] = C' R^{-1} C, rinv_c[i][kmod] = R^{-1} C for sensor i.
-    When (weights, L) is given, also the L-step fused scaled info sums
-    fused[kmod][i] and their squared-weight variants fused_sq[kmod][i].
-    """
-    T, N = plant.period, plant.N
-    rinv_c = [[None] * T for _ in range(N)]
-    own = [[None] * T for _ in range(N)]
-    for i in range(N):
-        for k in range(T):
-            C = plant.C[i].at(k)
-            G = np.linalg.solve(plant.R[i].at(k), C)
-            rinv_c[i][k] = G
-            own[i][k] = C.T @ G
-    fused = fused_sq = None
-    if weights is not None:
-        Wp = np.linalg.matrix_power(weights.matrix, L)
-        fused = [
-            [
-                sym(sum(N * Wp[i, j] * own[j][k] for j in range(N)))
-                for i in range(N)
-            ]
-            for k in range(T)
-        ]
-        fused_sq = [
-            [
-                sym(sum((N * Wp[i, j]) ** 2 * own[j][k] for j in range(N)))
-                for i in range(N)
-            ]
-            for k in range(T)
-        ]
-    return own, rinv_c, fused, fused_sq
+def _filter_runs(scenario: Scenario) -> list[tuple]:
+    """(name, L, prior_mix, fusion) of every configured run, in run order;
+    the module docstring defines the two matrices."""
+    N = scenario.plant.N
+    runs = []
+    for name in scenario.filters:
+        if name == "ckf":
+            runs.append(("ckf", None, np.ones((1, 1)), np.ones((1, N))))
+            continue
+        for L in scenario.L_values:
+            WL = np.linalg.matrix_power(scenario.weights.matrix, L)
+            if name == "cmdf":
+                runs.append(("cmdf", L, np.eye(N), N * WL))
+            else:
+                runs.append(("cidf", L, WL, WL))
+    return runs
 
 
-def _initial_error_cov(plant: PlantModel, x0: np.ndarray | None) -> np.ndarray:
-    # Estimates start at zero, the true state at the deterministic x0.
-    e0 = np.zeros(plant.n) if x0 is None else x0
-    return np.outer(e0, e0)
-
-
-def _cmdf_schedule(plant, weights, L, K, x0, noise_scale):
-    """Gain maps and exact theory covariance traces for the consensus filter."""
-    T, N, n = plant.period, plant.N, plant.n
-    _, rinv_c, fused, fused_sq = _period_tables(plant, weights, L)
-    M = np.empty((K + 1, N, n, n))
-    Ppost = np.empty((K + 1, N, n, n))
-    theory = np.empty((N, K))
-    scale2 = noise_scale**2
-    post = [np.eye(n) for _ in range(N)]
-    X = [_initial_error_cov(plant, x0) for _ in range(N)]
-    for k in range(1, K + 1):
-        A, Q = plant.A.at(k - 1), plant.Q.at(k - 1)
-        km = k % T
-        for i in range(N):
-            Pprior = sym(A @ post[i] @ A.T + Q)
-            Pinv = spd_inverse(Pprior, what="predicted covariance")
-            post_i = spd_inverse(Pinv + fused[km][i], what="posterior information")
-            M[k, i] = post_i @ Pinv
-            Ppost[k, i] = post_i
-            post[i] = post_i
-            Xp = sym(A @ X[i] @ A.T + scale2 * Q)
-            theory[i, k - 1] = np.trace(Xp)
-            X[i] = sym(
-                M[k, i] @ Xp @ M[k, i].T
-                + scale2 * post_i @ fused_sq[km][i] @ post_i
-            )
-    return M, Ppost, theory
-
-
-def _ckf_schedule(plant, K, x0, noise_scale):
+def _sensor_information(plant: PlantModel) -> tuple[np.ndarray, np.ndarray]:
+    """Per period slot t: R_j^{-1} C_j stacked over sensors, (T, m, n), and
+    C_j' R_j^{-1} C_j, (T, N, n, n)."""
     T, n = plant.period, plant.n
-    own, _, _, _ = _period_tables(plant, None, None)
-    total = [sym(sum(own[i][k] for i in range(plant.N))) for k in range(T)]
-    M = np.empty((K + 1, n, n))
-    Ppost = np.empty((K + 1, n, n))
-    theory = np.empty((1, K))
+    gain = np.empty((T, plant.m, n))
+    own = np.empty((T, plant.N, n, n))
+    for t in range(T):
+        for j, sl in enumerate(plant.observation_slices()):
+            C = plant.C[j].at(t)
+            gain[t, sl] = np.linalg.solve(plant.R[j].at(t), C)
+            own[t, j] = C.T @ gain[t, sl]
+    return gain, own
+
+
+def _schedule(plant, prior_mix, fusion, own, K, x0, noise_scale, theory):
+    """Predicted information P^{-1} and posterior covariance P+ of every node
+    at k = 1..K, as (K+1, rows, n, n) stacks, plus with ``theory`` the exact
+    predicted-error traces (rows, K).
+
+    Node i's posterior information is sum_j prior_mix_ij P_j^{-1} plus
+    sum_j fusion_ij C_j' R_j^{-1} C_j. The theory holds for nodes that keep
+    their own prior (prior_mix = I): the fused measurement noise then adds
+    P+ (sum_j fusion_ij^2 C_j' R_j^{-1} C_j) P+ to the error covariance.
+    """
+    T, n, rows = plant.period, plant.n, fusion.shape[0]
+    info = sym(np.einsum("ij,tjab->tiab", fusion, own))
+    info_sq = sym(np.einsum("ij,tjab->tiab", fusion**2, own))
+    Pinv = np.empty((K + 1, rows, n, n))
+    Ppost = np.empty((K + 1, rows, n, n))
+    post = np.broadcast_to(np.eye(n), (rows, n, n))
+    # Estimates start at zero, the true state at the deterministic x0.
+    e0 = np.zeros(n) if x0 is None else x0
+    X = np.broadcast_to(np.outer(e0, e0), (rows, n, n))
+    traces = np.empty((rows, K)) if theory else None
     scale2 = noise_scale**2
-    post = np.eye(n)
-    X = _initial_error_cov(plant, x0)
     for k in range(1, K + 1):
         A, Q = plant.A.at(k - 1), plant.Q.at(k - 1)
         km = k % T
-        Pprior = sym(A @ post @ A.T + Q)
-        Pinv = spd_inverse(Pprior, what="predicted covariance")
-        post = spd_inverse(Pinv + total[km], what="posterior information")
-        M[k] = post @ Pinv
-        Ppost[k] = post
-        Xp = sym(A @ X @ A.T + scale2 * Q)
-        theory[0, k - 1] = np.trace(Xp)
-        X = sym(M[k] @ Xp @ M[k].T + scale2 * post @ total[km] @ post)
-    return M, Ppost, theory
+        Pinv[k] = spd_inverse(A @ post @ A.T + Q, what="predicted covariance")
+        prior = np.tensordot(prior_mix, Pinv[k], axes=(1, 0))
+        post = Ppost[k] = spd_inverse(prior + info[km], what="posterior information")
+        if theory:
+            M = post @ Pinv[k]
+            Xp = sym(A @ X @ A.T + scale2 * Q)
+            traces[:, k - 1] = np.trace(Xp, axis1=1, axis2=2)
+            X = sym(M @ Xp @ M.swapaxes(1, 2) + scale2 * post @ info_sq[km] @ post)
+    return Pinv, Ppost, traces
 
 
-def _cidf_schedule(plant, weights, L, K):
-    T, N, n = plant.period, plant.N, plant.n
-    own, _, _, _ = _period_tables(plant, None, None)
-    Wp = np.linalg.matrix_power(weights.matrix, L)
-    Pinv_arr = np.empty((K + 1, N, n, n))
-    Ppost = np.empty((K + 1, N, n, n))
-    post = [np.eye(n) for _ in range(N)]
+def _sweep(plant, prior_mix, fusion, gain, Pinv, Ppost, X, Y):
+    """Squared one-step-ahead errors (rows, trials, K) of one run.
+
+    All trials advance together; each step corrects every node with
+    x_i = P+_i (sum_j prior_mix_ij P_j^{-1} x_j + sum_j fusion_ij C_j' R_j^{-1} y_j).
+    """
+    h, K, n = X.shape[0], X.shape[1] - 1, plant.n
+    rows, T = fusion.shape[0], plant.period
+    owner = np.repeat(np.arange(plant.N), plant.sensor_dims)
+    # fused[t, i] maps the stacked measurement to node i's fused information.
+    fused = fusion[:, owner][None, :, :, None] * gain[:, None, :, :]
+    xhat = np.zeros((rows, h, n))
+    sq = np.empty((rows, h, K))
     for k in range(1, K + 1):
-        A, Q = plant.A.at(k - 1), plant.Q.at(k - 1)
-        km = k % T
-        omegas = []
-        for i in range(N):
-            Pprior = sym(A @ post[i] @ A.T + Q)
-            Pinv = spd_inverse(Pprior, what="predicted covariance")
-            Pinv_arr[k, i] = Pinv
-            omegas.append(Pinv + own[i][km])
-        for i in range(N):
-            mixed = sym(sum(Wp[i, j] * omegas[j] for j in range(N)))
-            post[i] = spd_inverse(mixed, what="mixed information matrix")
-            Ppost[k, i] = post[i]
-    return Pinv_arr, Ppost
+        xhat = xhat @ plant.A.at(k - 1).T
+        err = xhat - X[:, k]
+        sq[:, :, k - 1] = np.einsum("ihn,ihn->ih", err, err)
+        q = np.tensordot(prior_mix, xhat @ Pinv[k], axes=(1, 0))
+        xhat = (q + Y[:, k] @ fused[k % T]) @ Ppost[k]
+        _mark_divergence(sq, k - 1, xhat)
+    return sq
 
 
 def _reduce(sq, window):
@@ -269,7 +250,7 @@ def _reduce(sq, window):
     nv = int(valid.sum())
     if nv == 0:
         raise NumericalError("every trial diverged")
-    good = sq[:, valid, :]
+    good = sq if nv == h else sq[:, valid, :]
     mse_step = good.mean(axis=1)
     step_se = good.std(axis=1, ddof=1) / math.sqrt(nv) if nv > 1 else np.zeros((nodes, K))
     per_trial = good[:, :, K - window :].mean(axis=2)
@@ -281,129 +262,11 @@ def _reduce(sq, window):
 
 
 def _mark_divergence(sq, step_idx, xhat):
-    bad = (~np.isfinite(xhat).all(axis=(0, 2))) | (
-        np.abs(xhat).max(axis=(0, 2)) > DIVERGENCE_NORM
-    )
+    # NaN fails the comparison too, so non-finite estimates count as diverged.
+    bad = ~(np.abs(xhat).max(axis=(0, 2)) <= DIVERGENCE_NORM)
     if bad.any():
         sq[:, bad, step_idx:] = np.nan
         xhat[:, bad, :] = 0.0
-    return bad
-
-
-def _run_cmdf(scenario, X, Ys, with_theory):
-    plant, W = scenario.plant, scenario.weights.matrix
-    K, h = scenario.horizon, scenario.trials
-    N, n = plant.N, plant.n
-    runs = []
-    for L in scenario.L_values:
-        M, Ppost, theory = _cmdf_schedule(
-            plant, scenario.weights, L, K, scenario.x0, scenario.noise_scale
-        )
-        _, rinv_c, _, _ = _period_tables(plant, None, None)
-        xhat = np.zeros((N, h, n))
-        sq = np.empty((N, h, K))
-        for k in range(1, K + 1):
-            A = plant.A.at(k - 1)
-            xhat = xhat @ A.T
-            err = xhat - X[:, k, :][None]
-            sq[:, :, k - 1] = np.einsum("ihn,ihn->ih", err, err)
-            info = np.empty((N, h, n))
-            km = k % plant.period
-            for i in range(N):
-                info[i] = Ys[i][:, k, :] @ (N * rinv_c[i][km])
-            for _ in range(L):
-                info = np.tensordot(W, info, axes=(1, 0))
-            for i in range(N):
-                xhat[i] = xhat[i] @ M[k, i].T + info[i] @ Ppost[k, i].T
-            _mark_divergence(sq, k - 1, xhat)
-        stats = _reduce(sq, scenario.steady_window)
-        runs.append(
-            FilterRun(
-                name="cmdf",
-                fusion_steps=L,
-                mse_per_step=stats[0],
-                step_se=stats[1],
-                mse_steady=stats[2],
-                steady_se=stats[3],
-                theory_per_step=theory if with_theory else None,
-                diverged=stats[4],
-            )
-        )
-    return runs
-
-
-def _run_ckf(scenario, X, Ys, with_theory):
-    plant = scenario.plant
-    K, h = scenario.horizon, scenario.trials
-    n = plant.n
-    M, Ppost, theory = _ckf_schedule(plant, K, scenario.x0, scenario.noise_scale)
-    _, rinv_c, _, _ = _period_tables(plant, None, None)
-    xhat = np.zeros((1, h, n))
-    sq = np.empty((1, h, K))
-    for k in range(1, K + 1):
-        A = plant.A.at(k - 1)
-        xhat = xhat @ A.T
-        err = xhat - X[:, k, :][None]
-        sq[:, :, k - 1] = np.einsum("ihn,ihn->ih", err, err)
-        km = k % plant.period
-        info = np.zeros((h, n))
-        for i in range(plant.N):
-            info += Ys[i][:, k, :] @ rinv_c[i][km]
-        xhat[0] = xhat[0] @ M[k].T + info @ Ppost[k].T
-        _mark_divergence(sq, k - 1, xhat)
-    stats = _reduce(sq, scenario.steady_window)
-    return [
-        FilterRun(
-            name="ckf",
-            fusion_steps=None,
-            mse_per_step=stats[0],
-            step_se=stats[1],
-            mse_steady=stats[2],
-            steady_se=stats[3],
-            theory_per_step=theory if with_theory else None,
-            diverged=stats[4],
-        )
-    ]
-
-
-def _run_cidf(scenario, X, Ys):
-    plant, W = scenario.plant, scenario.weights.matrix
-    K, h = scenario.horizon, scenario.trials
-    N, n = plant.N, plant.n
-    runs = []
-    _, rinv_c, _, _ = _period_tables(plant, None, None)
-    for L in scenario.L_values:
-        Pinv_arr, Ppost = _cidf_schedule(plant, scenario.weights, L, K)
-        xhat = np.zeros((N, h, n))
-        sq = np.empty((N, h, K))
-        for k in range(1, K + 1):
-            A = plant.A.at(k - 1)
-            xhat = xhat @ A.T
-            err = xhat - X[:, k, :][None]
-            sq[:, :, k - 1] = np.einsum("ihn,ihn->ih", err, err)
-            km = k % plant.period
-            q = np.empty((N, h, n))
-            for i in range(N):
-                q[i] = xhat[i] @ Pinv_arr[k, i].T + Ys[i][:, k, :] @ rinv_c[i][km]
-            for _ in range(L):
-                q = np.tensordot(W, q, axes=(1, 0))
-            for i in range(N):
-                xhat[i] = q[i] @ Ppost[k, i].T
-            _mark_divergence(sq, k - 1, xhat)
-        stats = _reduce(sq, scenario.steady_window)
-        runs.append(
-            FilterRun(
-                name="cidf",
-                fusion_steps=L,
-                mse_per_step=stats[0],
-                step_se=stats[1],
-                mse_steady=stats[2],
-                steady_se=stats[3],
-                theory_per_step=None,
-                diverged=stats[4],
-            )
-        )
-    return runs
 
 
 def run_monte_carlo(
@@ -425,29 +288,46 @@ def run_monte_carlo(
     K, h = scenario.horizon, scenario.trials
     children = np.random.SeedSequence(scenario.seed).spawn(h)
     X = np.empty((h, K + 1, plant.n))
-    Ys = [np.empty((h, K + 1, ni)) for ni in plant.sensor_dims]
+    Y = np.empty((h, K + 1, plant.m))
     for l, child in enumerate(children):
         traj = simulate_trajectory(
             plant, K, child, x0=scenario.x0, noise_scale=scenario.noise_scale
         )
         X[l] = traj.states
-        for i in range(plant.N):
-            Ys[i][l] = traj.measurements[i]
+        Y[l] = np.concatenate(traj.measurements, axis=1)
 
+    gain, own = _sensor_information(plant)
     runs = []
-    for name in scenario.filters:
-        if name == "ckf":
-            runs.extend(_run_ckf(scenario, X, Ys, with_theory))
-        elif name == "cmdf":
-            runs.extend(_run_cmdf(scenario, X, Ys, with_theory))
-        elif name == "cidf":
-            runs.extend(_run_cidf(scenario, X, Ys))
-    for r in runs:
-        if len(r.diverged) > 0.01 * h:
+    for name, L, prior_mix, fusion in _filter_runs(scenario):
+        # The information baseline mixes priors, so it has no exact theory.
+        Pinv, Ppost, theory = _schedule(
+            plant,
+            prior_mix,
+            fusion,
+            own,
+            K,
+            scenario.x0,
+            scenario.noise_scale,
+            theory=with_theory and name != "cidf",
+        )
+        sq = _sweep(plant, prior_mix, fusion, gain, Pinv, Ppost, X, Y)
+        stats = _reduce(sq, scenario.steady_window)
+        run = FilterRun(
+            name=name,
+            fusion_steps=L,
+            mse_per_step=stats[0],
+            step_se=stats[1],
+            mse_steady=stats[2],
+            steady_se=stats[3],
+            theory_per_step=theory,
+            diverged=stats[4],
+        )
+        if len(run.diverged) > 0.01 * h:
             raise NumericalError(
-                f"{r.label}: {len(r.diverged)} of {h} trials diverged "
-                f"(ids {list(r.diverged)[:10]}...)"
+                f"{run.label}: {len(run.diverged)} of {h} trials diverged "
+                f"(ids {list(run.diverged)[:10]}...)"
             )
+        runs.append(run)
 
     report = central_avg = None
     if with_theory:

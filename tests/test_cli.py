@@ -98,6 +98,12 @@ class TestSolveDpre:
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["solve-dpre", "--scenario", config]) == 2
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    def test_bad_tol_rejected_before_solving(self, golden_config, tol, capsys):
+        assert main(["solve-dpre", "--scenario", golden_config, "--tol", tol]) == 1
+        err = capsys.readouterr().err
+        assert "--tol" in err and "not a finite number > 0" in err
+
 
 class TestObservability:
     def test_alternating_pair_verdict(self, alternating_config, capsys):

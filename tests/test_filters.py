@@ -325,36 +325,6 @@ class TestCidfStep:
         assert ci[0].covariance[0, 0] > cm[0].covariance[0, 0]
 
 
-class TestFilterTrace:
-    def test_rows_and_csv(self, tmp_path):
-        import csv as csv_mod
-
-        from filterlab.filters import filter_trace, trace_to_csv
-
-        model = two_sensor_scalar_plant(a=0.9)
-        weights = two_node_weights(0.3)
-        traj = simulate_trajectory(model, K=4, seed=3)
-        rows = filter_trace(model, traj, kind="cmdf", weights=weights, L=1, trial=7)
-        assert len(rows) == 4 * 2
-        assert all(r[0] == 7 for r in rows)
-        path = tmp_path / "trace.csv"
-        trace_to_csv(path, rows)
-        with open(path) as fh:
-            parsed = list(csv_mod.reader(fh))
-        assert parsed[0] == ["trial", "k", "node", "mse_contribution", "trace_P"]
-        assert len(parsed) == 1 + len(rows)
-        # First step: prediction from the identity prior covariance.
-        assert float(parsed[1][4]) == pytest.approx(0.9**2 + 1.0, abs=1e-12)
-
-    def test_centralized_trace_marks_fusion_center(self):
-        from filterlab.filters import filter_trace
-
-        model = two_sensor_scalar_plant()
-        traj = simulate_trajectory(model, K=3, seed=0)
-        rows = filter_trace(model, traj, kind="ckf")
-        assert [r[2] for r in rows] == [-1, -1, -1]
-
-
 class TestUnbiasedness:
     def test_mean_error_within_four_standard_errors(self):
         # Exact initialization and zero-mean noise leave no bias.

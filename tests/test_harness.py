@@ -23,6 +23,7 @@ from filterlab import (
     simulate_trajectory,
 )
 from filterlab.harness import (
+    CidfComparison,
     TrialResults,
     load_scenario,
     scenario_from_dict,
@@ -268,16 +269,76 @@ class TestCompareCidf:
         assert abs(seeing_cm - seeing_ci) > 1e-12
 
     def test_complete_graph_single_round_ties_centralized(self):
-        scn = triangle_scenario(trials=60, horizon=12, L_values=(1,), seed=8)
-        comparison = compare_cidf(scn)
-        results = comparison.results
-        ckf = results.run("ckf").mse_steady[0]
-        for i in range(3):
-            cm = results.run("cmdf", 1).mse_steady[i]
-            assert cm == pytest.approx(ckf, rel=1e-9)
-            # The information baseline dilutes everyone's precision N-fold
-            # and lands strictly above the centralized error.
-            assert results.run("cidf", 1).mse_steady[i] > ckf
+        # With weights exactly J/N one round hands every node the whole
+        # network's measurement information, so each CMDF node is the CKF.
+        N = 3
+        J_over_N = ConsensusWeights(matrix=np.full((N, N), 1.0 / N))
+        scn = triangle_scenario(
+            weights=J_over_N, trials=60, horizon=12, L_values=(1,), seed=8
+        )
+        results = run_monte_carlo(scn)
+        ckf, cmdf = results.run("ckf"), results.run("cmdf", 1)
+        for i in range(N):
+            for curve in ("mse_per_step", "theory_per_step"):
+                np.testing.assert_allclose(
+                    getattr(cmdf, curve)[i], getattr(ckf, curve)[0], rtol=1e-12, atol=0
+                )
+        # The information baseline dilutes everyone's precision N-fold
+        # and lands strictly above the centralized error.
+        comparison = CidfComparison.from_results(results)
+        for sensor, L, mse_cmdf, mse_cidf in comparison.rows:
+            assert mse_cmdf == pytest.approx(ckf.mse_steady[0], rel=1e-12)
+            assert mse_cidf > mse_cmdf
+
+    def test_relabelling_sensors_permutes_rows(self):
+        # Noiseless trials from a nonzero x0 do not depend on the noise
+        # draws, so relabelling the sensors, the graph and W by perm must
+        # relabel every node row the same way and leave the CKF alone.
+        plant = small_periodic_plant()
+        path = SensorGraph(n_nodes=3, edges=frozenset({(0, 1), (1, 2)}))
+        W = metropolis_weights(path).matrix
+        perm = [2, 0, 1]  # new sensor a is old sensor perm[a]
+        new_id = np.argsort(perm)
+        relabelled = dict(
+            plant=PlantModel(
+                A=plant.A,
+                Q=plant.Q,
+                C=[plant.C[j] for j in perm],
+                R=[plant.R[j] for j in perm],
+            ),
+            graph=SensorGraph(
+                n_nodes=3,
+                edges=frozenset((new_id[i], new_id[j]) for i, j in path.edges),
+            ),
+            weights=ConsensusWeights(matrix=W[np.ix_(perm, perm)]),
+        )
+        common = dict(
+            L_values=(2,), horizon=8, trials=2, noise_scale=0.0, x0=np.array([1.0, -2.0])
+        )
+        base = run_monte_carlo(
+            triangle_scenario(
+                plant=plant, graph=path, weights=ConsensusWeights(matrix=W), **common
+            )
+        )
+        moved = run_monte_carlo(triangle_scenario(**relabelled, **common))
+
+        def close(a, b):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+
+        close(moved.run("ckf").mse_per_step, base.run("ckf").mse_per_step)
+        close(moved.run("ckf").theory_per_step, base.run("ckf").theory_per_step)
+        for name in ("cmdf", "cidf"):
+            close(moved.run(name, 2).mse_per_step, base.run(name, 2).mse_per_step[perm])
+        cmdf, cmdf_moved = base.run("cmdf", 2), moved.run("cmdf", 2)
+        close(cmdf_moved.theory_per_step, cmdf.theory_per_step[perm])
+        close(cmdf_moved.theory_steady, cmdf.theory_steady[perm])
+        # theory_steady is the noise-free zero here; the unscaled report
+        # cells it is read from must move with the labels too.
+        for a, old in enumerate(perm):
+            assert moved.gap_report.cell(a, 2).avg_perf == pytest.approx(
+                base.gap_report.cell(old, 2).avg_perf, rel=1e-12
+            )
+        assert np.all(cmdf.mse_per_step > 0)
 
     def test_crossover_is_reported(self):
         scn = triangle_scenario(trials=120, horizon=12, L_values=(1, 2, 3), seed=13)

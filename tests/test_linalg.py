@@ -1,0 +1,34 @@
+import numpy as np
+import pytest
+
+from filterlab import NumericalError
+from filterlab._linalg import spd_inverse, sym
+
+
+def random_spd_stack(k, n, seed):
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((k, n, n))
+    return B @ B.swapaxes(-1, -2) + 0.1 * np.eye(n)
+
+
+class TestStackedHelpers:
+    def test_sym_acts_per_slice(self):
+        M = np.random.default_rng(1).standard_normal((3, 4, 4))
+        stacked = sym(M)
+        for s, m in zip(stacked, M):
+            assert np.array_equal(s, (m + m.T) / 2.0)
+
+    def test_spd_inverse_stack_matches_per_matrix(self):
+        M = random_spd_stack(5, 4, seed=2)
+        stacked = spd_inverse(M)
+        assert stacked.shape == M.shape
+        for s, m in zip(stacked, M):
+            np.testing.assert_allclose(s, spd_inverse(m), rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(s @ m, np.eye(4), atol=1e-9)
+            assert np.array_equal(s, s.T)
+
+    def test_indefinite_slice_raises_with_its_label(self):
+        M = random_spd_stack(4, 3, seed=3)
+        M[2] = np.diag([1.0, -1.0, 2.0])
+        with pytest.raises(NumericalError, match="posterior information is not positive definite"):
+            spd_inverse(M, what="posterior information")
