@@ -23,10 +23,9 @@ import sys
 from . import gap as gap_mod
 from . import harness
 from .errors import NumericalError, ValidationError
-from .network import diameter, second_largest_eigenvalue
+from .network import diameter, second_largest_eigenvalue, weight_power
 from .periodic import PlantModel
-from .spps import DEFAULT_TOL, uniform_observability
-from .filters import modified_sequences
+from .spps import DEFAULT_TOL
 
 
 class _Parser(argparse.ArgumentParser):
@@ -166,12 +165,8 @@ def _cmd_observability(args) -> int:
     cfg = _read_config(args.scenario)
     plant = _plant_from_config(cfg)
     graph, weights = harness.network_from_dict(cfg) if "graph" in cfg else (None, None)
-    from .periodic import PeriodicSequence, stacked_observation
-
-    C_full = PeriodicSequence(
-        [stacked_observation(plant, k)[0] for k in range(plant.period)]
-    )
-    verdict = uniform_observability(plant.A, C_full)
+    verdicts = {}
+    verdict = gap_mod.observable_support(plant, [True] * plant.N, verdicts)
     print(f"pair (A, C): uniformly observable: {str(verdict).lower()}")
     if weights is not None:
         if args.fusion_steps is not None:
@@ -182,12 +177,9 @@ def _cmd_observability(args) -> int:
         if any(L < 0 for L in L_list):
             raise ValidationError("fusion steps must be >= 0")
         for L in L_list:
+            _, mask = weight_power(weights, L)
             for i in range(plant.N):
-                try:
-                    C_mod, _, _, _ = modified_sequences(plant, weights, L, i)
-                    ok = uniform_observability(plant.A, C_mod)
-                except ValidationError:
-                    ok = False
+                ok = gap_mod.observable_support(plant, mask[i], verdicts)
                 print(
                     f"sensor {i} L={L}: uniformly observable: {str(ok).lower()}"
                 )

@@ -108,6 +108,31 @@ def _information_terms(model: PlantModel, i: int, k: int, y_i: np.ndarray):
     return C.T @ RinvC, RinvC.T @ y_i
 
 
+def _sensor_information(plant: PlantModel) -> tuple[np.ndarray, np.ndarray]:
+    """Per period slot t: R_j^{-1} C_j stacked over sensors, (T, m, n), and
+    C_j' R_j^{-1} C_j, (T, N, n, n)."""
+    T, n = plant.period, plant.n
+    gain = np.empty((T, plant.m, n))
+    own = np.empty((T, plant.N, n, n))
+    for t in range(T):
+        for j, sl in enumerate(plant.observation_slices()):
+            C = plant.C[j].at(t)
+            gain[t, sl] = np.linalg.solve(plant.R[j].at(t), C)
+            own[t, j] = C.T @ gain[t, sl]
+    return gain, own
+
+
+def _fused_information(fusion: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per slot and fusing node i, (T, rows, n, n): the fused information
+    S_i = sum_j fusion_ij C_j' R_j^{-1} C_j and, for the noise that fusion
+    injects, S2_i = sum_j fusion_ij^2 C_j' R_j^{-1} C_j; ``own`` is the
+    second table of ``_sensor_information``."""
+    return (
+        sym(np.einsum("ij,tjab->tiab", fusion, own)),
+        sym(np.einsum("ij,tjab->tiab", fusion**2, own)),
+    )
+
+
 def ckf_step(
     model: PlantModel, state: NodeState, y_all: np.ndarray, k: int
 ) -> NodeState:

@@ -11,18 +11,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import spectral_norm, sym
+from ._linalg import spd_inverse, spectral_norm, sym
 from .errors import NumericalError, ValidationError
 from .network import ConsensusWeights, SensorGraph, second_largest_eigenvalue, weight_power
 from .periodic import PeriodicSequence, PlantModel, stacked_observation
-from .filters import modified_sequences
+from .filters import _fused_information, _sensor_information
 from .spps import (
     DEFAULT_TOL,
     SppsSolution,
-    closed_loop_sequence,
+    _cell_solution,
+    _information_riccati,
+    _lyapunov_stack,
     dple_spps,
     dpre_spps,
-    transition_product,
     uniform_observability,
 )
 
@@ -46,6 +47,72 @@ def centralized_dpre(model: PlantModel, tol: float = DEFAULT_TOL, **kw) -> SppsS
     return dpre_spps(model.A, C, model.Q, R, tol=tol, **kw)
 
 
+def observable_support(model: PlantModel, support, verdicts: dict) -> bool:
+    """Whether A and the C rows of the sensors in ``support`` form a
+    uniformly observable pair; an empty support is not observable.
+
+    ``verdicts`` memoizes the answer by support mask, so each distinct mask
+    is checked once however many nodes and fusion depths share it.
+    """
+    support = np.asarray(support, dtype=bool)
+    key = support.tobytes()
+    if key not in verdicts:
+        sensors = np.flatnonzero(support)
+        verdicts[key] = sensors.size > 0 and uniform_observability(
+            model.A,
+            PeriodicSequence(
+                [np.vstack([model.C[j].at(k) for j in sensors]) for k in range(model.period)]
+            ),
+        )
+    return verdicts[key]
+
+
+def _fused_rows(model, weights, L, rows, own, verdicts, check_observability=True):
+    """Fused information S and S2, (T, len(rows), n, n), of the given nodes
+    at depth L (see ``filters._fused_information``).
+
+    Node i fuses sensor j with weight N (W^L)_ij on its support, the sensors
+    an L-step path reaches. A node with an empty support, or with
+    ``check_observability`` one that is not uniformly observable, has no
+    steady covariance and raises ValidationError.
+    """
+    power, mask = weight_power(weights, L)
+    for i in rows:
+        if not mask[i].any():
+            raise ValidationError(
+                f"node {i} has empty fusion support at L={L}; no observation model exists"
+            )
+        if check_observability and not observable_support(model, mask[i], verdicts):
+            raise ValidationError(
+                f"node {i} at L={L}: the pair (A, modified C) is not uniformly "
+                "observable, so the consensus filter has no steady covariance"
+            )
+    return _fused_information(np.where(mask, model.N * power, 0.0)[rows], own)
+
+
+def _closed_loops(model, P, S, S2):
+    """Per slot and node, for Riccati solutions P, (T, rows, n, n): the gain
+    A P+ with the posterior P+ = (P^{-1} + S)^{-1}, the closed loop
+    A P+ P^{-1}, and the noise Q + A P+ S2 P+ A' that drives the true error
+    covariance through that loop."""
+    T = P.shape[0]
+    A = np.stack([model.A.at(k) for k in range(T)])[:, None]
+    Q = np.stack([model.Q.at(k) for k in range(T)])[:, None]
+    prior = spd_inverse(P, what="predicted covariance")
+    gain = A @ spd_inverse(prior + S, what="posterior information")
+    return gain, gain @ prior, sym(Q + gain @ S2 @ gain.swapaxes(2, 3))
+
+
+def _fused_solve(model, weights, L, own, verdicts, tol, rows=None):
+    """Steady parameter and true error covariances, (T, rows, n, n) each, of
+    the given nodes (default: all N) at fusion depth L, solved as one stack."""
+    rows = list(range(model.N)) if rows is None else rows
+    S, S2 = _fused_rows(model, weights, L, rows, own, verdicts)
+    P = _information_riccati(model.A, model.Q, S, tol, None)[0]
+    _, loops, noise = _closed_loops(model, P, S, S2)
+    return P, _lyapunov_stack(loops, noise, tol, None)[0]
+
+
 def cmdf_dpre(
     model: PlantModel,
     weights: ConsensusWeights,
@@ -57,16 +124,14 @@ def cmdf_dpre(
 ) -> SppsSolution:
     """Steady parameter covariance of node i's consensus filter at fusion depth L.
 
-    Solves the Riccati equation with the node's modified observation model;
-    this is the limit of the covariance recursion the node actually iterates.
+    Solves the Riccati equation in information form with the node's fused
+    measurement information; this is the limit of the covariance recursion
+    the node actually iterates.
     """
-    C_mod, R_eff, _, _ = modified_sequences(model, weights, L, i)
-    if check_observability and not uniform_observability(model.A, C_mod):
-        raise ValidationError(
-            f"node {i} at L={L}: the pair (A, modified C) is not uniformly "
-            "observable, so the consensus filter has no steady covariance"
-        )
-    return dpre_spps(model.A, C_mod, model.Q, R_eff, tol=tol, max_sweeps=max_sweeps)
+    S, _ = _fused_rows(
+        model, weights, L, [i], _sensor_information(model)[1], {}, check_observability
+    )
+    return _cell_solution(_information_riccati(model.A, model.Q, S, tol, max_sweeps))
 
 
 def cmdf_error_dple(
@@ -80,22 +145,22 @@ def cmdf_error_dple(
 ) -> SppsSolution:
     """True steady error covariance of node i's consensus filter.
 
-    Solves the Lyapunov equation driven by the closed loop of the modified
-    Riccati solution, with the true (masked) noise covariance re-injected
+    Solves the Lyapunov equation driven by the closed loop of the node's
+    Riccati solution, with the noise its fusion weights inject re-entering
     through the gains.
     """
-    C_mod, R_eff, R_mask, _ = modified_sequences(model, weights, L, i)
-    if dpre_solution is None:
-        dpre_solution = cmdf_dpre(model, weights, L, i, tol=tol, max_sweeps=max_sweeps)
-    gains, loops = closed_loop_sequence(model.A, C_mod, R_eff, dpre_solution)
-    T = dpre_solution.period
-    Q_noise = PeriodicSequence(
-        [
-            sym(model.Q.at(k) + gains[k] @ R_mask.at(k) @ gains[k].T)
-            for k in range(T)
-        ]
+    S, S2 = _fused_rows(
+        model, weights, L, [i], _sensor_information(model)[1], {},
+        check_observability=dpre_solution is None,
     )
-    return dple_spps(loops, Q_noise, tol=tol, max_sweeps=max_sweeps)
+    if dpre_solution is None:
+        P = _information_riccati(model.A, model.Q, S, tol, max_sweeps)[0]
+    elif dpre_solution.period != model.period:
+        raise ValidationError("solution period does not match the sequences")
+    else:
+        P = np.stack(dpre_solution.P)[:, None]
+    _, loops, noise = _closed_loops(model, P, S, S2)
+    return dple_spps(loops[:, 0], noise[:, 0], tol=tol, max_sweeps=max_sweeps)
 
 
 @dataclass(frozen=True)
@@ -108,37 +173,48 @@ class GapSeries:
     terms: int
 
 
-def _require_full_support(weights: ConsensusWeights, L: int, i: int) -> np.ndarray:
+def _series_parts(model, weights, L, i, tol):
+    """Node i (row 0, full fusion support required) and the centralized
+    filter (row 1) for the series forms: Riccati solutions P, fused
+    information S and S2, and their ``_closed_loops``."""
     power, mask = weight_power(weights, L)
     if not mask[i].all():
         raise ValidationError(
             f"series form needs full fusion support for node {i} at L={L} "
             "(take L at least the graph diameter)"
         )
-    return power[i]
+    S, S2 = _fused_information(
+        np.stack([model.N * power[i], np.ones(model.N)]), _sensor_information(model)[1]
+    )
+    P = _information_riccati(model.A, model.Q, S, min(tol, 1e-11), None)[0]
+    return P, S, S2, _closed_loops(model, P, S, S2)
 
 
-def _suffix_products(loops: PeriodicSequence, anchor: int) -> list[np.ndarray]:
-    """suffix[l] = product of closed-loop matrices over times [anchor+l+1, anchor+T)."""
-    T = loops.period
-    n = loops.shape[0]
-    out = [np.eye(n) for _ in range(T)]
-    for l in range(T - 2, -1, -1):
-        out[l] = out[l + 1] @ loops.at(anchor + l + 1)
-    return out
-
-
-def _truncated_series(Psi, Phi_left, Phi_right, truncation, term_tol):
-    total = np.zeros_like(Psi)
-    left = np.eye(Psi.shape[0])
-    right = np.eye(Psi.shape[0])
+def _series(loops, anchor, mid, rows, direct, truncation, term_tol) -> GapSeries:
+    """Sum the geometric series of one-period propagations of the gap that
+    slot t injects as mid(t), carried on the left by the closed loop of row
+    rows[0] and on the right by that of rows[1], and set it against the
+    directly computed gap."""
+    M = loops[:, list(rows)]
+    T, n = M.shape[0], M.shape[-1]
+    # phi runs through the suffix products over [anchor+l+1, anchor+T) for
+    # l = T-1..0 and ends as the one-period product from the anchor.
+    phi = np.broadcast_to(np.eye(n), M.shape[1:])
+    Psi = np.zeros((n, n))
+    for l in range(T - 1, -1, -1):
+        t = (anchor + l) % T
+        Psi += phi[0] @ mid(t) @ phi[1].T
+        phi = phi @ M[t]
+    total = np.zeros((n, n))
+    left = right = np.eye(n)
     for j in range(truncation):
         term = left @ Psi @ right.T
         total += term
         if spectral_norm(term) < term_tol:
-            return sym(total), j + 1
-        left = Phi_left @ left
-        right = Phi_right @ right
+            series = sym(total)
+            return GapSeries(series, direct, spectral_norm(series - direct), j + 1)
+        left = phi[0] @ left
+        right = phi[1] @ right
     raise NumericalError(
         f"gap series did not reach the term floor within {truncation} terms; "
         "increase the truncation cap"
@@ -158,36 +234,17 @@ def gap_series_ric(
     """Series form of the parameter-covariance gap (node i minus centralized).
 
     Reconstructs P_i^(L) - P at the anchor slot as the geometric series of
-    one-period gap propagations and compares it against the direct difference
-    of the two solved steady solutions.
+    one-period gap propagations, each slot injecting the information
+    mismatch A P+_i (S - S_i) P+ A', and compares it against the direct
+    difference of the two solved steady solutions.
     """
-    _require_full_support(weights, L, i)
-    C, R = _network_sequences(model)
-    _, R_eff, _, _ = modified_sequences(model, weights, L, i)
-    P_c = dpre_spps(model.A, C, model.Q, R, tol=min(tol, 1e-11))
-    P_i = dpre_spps(model.A, C, model.Q, R_eff, tol=min(tol, 1e-11))
-    K_c, loops_c = closed_loop_sequence(model.A, C, R, P_c)
-    K_i, loops_i = closed_loop_sequence(model.A, C, R_eff, P_i)
+    P, S, _, (gain, loops, _) = _series_parts(model, weights, L, i, tol)
+    a = anchor % model.period
 
-    T = model.period
-    suffix_i = _suffix_products(loops_i, anchor)
-    suffix_c = _suffix_products(loops_c, anchor)
-    Psi = np.zeros((model.n, model.n))
-    for l in range(T):
-        t = (anchor + l) % T
-        mid = K_i[t] @ (R_eff.at(t) - R.at(t)) @ K_c[t].T
-        Psi += suffix_i[l] @ mid @ suffix_c[l].T
+    def mid(t):
+        return gain[t, 0] @ (S[t, 1] - S[t, 0]) @ gain[t, 1].T
 
-    Phi_i = transition_product(loops_i, anchor, anchor + T)
-    Phi_c = transition_product(loops_c, anchor, anchor + T)
-    series, terms = _truncated_series(Psi, Phi_i, Phi_c, truncation, term_tol)
-    direct = P_i.at(anchor) - P_c.at(anchor)
-    return GapSeries(
-        series_sum=series,
-        direct=direct,
-        defect=spectral_norm(series - direct),
-        terms=terms,
-    )
+    return _series(loops, anchor, mid, (0, 1), P[a, 0] - P[a, 1], truncation, term_tol)
 
 
 def gap_series_cov(
@@ -203,32 +260,17 @@ def gap_series_cov(
     """Series form of the error-vs-parameter covariance gap at node i.
 
     Reconstructs the steady difference between the node's true error
-    covariance and its parameter covariance from the noise-mismatch terms
-    propagated through the closed loop.
+    covariance and its parameter covariance from the noise mismatch
+    A P+_i (S2_i - S_i) P+_i A' propagated through the closed loop.
     """
-    _require_full_support(weights, L, i)
-    C_mod, R_eff, R_mask, _ = modified_sequences(model, weights, L, i)
-    P_i = dpre_spps(model.A, C_mod, model.Q, R_eff, tol=min(tol, 1e-11))
-    P_err = cmdf_error_dple(model, weights, L, i, tol=min(tol, 1e-11), dpre_solution=P_i)
-    K_i, loops_i = closed_loop_sequence(model.A, C_mod, R_eff, P_i)
+    P, S, S2, (gain, loops, noise) = _series_parts(model, weights, L, i, tol)
+    err = dple_spps(loops[:, 0], noise[:, 0], tol=min(tol, 1e-11))
 
-    T = model.period
-    suffix_i = _suffix_products(loops_i, anchor)
-    Upsilon = np.zeros((model.n, model.n))
-    for l in range(T):
-        t = (anchor + l) % T
-        mid = K_i[t] @ (R_mask.at(t) - R_eff.at(t)) @ K_i[t].T
-        Upsilon += suffix_i[l] @ mid @ suffix_i[l].T
+    def mid(t):
+        return gain[t, 0] @ (S2[t, 0] - S[t, 0]) @ gain[t, 0].T
 
-    Phi_i = transition_product(loops_i, anchor, anchor + T)
-    series, terms = _truncated_series(Upsilon, Phi_i, Phi_i, truncation, term_tol)
-    direct = P_err.at(anchor) - P_i.at(anchor)
-    return GapSeries(
-        series_sum=series,
-        direct=direct,
-        defect=spectral_norm(series - direct),
-        terms=terms,
-    )
+    direct = err.at(anchor) - P[anchor % model.period, 0]
+    return _series(loops, anchor, mid, (0, 0), direct, truncation, term_tol)
 
 
 def average_performance(solution: SppsSolution) -> float:
@@ -252,10 +294,11 @@ def rate_fit(
     L_range = sorted(set(int(L) for L in L_range))
     central = average_performance(centralized_dpre(model, tol=tol))
     needed = sorted(set(L_range) | {L + 1 for L in L_range})
-    perf = {
-        L: average_performance(cmdf_error_dple(model, weights, L, i, tol=tol))
-        for L in needed
-    }
+    own, verdicts = _sensor_information(model)[1], {}
+    perf = {}
+    for L in needed:
+        X = _fused_solve(model, weights, L, own, verdicts, tol, rows=[i])[1]
+        perf[L] = float(np.trace(X[:, 0], axis1=1, axis2=2).mean())
     rates = []
     for L in L_range:
         den = perf[L] - central
@@ -364,43 +407,43 @@ def build_gap_report(
 ) -> GapReport:
     """Solve every (sensor, L) cell and assemble the report.
 
-    Each swept L also solves L + 1, the numerator of its decay rate.
+    Each swept L also solves L + 1, the numerator of its decay rate. The N
+    nodes of one L are solved in information form as one stack, and
+    observability is decided once per distinct support mask.
     """
     L_values = sorted(set(int(L) for L in L_values))
     if not L_values:
         raise ValidationError("the gap report needs at least one L value")
     central = centralized_dpre(model, tol=tol)
     central_avg = average_performance(central)
+    central_P = np.stack(central.P)[:, None]
     needed_L = sorted(set(L_values) | {L + 1 for L in L_values})
 
+    own, verdicts = _sensor_information(model)[1], {}
     solved = {}
-    for i in range(model.N):
-        for L in needed_L:
-            P_i = cmdf_dpre(model, weights, L, i, tol=tol)
-            P_err = cmdf_error_dple(model, weights, L, i, tol=tol, dpre_solution=P_i)
-            gap_ric = max(
-                spectral_norm(P_i.at(k) - central.at(k)) for k in range(model.period)
-            )
-            gap_cov = max(
-                spectral_norm(P_err.at(k) - central.at(k)) for k in range(model.period)
-            )
-            solved[(i, L)] = (gap_ric, gap_cov, average_performance(P_err))
+    for L in needed_L:
+        P, X = _fused_solve(model, weights, L, own, verdicts, tol)
+        solved[L] = (
+            np.linalg.norm(P - central_P, 2, axis=(2, 3)).max(axis=0),
+            np.linalg.norm(X - central_P, 2, axis=(2, 3)).max(axis=0),
+            np.trace(X, axis1=2, axis2=3).mean(axis=0),
+        )
 
     cells = []
     for i in range(model.N):
-        previous_gap = None
+        previous = None
         for L in L_values:
-            gap_ric, gap_cov, perf = solved[(i, L)]
+            gap_ric, gap_cov, perf = (float(v[i]) for v in solved[L])
             den = perf - central_avg
-            num = solved[(i, L + 1)][2] - central_avg
+            num = float(solved[L + 1][2][i]) - central_avg
             rate = num / den if abs(den) > RATE_FLOOR else math.nan
-            if previous_gap is not None and gap_cov > previous_gap + 1e-8:
+            if previous is not None and gap_cov > previous[1] + 1e-8:
                 logger.warning(
                     "gap at sensor %d grew from L=%d to L=%d (%.3e -> %.3e); "
                     "only the exponential envelope is guaranteed",
-                    i, L - 1, L, previous_gap, gap_cov,
+                    i, previous[0], L, previous[1], gap_cov,
                 )
-            previous_gap = gap_cov
+            previous = (L, gap_cov)
             cells.append(
                 GapCell(
                     sensor=i, L=L, gap_ric=gap_ric, gap_cov=gap_cov,

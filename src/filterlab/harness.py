@@ -31,6 +31,7 @@ import numpy as np
 from ._linalg import spd_inverse, sym
 from .errors import NumericalError, ValidationError
 from . import gap as gap_mod
+from .filters import _fused_information, _sensor_information
 from .network import (
     ConsensusWeights,
     SensorGraph,
@@ -169,20 +170,6 @@ def _filter_runs(scenario: Scenario) -> list[tuple]:
     return runs
 
 
-def _sensor_information(plant: PlantModel) -> tuple[np.ndarray, np.ndarray]:
-    """Per period slot t: R_j^{-1} C_j stacked over sensors, (T, m, n), and
-    C_j' R_j^{-1} C_j, (T, N, n, n)."""
-    T, n = plant.period, plant.n
-    gain = np.empty((T, plant.m, n))
-    own = np.empty((T, plant.N, n, n))
-    for t in range(T):
-        for j, sl in enumerate(plant.observation_slices()):
-            C = plant.C[j].at(t)
-            gain[t, sl] = np.linalg.solve(plant.R[j].at(t), C)
-            own[t, j] = C.T @ gain[t, sl]
-    return gain, own
-
-
 def _schedule(plant, prior_mix, fusion, own, K, x0, noise_scale, theory):
     """Predicted information P^{-1} and posterior covariance P+ of every node
     at k = 1..K, as (K+1, rows, n, n) stacks, plus with ``theory`` the exact
@@ -194,8 +181,7 @@ def _schedule(plant, prior_mix, fusion, own, K, x0, noise_scale, theory):
     P+ (sum_j fusion_ij^2 C_j' R_j^{-1} C_j) P+ to the error covariance.
     """
     T, n, rows = plant.period, plant.n, fusion.shape[0]
-    info = sym(np.einsum("ij,tjab->tiab", fusion, own))
-    info_sq = sym(np.einsum("ij,tjab->tiab", fusion**2, own))
+    info, info_sq = _fused_information(fusion, own)
     Pinv = np.empty((K + 1, rows, n, n))
     Ppost = np.empty((K + 1, rows, n, n))
     post = np.broadcast_to(np.eye(n), (rows, n, n))

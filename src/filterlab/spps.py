@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import min_eig_sym, spd_solve, spectral_norm, spectral_radius, sym
+from ._linalg import min_eig_sym, spd_inverse, spd_solve, spectral_norm, spectral_radius, sym
 from .errors import ConvergenceError, NumericalError, ValidationError
 from .periodic import PeriodicSequence, as_periodic, normalize_period
 
@@ -97,42 +97,74 @@ def transition_product(seq, start: int, stop: int) -> np.ndarray:
     return out
 
 
-def _default_sweeps(period: int, max_sweeps: int | None) -> int:
-    if max_sweeps is not None:
-        return max_sweeps
-    return max(2, math.ceil(MAX_STEP_BUDGET / period))
-
-
 def _iterate_to_period(step, period, P0, tol, max_sweeps, label):
-    """Drive P_{k+1} = step(k, P_k) until a full period changes by < tol.
+    """Drive P_{k+1} = step(k, P_k, cells) over a (cells, n, n) stack until
+    each cell's full period changes by < tol.
 
-    Returns (slots, sweeps, residual) where slots[s] approximates the SPPS
-    solution at time slot s.
+    ``step`` advances the rows of the still-running cells, whose stack
+    indices it is given. Each cell stops, keeping its values, at the first
+    sweep after the first in which its own largest spectral-norm change is
+    below ``tol``. Returns (slots, sweeps, residual): slots[s, c] approximates
+    cell c's SPPS solution at time slot s; sweeps and residual are per cell.
+    ``max_sweeps=None`` budgets about MAX_STEP_BUDGET time steps.
     """
+    if max_sweeps is None:
+        max_sweeps = max(2, math.ceil(MAX_STEP_BUDGET / period))
     P = sym(np.asarray(P0, dtype=float))
-    slots = [None] * period
-    residual = math.inf
+    slots = np.empty((period,) + P.shape)
+    sweeps = np.zeros(P.shape[0], dtype=int)
+    residual = np.zeros(P.shape[0])
+    cells = np.arange(P.shape[0])
+    change = np.full(cells.size, math.inf)
     for sweep in range(max_sweeps):
-        residual = 0.0
+        change = np.zeros(cells.size)
         for k in range(period):
-            P_next = step(k, P)
-            if not np.all(np.isfinite(P_next)):
+            P = step(k, P, cells)
+            if not np.all(np.isfinite(P)):
                 raise NumericalError(
                     f"{label} produced non-finite values at sweep {sweep + 1}: "
                     "the recursion is divergent"
                 )
             s = (k + 1) % period
-            if slots[s] is not None:
-                residual = max(residual, spectral_norm(P_next - slots[s]))
-            slots[s] = P_next
-            P = P_next
-        if sweep > 0 and residual < tol:
-            return slots, sweep + 1, residual
+            if sweep > 0:
+                change = np.maximum(
+                    change, np.linalg.norm(P - slots[s, cells], 2, axis=(1, 2))
+                )
+            slots[s, cells] = P
+        if sweep > 0:
+            done = change < tol
+            sweeps[cells[done]] = sweep + 1
+            residual[cells[done]] = change[done]
+            cells, P, change = cells[~done], P[~done], change[~done]
+            if cells.size == 0:
+                return slots, sweeps, residual
+    worst = float(change.max())
     raise ConvergenceError(
         f"{label} did not converge within {max_sweeps} sweeps "
-        f"(residual {residual:.3e}, tol {tol:.1e})",
-        residual=residual,
+        f"(residual {worst:.3e}, tol {tol:.1e})",
+        residual=worst,
     )
+
+
+def _cell_solution(run, cell: int = 0) -> SppsSolution:
+    """Cell ``cell`` of an ``_iterate_to_period`` result as an SppsSolution."""
+    slots, sweeps, residual = run
+    return SppsSolution(
+        period=slots.shape[0],
+        P=tuple(slots[:, cell]),
+        iterations=int(sweeps[cell]),
+        residual=float(residual[cell]),
+    )
+
+
+def _riccati_step(Ak, Ck, Qk, Rk, P):
+    """One step of the measurement-form filter Riccati recursion."""
+    if Ck.shape[0] == 0:
+        return sym(Ak @ P @ Ak.T + Qk)
+    G = Ck @ P
+    S = sym(G @ Ck.T + Rk)
+    W = spd_solve(S, G, what="innovation covariance")
+    return sym(Ak @ (P - G.T @ W) @ Ak.T + Qk)
 
 
 def dpre_spps(
@@ -159,26 +191,69 @@ def dpre_spps(
     n = A.shape[0]
     period = A.period
 
-    def step(k: int, P: np.ndarray) -> np.ndarray:
-        Ak, Ck, Qk, Rk = A.at(k), C.at(k), Q.at(k), R.at(k)
-        if Ck.shape[0] == 0:
-            return sym(Ak @ P @ Ak.T + Qk)
-        G = Ck @ P
-        S = sym(G @ Ck.T + Rk)
-        W = spd_solve(S, G, what="innovation covariance")
-        P_post = P - G.T @ W
-        return sym(Ak @ P_post @ Ak.T + Qk)
+    def step(k: int, P: np.ndarray, cells) -> np.ndarray:
+        return _riccati_step(A.at(k), C.at(k), Q.at(k), R.at(k), P[0])[None]
 
     P0 = np.eye(n) if P0 is None else P0
-    slots, sweeps, residual = _iterate_to_period(
-        step, period, P0, tol, _default_sweeps(period, max_sweeps), "periodic Riccati recursion"
-    )
-    solution = SppsSolution(
-        period=period, P=tuple(slots), iterations=sweeps, residual=residual
+    solution = _cell_solution(
+        _iterate_to_period(
+            step, period, np.asarray(P0, dtype=float)[None], tol, max_sweeps,
+            "periodic Riccati recursion",
+        )
     )
     if check_bounds:
         _assert_monodromy_bounds(A, C, Q, R, solution)
     return solution
+
+
+def _information_riccati(A, Q, S, tol, max_sweeps):
+    """Stacked Riccati recursion in information form,
+    P_{k+1} = A_k (P_k^{-1} + S_k)^{-1} A_k' + Q_k from P_0 = I, for the
+    measurement information S_k of each cell given as a (T, cells, n, n)
+    stack. Returns the ``_iterate_to_period`` result.
+    """
+    period, count, n = S.shape[:3]
+
+    def step(k: int, P: np.ndarray, cells) -> np.ndarray:
+        Ak = A.at(k)
+        prior = spd_inverse(P, what="predicted covariance")
+        post = spd_inverse(prior + S[k, cells], what="posterior information")
+        return sym(Ak @ post @ Ak.T + Q.at(k))
+
+    return _iterate_to_period(
+        step, period, np.broadcast_to(np.eye(n), (count, n, n)), tol, max_sweeps,
+        "periodic Riccati recursion",
+    )
+
+
+def _lyapunov_stack(loops, noise, tol, max_sweeps):
+    """Stacked periodic Lyapunov recursion X_{k+1} = M_k X_k M_k' + V_k from
+    X_0 = 0, for loops M and noise V given as (T, cells, n, n) stacks.
+
+    Every cell's one-period transition product must be Schur stable,
+    otherwise no steady solution exists and NumericalError is raised.
+    Returns the ``_iterate_to_period`` result.
+    """
+    period, count, n = loops.shape[:3]
+    phi = np.broadcast_to(np.eye(n), (count, n, n))
+    for M in loops:
+        phi = M @ phi
+    rho = np.abs(np.linalg.eigvals(phi)).max(axis=-1)
+    unstable = rho >= 1.0 - 1e-9
+    if unstable.any():
+        raise NumericalError(
+            f"unstable monodromy (spectral radius {rho[unstable][0]:.6f}): "
+            "the periodic Lyapunov recursion has no steady solution"
+        )
+
+    def step(k: int, X: np.ndarray, cells) -> np.ndarray:
+        M = loops[k, cells]
+        return sym(M @ X @ M.swapaxes(1, 2) + noise[k, cells])
+
+    return _iterate_to_period(
+        step, period, np.zeros((count, n, n)), tol, max_sweeps,
+        "periodic Lyapunov recursion",
+    )
 
 
 def dple_spps(
@@ -193,25 +268,9 @@ def dple_spps(
     steady solution exists and NumericalError is raised.
     """
     A, Q = normalize_period([A, Q])
-    period = A.period
-    rho = spectral_radius(transition_product(A, 0, period))
-    if rho >= 1.0 - 1e-9:
-        raise NumericalError(
-            f"unstable monodromy (spectral radius {rho:.6f}): "
-            "the periodic Lyapunov recursion has no steady solution"
-        )
-
-    def step(k: int, P: np.ndarray) -> np.ndarray:
-        return sym(A.at(k) @ P @ A.at(k).T + Q.at(k))
-
-    n = A.shape[0]
-    slots, sweeps, residual = _iterate_to_period(
-        step, period, np.zeros((n, n)), tol,
-        _default_sweeps(period, max_sweeps), "periodic Lyapunov recursion",
-    )
-    return SppsSolution(
-        period=period, P=tuple(slots), iterations=sweeps, residual=residual
-    )
+    loops = np.stack([A.at(k) for k in range(A.period)])[:, None]
+    noise = np.stack([Q.at(k) for k in range(A.period)])[:, None]
+    return _cell_solution(_lyapunov_stack(loops, noise, tol, max_sweeps))
 
 
 def closed_loop(
@@ -383,10 +442,6 @@ def fixed_point_defect(solution: SppsSolution, A, C, Q, R) -> float:
     A, C, Q, R = normalize_period([A, C, Q, R])
     worst = 0.0
     for k in range(solution.period):
-        P = solution.at(k)
-        G = C.at(k) @ P
-        S = sym(G @ C.at(k).T + R.at(k))
-        W = spd_solve(S, G, what="innovation covariance")
-        P_next = sym(A.at(k) @ (P - G.T @ W) @ A.at(k).T + Q.at(k))
+        P_next = _riccati_step(A.at(k), C.at(k), Q.at(k), R.at(k), solution.at(k))
         worst = max(worst, spectral_norm(P_next - solution.at(k + 1)))
     return worst

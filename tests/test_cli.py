@@ -129,11 +129,15 @@ class TestObservability:
     def test_per_sensor_verdicts(self, tiny_scenario, capsys):
         assert (
             main(
-                ["observability", "--scenario", tiny_scenario, "--fusion-steps", "1"]
+                ["observability", "--scenario", tiny_scenario, "--fusion-steps", "0,1"]
             )
             == 0
         )
         out = capsys.readouterr().out
+        # Alone, sensor 1 sees only the second state and sensor 2 nothing.
+        assert "sensor 0 L=0: uniformly observable: true" in out
+        assert "sensor 1 L=0: uniformly observable: false" in out
+        assert "sensor 2 L=0: uniformly observable: false" in out
         assert "sensor 0 L=1: uniformly observable: true" in out
         assert "sensor 2 L=1: uniformly observable: true" in out
 
@@ -251,13 +255,14 @@ class TestPipelines:
 class TestPaperPipeline:
     def test_smoke_run_emits_all_csvs(self, tmp_path, capsys, monkeypatch):
         calls = []
-        solver = filterlab.gap.cmdf_error_dple
+        solver = filterlab.gap._fused_solve
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return solver(*args, **kwargs)
+        def counting(model, weights, L, *args, **kwargs):
+            P, X = solver(model, weights, L, *args, **kwargs)
+            calls.append((L, P.shape[1]))
+            return P, X
 
-        monkeypatch.setattr(filterlab.gap, "cmdf_error_dple", counting)
+        monkeypatch.setattr(filterlab.gap, "_fused_solve", counting)
         # Small trial count and a short sweep keep the smoke test brisk.
         out = tmp_path / "paper"
         code = main(
@@ -284,8 +289,10 @@ class TestPaperPipeline:
             scn = json.load(fh)
         assert scn["trials"] == 10
         assert scn["horizon"] == 100
-        # One theory solve per cell: 20 sensors x L = 4, 5 and the rate's 6.
-        assert len(calls) == 60
+        # One theory solve per cell: one stack of the 20 sensors for each of
+        # L = 4, 5 and the rate's 6.
+        assert sorted(L for L, _ in calls) == [4, 5, 6]
+        assert sum(rows for _, rows in calls) == 60
 
         def column(name, key, field):
             with open(out / name) as fh:

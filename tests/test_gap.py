@@ -10,18 +10,23 @@ from conftest import (
     two_sensor_scalar_plant,
 )
 from filterlab import (
+    PeriodicSequence,
     ValidationError,
     average_performance,
     build_gap_report,
     centralized_dpre,
     cmdf_dpre,
     cmdf_error_dple,
+    dple_spps,
+    dpre_spps,
     gap_series_cov,
     gap_series_ric,
     metropolis_weights,
     rate_fit,
+    weight_power,
 )
-from filterlab.spps import SppsSolution
+from filterlab.filters import modified_sequences
+from filterlab.spps import SppsSolution, closed_loop_sequence
 
 
 class TestCmdfDpre:
@@ -281,3 +286,66 @@ class TestGapReport:
             gaps = np.array([report.cell(sensor, L).gap_cov for L in range(1, 9)])
             slope = np.polyfit(np.arange(1, 9), np.log(gaps), 1)[0]
             assert slope <= math.log(sigma2 + 0.02)
+
+    def test_growth_warning_names_the_previous_swept_depth(self, caplog):
+        model = two_sensor_scalar_plant(a=0.9, c1=1.0, c2=0.1)
+        weights = two_node_weights(0.9)
+        with caplog.at_level("WARNING", logger="filterlab.gap"):
+            build_gap_report(model, weights, L_values=[0, 3])
+        grew = [r.getMessage() for r in caplog.records if "grew" in r.getMessage()]
+        assert grew
+        assert all("from L=0 to L=3" in m for m in grew)
+
+
+def _measurement_form_cell(model, weights, L, i, central):
+    """(gap_ric, gap_cov, avg_perf) of one cell, solved alone in measurement
+    form: the Riccati equation of the node's modified observation model,
+    then the Lyapunov equation of its closed loop with the masked noise."""
+    C, R_eff, R_mask, _ = modified_sequences(model, weights, L, i)
+    P = dpre_spps(model.A, C, model.Q, R_eff)
+    gains, loops = closed_loop_sequence(model.A, C, R_eff, P)
+    noise = PeriodicSequence(
+        [model.Q.at(k) + gains[k] @ R_mask.at(k) @ gains[k].T for k in range(model.period)]
+    )
+    X = dple_spps(loops, noise)
+    T = model.period
+    return (
+        max(np.linalg.norm(P.at(k) - central.at(k), 2) for k in range(T)),
+        max(np.linalg.norm(X.at(k) - central.at(k), 2) for k in range(T)),
+        average_performance(X),
+    )
+
+
+class TestStackedSolve:
+    def test_scalar_pair_matches_measurement_form(self, small_report):
+        report, model, weights = small_report
+        central = centralized_dpre(model)
+        for cell in report.cells:
+            want = _measurement_form_cell(model, weights, cell.L, cell.sensor, central)
+            got = (cell.gap_ric, cell.gap_cov, cell.avg_perf)
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+    def test_benchmark_mixed_supports_match_measurement_form(
+        self, bench_plant, bench_weights, monkeypatch
+    ):
+        # At L = 2 and 3 on the benchmark layout the nodes' fusion supports
+        # differ (14 and 3 distinct masks, 15 in all), so rows of one stack fuse
+        # different sensor sets; observability is checked once per mask.
+        import filterlab.gap as gap_mod
+
+        checked = []
+        real = gap_mod.uniform_observability
+
+        def counting(A, C):
+            checked.append(C)
+            return real(A, C)
+
+        monkeypatch.setattr(gap_mod, "uniform_observability", counting)
+        report = build_gap_report(bench_plant, bench_weights, L_values=[2])
+        masks = {m.tobytes() for L in (2, 3) for m in weight_power(bench_weights, L)[1]}
+        assert len(checked) == len(masks) == 15
+        central = centralized_dpre(bench_plant)
+        for cell in report.cells:
+            want = _measurement_form_cell(bench_plant, bench_weights, 2, cell.sensor, central)
+            got = (cell.gap_ric, cell.gap_cov, cell.avg_perf)
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)

@@ -20,7 +20,7 @@ from filterlab import (
     transition_product,
     uniform_observability,
 )
-from filterlab.spps import fixed_point_defect, solution_monodromy
+from filterlab.spps import _iterate_to_period, fixed_point_defect, solution_monodromy
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -131,6 +131,34 @@ class TestDpleSpps:
         A = PeriodicSequence([[[1.6]], [[0.3]]])
         sol = dple_spps(A, PeriodicSequence([[[1.0]]] * 2))
         assert sol.residual < 1e-10
+
+
+class TestIterateToPeriod:
+    def test_stacked_cells_stop_at_their_own_sweep(self):
+        # Two scalar 2-periodic Lyapunov recursions contracting at different
+        # rates: in one stack, each cell must stop where it stops alone.
+        gains = np.array([0.3, 0.9])
+        noise = np.array([[1.0, 2.0], [0.5, 1.5]])
+
+        def step_of(ids):
+            def step(k, P, cells):
+                c = ids[cells]
+                return gains[c, None, None] ** 2 * P + noise[c, k][:, None, None]
+
+            return step
+
+        def run(ids):
+            return _iterate_to_period(
+                step_of(np.array(ids)), 2, np.zeros((len(ids), 1, 1)), 1e-10, 1000, "test"
+            )
+
+        slots, sweeps, residual = run([0, 1])
+        assert sweeps[0] < sweeps[1]
+        for c in (0, 1):
+            alone = run([c])
+            assert sweeps[c] == alone[1][0]
+            np.testing.assert_allclose(slots[:, c], alone[0][:, 0], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(residual[c], alone[2][0], rtol=1e-12, atol=0)
 
 
 class TestClosedLoop:
