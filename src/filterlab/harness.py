@@ -95,6 +95,10 @@ class Scenario:
             raise ValidationError("steady_window must lie within the horizon")
         if self.trials < 1:
             raise ValidationError("need at least one trial")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
+        if not 0 <= self.noise_scale < math.inf:
+            raise ValidationError("noise_scale must be a finite number >= 0")
         if self.x0 is not None:
             self.x0 = np.asarray(self.x0, dtype=float).reshape(-1)
             if self.x0.shape != (self.plant.n,):
@@ -398,6 +402,10 @@ class CidfComparison:
             for sensor, L, a, b in self.rows:
                 writer.writerow([sensor, L, f"{a:.17g}", f"{b:.17g}"])
 
+    def crossover_to_json(self, path) -> None:
+        with open(path, "w") as fh:
+            json.dump({str(k): v for k, v in self.crossover.items()}, fh, indent=2)
+
 
 def compare_cidf(scenario: Scenario) -> CidfComparison:
     """Run both consensus filters over the scenario and compare their steady MSE."""
@@ -530,34 +538,63 @@ def network_from_dict(data: dict) -> tuple[SensorGraph, ConsensusWeights]:
     return graph, ConsensusWeights(matrix=np.asarray(weights_cfg, dtype=float))
 
 
+def _integer(value, key: str) -> int:
+    """A whole-number config value: 3 and 3.0 pass, 2.5, "3" and true do not."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"config {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def config_ints(data: dict, key: str, default=()) -> tuple[int, ...]:
+    """The list of integers under ``key``, or ``default`` when it is absent."""
+    if key not in data:
+        return tuple(default)
+    if not isinstance(data[key], list):
+        raise ValidationError(f"config {key!r} must be a list of integers")
+    return tuple(_integer(v, key) for v in data[key])
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     try:
         plant = PlantModel.from_dict(data["plant"])
         graph, weights = network_from_dict(data)
+        noise_scale = data.get("noise_scale", 1.0)
+        if isinstance(noise_scale, bool) or not isinstance(noise_scale, (int, float)):
+            raise ValidationError(f"config 'noise_scale' must be a number: {noise_scale!r}")
+        window = data.get("steady_window")
         return Scenario(
             plant=plant,
             graph=graph,
             weights=weights,
-            L_values=tuple(data.get("L_values", ())),
-            horizon=int(data["horizon"]),
-            trials=int(data["trials"]),
-            seed=int(data["seed"]),
+            L_values=config_ints(data, "L_values"),
+            horizon=_integer(data["horizon"], "horizon"),
+            trials=_integer(data["trials"], "trials"),
+            seed=_integer(data["seed"], "seed"),
             filters=tuple(data.get("filters", ("ckf", "cmdf"))),
-            noise_scale=float(data.get("noise_scale", 1.0)),
+            noise_scale=float(noise_scale),
             x0=data.get("x0"),
-            steady_window=data.get("steady_window"),
+            steady_window=None if window is None else _integer(window, "steady_window"),
         )
     except KeyError as exc:
         raise ValidationError(f"scenario config is missing key {exc}") from None
 
 
-def load_scenario(path) -> Scenario:
+def read_config(path) -> dict:
+    """The JSON object of a config file; ValidationError when it is not one."""
     with open(path) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: not valid JSON ({exc})") from None
-    return scenario_from_dict(data)
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path}: config must be a JSON object, not {type(data).__name__}")
+    return data
+
+
+def load_scenario(path) -> Scenario:
+    return scenario_from_dict(read_config(path))
 
 
 def benchmark_scenario(

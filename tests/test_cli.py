@@ -1,11 +1,14 @@
 import csv
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
 import filterlab.gap
 from filterlab.cli import main
+from filterlab.harness import load_scenario, scenario_to_dict
 
 
 def write_json(path, data):
@@ -141,6 +144,11 @@ class TestObservability:
         assert "sensor 0 L=1: uniformly observable: true" in out
         assert "sensor 2 L=1: uniformly observable: true" in out
 
+    def test_fusion_steps_without_graph_rejected(self, alternating_config, capsys):
+        argv = ["observability", "--scenario", alternating_config, "--fusion-steps", "1"]
+        assert main(argv) == 1
+        assert "'graph' section" in capsys.readouterr().err
+
     def test_negative_fusion_steps_rejected(self, tiny_scenario, capsys):
         argv = ["observability", "--scenario", tiny_scenario, "--fusion-steps", "-1"]
         assert main(argv) == 1
@@ -148,6 +156,63 @@ class TestObservability:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize(
+        "command, change, flags",
+        [
+            ("simulate", {"horizon": "abc"}, []),
+            ("gap", {"horizon": "abc"}, []),
+            ("simulate", None, []),
+            ("simulate", {"seed": -3}, []),
+            ("paper", {"seed": -3}, []),
+            ("gap", {"seed": -3}, []),
+            ("simulate", {}, ["--seed", "-1"]),
+            ("paper", {}, ["--seed", "-1"]),
+            ("simulate", {"L_values": "12"}, []),
+            ("simulate", {"trials": 2.5}, []),
+            ("simulate", {"noise_scale": float("nan")}, []),
+        ],
+    )
+    def test_malformed_scenario_values_rejected(
+        self, tiny_scenario, tmp_path, capsys, command, change, flags
+    ):
+        with open(tiny_scenario) as fh:
+            cfg = json.load(fh)
+        # None stands for a config that is a JSON list instead of an object.
+        cfg = [cfg] if change is None else {**cfg, **change}
+        path = write_json(tmp_path / "malformed.json", cfg)
+        argv = [command, "--scenario", path, "--out", str(tmp_path / "out")]
+        assert main(argv + flags) == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gap", "--trials", "5"],
+            ["solve-dpre", "--seed", "1"],
+            ["observability", "--out", "d"],
+        ],
+    )
+    def test_flag_the_command_does_not_read_rejected(self, tiny_scenario, argv, capsys):
+        assert main(argv[:1] + ["--scenario", tiny_scenario] + argv[1:]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("solve-dpre", {"scenario", "out", "tol"}),
+            ("observability", {"scenario", "fusion-steps"}),
+            ("gap", {"scenario", "out", "seed", "fusion-steps", "tol"}),
+            ("rates", {"scenario", "out", "seed", "fusion-steps", "tol"}),
+            ("compare-cidf", {"scenario", "out", "seed", "trials", "fusion-steps", "filters"}),
+            ("simulate", {"scenario", "out", "seed", "trials", "fusion-steps", "tol", "filters"}),
+            ("paper", {"scenario", "out", "seed", "trials", "fusion-steps", "tol", "filters"}),
+        ],
+    )
+    def test_help_lists_only_the_flags_read(self, command, flags, capsys):
+        assert main([command, "--help"]) == 0
+        listed = set(re.findall(r"--([a-z-]+)", capsys.readouterr().out))
+        assert listed - {"help"} == flags
+
     def test_unknown_flag_rejected(self, capsys):
         assert main(["solve-dpre", "--scenario", "x.json", "--bogus"]) == 1
 
@@ -230,9 +295,19 @@ class TestPipelines:
 
         for name in ("dpre_spps", "dple_spps"):
             monkeypatch.setattr(filterlab.gap, name, recording(getattr(filterlab.gap, name)))
+        node_tols = []
+        fused_solve = filterlab.gap._fused_solve
+
+        def recording_fused(model, weights, L, own, verdicts, tol, *args, **kwargs):
+            node_tols.append(tol)
+            return fused_solve(model, weights, L, own, verdicts, tol, *args, **kwargs)
+
+        monkeypatch.setattr(filterlab.gap, "_fused_solve", recording_fused)
         argv = ["simulate", "--scenario", tiny_scenario, "--out", str(tmp_path)]
         assert main(argv + ["--tol", "1e-7"]) == 0
         assert tols == {1e-7}
+        # The node theory: one stacked solve for each of L = 1, 2 and the rate's 3.
+        assert node_tols == [1e-7] * 3
 
     def test_compare_cidf(self, tiny_scenario, tmp_path, capsys):
         out = tmp_path / "cmp"
@@ -307,3 +382,33 @@ class TestPaperPipeline:
         assert len(steady) == 40 and all(steady.values())
         assert steady == column("rates.csv", lambda r: (r["sensor"], r["L"]), "rate_q")
         assert steady == column("gap_report.csv", lambda r: (r["sensor"], r["L"]), "rate")
+
+    def test_paper_honours_scenario(self, tiny_scenario, tmp_path, capsys):
+        out = tmp_path / "paper"
+        argv = ["paper", "--scenario", tiny_scenario, "--trials", "3", "--out", str(out)]
+        assert main(argv) == 0
+        tiny = dataclasses.replace(load_scenario(tiny_scenario), trials=3)
+        expected = json.loads(json.dumps(scenario_to_dict(tiny)))
+        with open(out / "scenario.json") as fh:
+            assert json.load(fh) == expected
+        with open(out / "results.json") as fh:
+            assert json.load(fh)["trials"] == 3
+
+        # compare-cidf on the written scenario reproduces paper's CIDF files.
+        again = tmp_path / "again"
+        argv = ["compare-cidf", "--scenario", str(out / "scenario.json"), "--out", str(again)]
+        assert main(argv) == 0
+        for name in ("cidf_comparison.csv", "cidf_crossover.json"):
+            assert (again / name).read_bytes() == (out / name).read_bytes(), name
+
+    def test_paper_without_sweep_writes_results_only(self, tmp_path, capsys):
+        out = tmp_path / "ckf"
+        argv = ["paper", "--out", str(out), "--trials", "3", "--filters", "ckf"]
+        assert main(argv + ["--fusion-steps", ""]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "results.json",
+            "results_per_step.csv",
+            "results_steady.csv",
+            "run_info.json",
+            "scenario.json",
+        ]
