@@ -15,7 +15,6 @@ from .periodic import (
     benchmark_plant,
     normalize_period,
     simulate_trajectory,
-    stacked_observation,
 )
 from .network import (
     ConsensusWeights,
@@ -32,7 +31,6 @@ from .network import (
 from .spps import (
     MonodromyReport,
     SppsSolution,
-    closed_loop,
     dple_spps,
     dpre_spps,
     dpre_monotonicity_probe,
@@ -44,14 +42,12 @@ from .spps import (
 )
 from .filters import (
     FusionProducts,
-    ModifiedObservation,
     NodeState,
     ckf_step,
     cidf_step,
     cmdf_step,
     default_states,
     fusion_rounds,
-    modified_observation,
 )
 from .gap import (
     GapReport,

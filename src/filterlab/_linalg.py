@@ -1,7 +1,6 @@
 """Small shared linear-algebra helpers."""
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NumericalError
 
@@ -23,24 +22,13 @@ def min_eig_sym(M: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(sym(M))[0])
 
 
-def spd_solve(M: np.ndarray, B: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """Solve M X = B for symmetric positive-definite M via Cholesky.
-
-    Raises NumericalError instead of falling back to a pseudo-inverse: loss
-    of positive definiteness signals a broken model invariant upstream.
-    """
-    try:
-        factor = cho_factor(sym(M), lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"{what} is not positive definite") from exc
-    return cho_solve(factor, B)
-
-
 def spd_inverse(M: np.ndarray, what: str = "matrix") -> np.ndarray:
     """Inverse of a symmetric positive-definite matrix or (..., n, n) stack.
 
-    One batched Cholesky factors the whole stack; a slice that is not
-    positive definite raises NumericalError, as in ``spd_solve``.
+    One batched Cholesky factors the whole stack. A slice that is not
+    positive definite raises NumericalError instead of falling back to a
+    pseudo-inverse: loss of positive definiteness signals a broken model
+    invariant upstream.
     """
     try:
         factor = np.linalg.cholesky(sym(M))

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class FilterlabError(Exception):
     """Base class for all filterlab errors."""
@@ -19,3 +21,17 @@ class ConvergenceError(NumericalError):
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
         self.residual = residual
+
+
+@contextmanager
+def config_section(name: str):
+    """Report a missing key or a malformed value met while parsing config
+    section ``name`` as a ValidationError that names the section."""
+    try:
+        yield
+    except ValidationError:
+        raise
+    except KeyError as exc:
+        raise ValidationError(f"{name} config is missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} config is malformed: {exc}") from None

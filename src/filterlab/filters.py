@@ -13,8 +13,8 @@ import numpy as np
 
 from ._linalg import spd_inverse, sym
 from .errors import NumericalError, ValidationError
-from .network import ConsensusWeights, weight_power
-from .periodic import PeriodicSequence, PlantModel
+from .network import ConsensusWeights
+from .periodic import PlantModel
 
 
 @dataclass(frozen=True)
@@ -51,44 +51,6 @@ class FusionProducts:
     S: np.ndarray
     I: np.ndarray
     rounds: int
-
-
-@dataclass(frozen=True)
-class ModifiedObservation:
-    """The observation model a node effectively fuses after L rounds.
-
-    ``C`` stacks every sensor's observation matrix, zeroed outside the node's
-    L-step support. ``R_effective`` carries blocks R_j / (N l_ij^(L)) on the
-    support (zero elsewhere); ``R_masked`` carries the raw R_j blocks on the
-    support. ``support`` flags which sensors contribute.
-    """
-
-    C: np.ndarray
-    R_effective: np.ndarray
-    R_masked: np.ndarray
-    support: np.ndarray
-    block_slices: tuple
-
-    def compressed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Supported rows/blocks only; the effective noise block is then PD."""
-        keep = [sl for sl, s in zip(self.block_slices, self.support) if s]
-        if not keep:
-            n = self.C.shape[1]
-            return np.zeros((0, n)), np.zeros((0, 0)), np.zeros((0, 0))
-        rows = np.concatenate([np.arange(sl.start, sl.stop) for sl in keep])
-        return (
-            self.C[rows],
-            self.R_effective[np.ix_(rows, rows)],
-            self.R_masked[np.ix_(rows, rows)],
-        )
-
-    def info_matrix(self) -> np.ndarray:
-        """C' R_effective^{-1} C over the supported blocks."""
-        C_c, R_eff, _ = self.compressed()
-        if C_c.shape[0] == 0:
-            n = self.C.shape[1]
-            return np.zeros((n, n))
-        return sym(C_c.T @ np.linalg.solve(R_eff, C_c))
 
 
 def default_states(model: PlantModel) -> list[NodeState]:
@@ -265,78 +227,3 @@ def cidf_step(
             ) from None
         out.append(NodeState(estimate=P_post @ q[i], covariance=P_post))
     return out
-
-
-def modified_observation(
-    model: PlantModel,
-    weights: ConsensusWeights,
-    L: int,
-    i: int,
-    k: int,
-) -> ModifiedObservation:
-    """Observation model equivalent to node i's L-round fusion at time k.
-
-    Sensor j is in the support iff the (i, j) entry of the L-th weight power
-    exceeds the structural-zero threshold. On the support the effective noise
-    block is R_j / (N l_ij^(L)); off it, rows and blocks are zero. The
-    identity C' R_effective^{-1} C = N sum_j l_ij^(L) C_j' R_j^{-1} C_j holds
-    over the supported blocks.
-    """
-    if not (0 <= i < model.N):
-        raise ValidationError(f"sensor index {i} out of range")
-    power, mask = weight_power(weights, L)
-    return _modified_from_row(model, power[i], mask[i], k)
-
-
-def _modified_from_row(
-    model: PlantModel, row: np.ndarray, support: np.ndarray, k: int
-) -> ModifiedObservation:
-    N, m, n = model.N, model.m, model.n
-    slices = tuple(model.observation_slices())
-    C = np.zeros((m, n))
-    R_eff = np.zeros((m, m))
-    R_mask = np.zeros((m, m))
-    for j, sl in enumerate(slices):
-        if not support[j]:
-            continue
-        C[sl] = model.C[j].at(k)
-        R_eff[sl, sl] = model.R[j].at(k) / (N * row[j])
-        R_mask[sl, sl] = model.R[j].at(k)
-    return ModifiedObservation(
-        C=C,
-        R_effective=R_eff,
-        R_masked=R_mask,
-        support=support.copy(),
-        block_slices=slices,
-    )
-
-
-def modified_sequences(
-    model: PlantModel, weights: ConsensusWeights, L: int, i: int
-) -> tuple[PeriodicSequence, PeriodicSequence, PeriodicSequence, np.ndarray]:
-    """One period of node i's compressed modified observation model.
-
-    Returns (C, R_effective, R_masked, support) with the unsupported blocks
-    dropped, so the effective noise sequence is positive definite and can be
-    fed to the Riccati solver directly.
-    """
-    power, mask = weight_power(weights, L)
-    support = mask[i]
-    period = model.period
-    C_list, R_eff_list, R_mask_list = [], [], []
-    for k in range(period):
-        mod = _modified_from_row(model, power[i], support, k)
-        C_c, R_eff_c, R_mask_c = mod.compressed()
-        C_list.append(C_c)
-        R_eff_list.append(R_eff_c)
-        R_mask_list.append(R_mask_c)
-    if C_list[0].shape[0] == 0:
-        raise ValidationError(
-            f"node {i} has empty fusion support at L={L}; no observation model exists"
-        )
-    return (
-        PeriodicSequence(C_list),
-        PeriodicSequence(R_eff_list),
-        PeriodicSequence(R_mask_list),
-        support,
-    )

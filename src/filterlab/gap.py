@@ -11,19 +11,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import spd_inverse, spectral_norm, sym
+from ._linalg import spectral_norm, sym
 from .errors import NumericalError, ValidationError
 from .network import ConsensusWeights, SensorGraph, second_largest_eigenvalue, weight_power
-from .periodic import PeriodicSequence, PlantModel, stacked_observation
+from .periodic import PeriodicSequence, PlantModel
 from .filters import _fused_information, _sensor_information
 from .spps import (
     DEFAULT_TOL,
     SppsSolution,
     _cell_solution,
+    _closed_loops,
     _information_riccati,
     _lyapunov_stack,
     dple_spps,
-    dpre_spps,
     uniform_observability,
 )
 
@@ -35,16 +35,12 @@ SERIES_TERM_TOL = 1e-14
 RATE_FLOOR = 1e-12
 
 
-def _network_sequences(model: PlantModel):
-    C = PeriodicSequence([stacked_observation(model, k)[0] for k in range(model.period)])
-    R = PeriodicSequence([stacked_observation(model, k)[1] for k in range(model.period)])
-    return C, R
-
-
-def centralized_dpre(model: PlantModel, tol: float = DEFAULT_TOL, **kw) -> SppsSolution:
-    """Steady covariance of the centralized filter over the whole network."""
-    C, R = _network_sequences(model)
-    return dpre_spps(model.A, C, model.Q, R, tol=tol, **kw)
+def centralized_dpre(model: PlantModel, tol: float = DEFAULT_TOL) -> SppsSolution:
+    """Steady covariance of the centralized filter over the whole network:
+    the information-form Riccati equation of the fusion row 1', which fuses
+    every sensor's C_j' R_j^{-1} C_j."""
+    S = _fused_information(np.ones((1, model.N)), _sensor_information(model)[1])[0]
+    return _cell_solution(_information_riccati(model.A, model.Q, S, tol, None))
 
 
 def observable_support(model: PlantModel, support, verdicts: dict) -> bool:
@@ -90,26 +86,13 @@ def _fused_rows(model, weights, L, rows, own, verdicts, check_observability=True
     return _fused_information(np.where(mask, model.N * power, 0.0)[rows], own)
 
 
-def _closed_loops(model, P, S, S2):
-    """Per slot and node, for Riccati solutions P, (T, rows, n, n): the gain
-    A P+ with the posterior P+ = (P^{-1} + S)^{-1}, the closed loop
-    A P+ P^{-1}, and the noise Q + A P+ S2 P+ A' that drives the true error
-    covariance through that loop."""
-    T = P.shape[0]
-    A = np.stack([model.A.at(k) for k in range(T)])[:, None]
-    Q = np.stack([model.Q.at(k) for k in range(T)])[:, None]
-    prior = spd_inverse(P, what="predicted covariance")
-    gain = A @ spd_inverse(prior + S, what="posterior information")
-    return gain, gain @ prior, sym(Q + gain @ S2 @ gain.swapaxes(2, 3))
-
-
 def _fused_solve(model, weights, L, own, verdicts, tol, rows=None):
     """Steady parameter and true error covariances, (T, rows, n, n) each, of
     the given nodes (default: all N) at fusion depth L, solved as one stack."""
     rows = list(range(model.N)) if rows is None else rows
     S, S2 = _fused_rows(model, weights, L, rows, own, verdicts)
     P = _information_riccati(model.A, model.Q, S, tol, None)[0]
-    _, loops, noise = _closed_loops(model, P, S, S2)
+    _, loops, noise = _closed_loops(model.A, model.Q, P, S, S2)
     return P, _lyapunov_stack(loops, noise, tol, None)[0]
 
 
@@ -159,7 +142,7 @@ def cmdf_error_dple(
         raise ValidationError("solution period does not match the sequences")
     else:
         P = np.stack(dpre_solution.P)[:, None]
-    _, loops, noise = _closed_loops(model, P, S, S2)
+    _, loops, noise = _closed_loops(model.A, model.Q, P, S, S2)
     return dple_spps(loops[:, 0], noise[:, 0], tol=tol, max_sweeps=max_sweeps)
 
 
@@ -187,7 +170,7 @@ def _series_parts(model, weights, L, i, tol):
         np.stack([model.N * power[i], np.ones(model.N)]), _sensor_information(model)[1]
     )
     P = _information_riccati(model.A, model.Q, S, min(tol, 1e-11), None)[0]
-    return P, S, S2, _closed_loops(model, P, S, S2)
+    return P, S, S2, _closed_loops(model.A, model.Q, P, S, S2)
 
 
 def _series(loops, anchor, mid, rows, direct, truncation, term_tol) -> GapSeries:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import spd_inverse, sym
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, config_section
 from . import gap as gap_mod
 from .filters import _fused_information, _sensor_information
 from .network import (
@@ -535,7 +535,8 @@ def network_from_dict(data: dict) -> tuple[SensorGraph, ConsensusWeights]:
                 f"unknown weights rule {weights_cfg!r}; use 'metropolis' or a matrix"
             )
         return graph, metropolis_weights(graph)
-    return graph, ConsensusWeights(matrix=np.asarray(weights_cfg, dtype=float))
+    with config_section("weights"):
+        return graph, ConsensusWeights(matrix=np.asarray(weights_cfg, dtype=float))
 
 
 def _integer(value, key: str) -> int:
@@ -557,7 +558,7 @@ def config_ints(data: dict, key: str, default=()) -> tuple[int, ...]:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    try:
+    with config_section("scenario"):
         plant = PlantModel.from_dict(data["plant"])
         graph, weights = network_from_dict(data)
         noise_scale = data.get("noise_scale", 1.0)
@@ -577,8 +578,6 @@ def scenario_from_dict(data: dict) -> Scenario:
             x0=data.get("x0"),
             steady_window=None if window is None else _integer(window, "steady_window"),
         )
-    except KeyError as exc:
-        raise ValidationError(f"scenario config is missing key {exc}") from None
 
 
 def read_config(path) -> dict:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, config_section
 
 # Entries of weight-matrix powers at or below this are treated as structural
 # zeros (no information path of that length).
@@ -76,7 +76,7 @@ class SensorGraph:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SensorGraph":
-        try:
+        with config_section("graph"):
             return cls(
                 n_nodes=int(data["N"]),
                 edges=frozenset(tuple(e) for e in data["edges"]),
@@ -84,8 +84,6 @@ class SensorGraph:
                 if data.get("positions") is not None
                 else None,
             )
-        except KeyError as exc:
-            raise ValidationError(f"graph config is missing key {exc}") from None
 
 
 @dataclass(frozen=True)

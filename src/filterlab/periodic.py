@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import sym
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, config_section
 
 # Smallest admissible eigenvalue for noise covariance matrices.
 PD_EIG_TOL = 1e-12
@@ -194,16 +194,16 @@ class PlantModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PlantModel":
-        if "builtin" in data:
-            try:
-                factory = BUILTIN_PLANTS[data["builtin"]]
-            except KeyError:
-                raise ValidationError(
-                    f"unknown builtin plant {data['builtin']!r}; "
-                    f"known: {sorted(BUILTIN_PLANTS)}"
-                ) from None
-            return factory()
-        try:
+        with config_section("plant"):
+            if "builtin" in data:
+                try:
+                    factory = BUILTIN_PLANTS[data["builtin"]]
+                except KeyError:
+                    raise ValidationError(
+                        f"unknown builtin plant {data['builtin']!r}; "
+                        f"known: {sorted(BUILTIN_PLANTS)}"
+                    ) from None
+                return factory()
             sensors = data["sensors"]
             model = cls(
                 A=data["A"],
@@ -211,27 +211,12 @@ class PlantModel:
                 C=[s["C"] for s in sensors],
                 R=[s["R"] for s in sensors],
             )
-        except KeyError as exc:
-            raise ValidationError(f"plant config is missing key {exc}") from None
-        if "period" in data and model.period != int(data["period"]):
-            raise ValidationError(
-                f"declared period {data['period']} does not match "
-                f"the sequences' common period {model.period}"
-            )
-        return model
-
-
-def stacked_observation(model: PlantModel, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Whole-network observation pair at time k.
-
-    Returns the row-stack of the per-sensor observation matrices and the
-    block-diagonal stack of their noise covariances.
-    """
-    C = np.vstack([Ci.at(k) for Ci in model.C])
-    R = np.zeros((model.m, model.m))
-    for sl, Ri in zip(model.observation_slices(), model.R):
-        R[sl, sl] = Ri.at(k)
-    return C, R
+            if "period" in data and model.period != int(data["period"]):
+                raise ValidationError(
+                    f"declared period {data['period']} does not match "
+                    f"the sequences' common period {model.period}"
+                )
+            return model
 
 
 @dataclass(frozen=True)

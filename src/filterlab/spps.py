@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import min_eig_sym, spd_inverse, spd_solve, spectral_norm, spectral_radius, sym
+from ._linalg import min_eig_sym, spd_inverse, spectral_norm, spectral_radius, sym
 from .errors import ConvergenceError, NumericalError, ValidationError
 from .periodic import PeriodicSequence, as_periodic, normalize_period
 
@@ -29,8 +29,9 @@ class SppsSolution:
     """One period of a converged periodic Riccati/Lyapunov solution.
 
     ``P[k]`` is the steady covariance at time slot k. ``iterations`` counts
-    completed full-period sweeps and ``residual`` is the largest spectral-norm
-    change of any slot during the final sweep.
+    completed full-period sweeps and ``residual`` is the largest relative
+    change of any slot during the final sweep: its spectral-norm change over
+    its largest absolute entry.
     """
 
     period: int
@@ -99,13 +100,15 @@ def transition_product(seq, start: int, stop: int) -> np.ndarray:
 
 def _iterate_to_period(step, period, P0, tol, max_sweeps, label):
     """Drive P_{k+1} = step(k, P_k, cells) over a (cells, n, n) stack until
-    each cell's full period changes by < tol.
+    each cell's full period changes by < tol, relative to its size.
 
     ``step`` advances the rows of the still-running cells, whose stack
-    indices it is given. Each cell stops, keeping its values, at the first
-    sweep after the first in which its own largest spectral-norm change is
-    below ``tol``. Returns (slots, sweeps, residual): slots[s, c] approximates
-    cell c's SPPS solution at time slot s; sweeps and residual are per cell.
+    indices it is given. A slot's change is the spectral norm of its change
+    over its largest absolute entry, so the stop does not depend on the scale
+    of the problem. Each cell stops, keeping its values, at the first sweep
+    after the first in which its own largest slot change is below ``tol``.
+    Returns (slots, sweeps, residual): slots[s, c] approximates cell c's SPPS
+    solution at time slot s; sweeps and residual are per cell.
     ``max_sweeps=None`` budgets about MAX_STEP_BUDGET time steps.
     """
     if max_sweeps is None:
@@ -127,8 +130,9 @@ def _iterate_to_period(step, period, P0, tol, max_sweeps, label):
                 )
             s = (k + 1) % period
             if sweep > 0:
+                scale = np.maximum(np.abs(P).max(axis=(1, 2)), np.finfo(float).tiny)
                 change = np.maximum(
-                    change, np.linalg.norm(P - slots[s, cells], 2, axis=(1, 2))
+                    change, np.linalg.norm(P - slots[s, cells], 2, axis=(1, 2)) / scale
                 )
             slots[s, cells] = P
         if sweep > 0:
@@ -141,7 +145,7 @@ def _iterate_to_period(step, period, P0, tol, max_sweeps, label):
     worst = float(change.max())
     raise ConvergenceError(
         f"{label} did not converge within {max_sweeps} sweeps "
-        f"(residual {worst:.3e}, tol {tol:.1e})",
+        f"(relative residual {worst:.3e}, tol {tol:.1e})",
         residual=worst,
     )
 
@@ -157,53 +161,12 @@ def _cell_solution(run, cell: int = 0) -> SppsSolution:
     )
 
 
-def _riccati_step(Ak, Ck, Qk, Rk, P):
-    """One step of the measurement-form filter Riccati recursion."""
-    if Ck.shape[0] == 0:
-        return sym(Ak @ P @ Ak.T + Qk)
-    G = Ck @ P
-    S = sym(G @ Ck.T + Rk)
-    W = spd_solve(S, G, what="innovation covariance")
-    return sym(Ak @ (P - G.T @ W) @ Ak.T + Qk)
-
-
-def dpre_spps(
-    A,
-    C,
-    Q,
-    R,
-    P0: np.ndarray | None = None,
-    tol: float = DEFAULT_TOL,
-    max_sweeps: int | None = None,
-    check_bounds: bool = False,
-) -> SppsSolution:
-    """SPPS solution of the periodic filter Riccati equation.
-
-    Iterates P_{k+1} = A_k P_k A_k' + Q_k
-                      - A_k P_k C_k' (C_k P_k C_k' + R_k)^{-1} C_k P_k A_k'
-    forward from P0 (default: identity) until one full period changes by
-    less than ``tol`` in spectral norm. Convergence requires the pair
-    (A., C.) to be uniformly observable; exhausting ``max_sweeps`` raises
-    ConvergenceError. ``check_bounds=True`` additionally verifies the
-    monodromy spectral bounds implied by the solution at every anchor.
-    """
-    A, C, Q, R = normalize_period([A, C, Q, R])
-    n = A.shape[0]
-    period = A.period
-
-    def step(k: int, P: np.ndarray, cells) -> np.ndarray:
-        return _riccati_step(A.at(k), C.at(k), Q.at(k), R.at(k), P[0])[None]
-
-    P0 = np.eye(n) if P0 is None else P0
-    solution = _cell_solution(
-        _iterate_to_period(
-            step, period, np.asarray(P0, dtype=float)[None], tol, max_sweeps,
-            "periodic Riccati recursion",
-        )
-    )
-    if check_bounds:
-        _assert_monodromy_bounds(A, C, Q, R, solution)
-    return solution
+def _information_step(Ak, Qk, P, S):
+    """One information-form Riccati step A_k (P^{-1} + S)^{-1} A_k' + Q_k of
+    a (cells, n, n) stack P with measurement information S."""
+    prior = spd_inverse(P, what="predicted covariance")
+    post = spd_inverse(prior + S, what="posterior information")
+    return sym(Ak @ post @ Ak.T + Qk)
 
 
 def _information_riccati(A, Q, S, tol, max_sweeps):
@@ -215,15 +178,61 @@ def _information_riccati(A, Q, S, tol, max_sweeps):
     period, count, n = S.shape[:3]
 
     def step(k: int, P: np.ndarray, cells) -> np.ndarray:
-        Ak = A.at(k)
-        prior = spd_inverse(P, what="predicted covariance")
-        post = spd_inverse(prior + S[k, cells], what="posterior information")
-        return sym(Ak @ post @ Ak.T + Q.at(k))
+        return _information_step(A.at(k), Q.at(k), P, S[k, cells])
 
     return _iterate_to_period(
         step, period, np.broadcast_to(np.eye(n), (count, n, n)), tol, max_sweeps,
         "periodic Riccati recursion",
     )
+
+
+def _measurement_information(C, R, period: int) -> np.ndarray:
+    """C_k' R_k^{-1} C_k per slot as a one-cell (T, 1, n, n) stack."""
+    Rinv = spd_inverse(
+        np.stack([R.at(k) for k in range(period)]), what="measurement noise covariance"
+    )
+    C = np.stack([C.at(k) for k in range(period)])
+    return sym(C.swapaxes(1, 2) @ Rinv @ C)[:, None]
+
+
+def _closed_loops(A, Q, P, S, S2):
+    """Per slot and cell, for Riccati solutions P, (T, cells, n, n): the gain
+    A P+ with the posterior P+ = (P^{-1} + S)^{-1}, the closed loop
+    A P+ P^{-1}, and the noise Q + A P+ S2 P+ A' that drives the true error
+    covariance through that loop."""
+    T = P.shape[0]
+    A = np.stack([A.at(k) for k in range(T)])[:, None]
+    Q = np.stack([Q.at(k) for k in range(T)])[:, None]
+    prior = spd_inverse(P, what="predicted covariance")
+    gain = A @ spd_inverse(prior + S, what="posterior information")
+    return gain, gain @ prior, sym(Q + gain @ S2 @ gain.swapaxes(2, 3))
+
+
+def dpre_spps(
+    A,
+    C,
+    Q,
+    R,
+    tol: float = DEFAULT_TOL,
+    max_sweeps: int | None = None,
+    check_bounds: bool = False,
+) -> SppsSolution:
+    """SPPS solution of the periodic filter Riccati equation.
+
+    Iterates its information form (R_k positive definite)
+        P_{k+1} = A_k (P_k^{-1} + C_k' R_k^{-1} C_k)^{-1} A_k' + Q_k
+    forward from the identity until one full period changes by less than
+    ``tol`` relative to its size. Convergence requires the pair (A., C.) to
+    be uniformly observable; exhausting ``max_sweeps`` raises
+    ConvergenceError. ``check_bounds=True`` additionally verifies the
+    monodromy spectral bounds implied by the solution at every anchor.
+    """
+    A, C, Q, R = normalize_period([A, C, Q, R])
+    S = _measurement_information(C, R, A.period)
+    solution = _cell_solution(_information_riccati(A, Q, S, tol, max_sweeps))
+    if check_bounds:
+        _assert_monodromy_bounds(A, C, Q, R, solution)
+    return solution
 
 
 def _lyapunov_stack(loops, noise, tol, max_sweeps):
@@ -273,25 +282,6 @@ def dple_spps(
     return _cell_solution(_lyapunov_stack(loops, noise, tol, max_sweeps))
 
 
-def closed_loop(
-    A_k: np.ndarray, C_k: np.ndarray, R_k: np.ndarray, P_k: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One-step filter gain and closed-loop matrix at covariance P_k.
-
-    Returns (K, A_cl) with K = A P C' (C P C' + R)^{-1} and A_cl = A - K C.
-    """
-    A_k = np.atleast_2d(np.asarray(A_k, dtype=float))
-    C_k = np.atleast_2d(np.asarray(C_k, dtype=float))
-    R_k = np.atleast_2d(np.asarray(R_k, dtype=float))
-    P_k = np.atleast_2d(np.asarray(P_k, dtype=float))
-    if C_k.shape[0] == 0:
-        K = np.zeros((A_k.shape[0], 0))
-        return K, A_k.copy()
-    S = sym(C_k @ P_k @ C_k.T + R_k)
-    K = spd_solve(S, C_k @ P_k @ A_k.T, what="innovation covariance").T
-    return K, A_k - K @ C_k
-
-
 def monodromy(A_cl, anchor: int = 0) -> MonodromyReport:
     """Product of one period of closed-loop matrices starting after ``anchor``.
 
@@ -324,23 +314,19 @@ def monodromy_bounds(solution: SppsSolution, Q) -> tuple[float, float]:
     return rho_bound, norm_bound
 
 
-def closed_loop_sequence(A, C, R, solution: SppsSolution):
-    """Per-step gains and closed-loop matrices along a Riccati solution."""
-    A, C, R = normalize_period([A, C, R])
+def _solution_loops(A, C, Q, R, solution: SppsSolution) -> PeriodicSequence:
+    """The closed loops A_k P+_k P_k^{-1} along a Riccati solution."""
+    A, C, Q, R = normalize_period([A, C, Q, R])
     if A.period != solution.period:
         raise ValidationError("solution period does not match the sequences")
-    gains, loops = [], []
-    for k in range(solution.period):
-        K, A_cl = closed_loop(A.at(k), C.at(k), R.at(k), solution.at(k))
-        gains.append(K)
-        loops.append(A_cl)
-    return gains, PeriodicSequence(loops)
+    S = _measurement_information(C, R, A.period)
+    loops = _closed_loops(A, Q, np.stack(solution.P)[:, None], S, S)[1]
+    return PeriodicSequence(list(loops[:, 0]))
 
 
 def solution_monodromy(A, C, Q, R, solution: SppsSolution, anchor: int = 0) -> MonodromyReport:
     """Monodromy report for a solved Riccati system, bounds included."""
-    _, loops = closed_loop_sequence(A, C, R, solution)
-    base = monodromy(loops, anchor)
+    base = monodromy(_solution_loops(A, C, Q, R, solution), anchor)
     rho_bound, norm_bound = monodromy_bounds(solution, Q)
     return MonodromyReport(
         phi=base.phi,
@@ -353,7 +339,7 @@ def solution_monodromy(A, C, Q, R, solution: SppsSolution, anchor: int = 0) -> M
 
 def _assert_monodromy_bounds(A, C, Q, R, solution: SppsSolution) -> None:
     rho_bound, norm_bound = monodromy_bounds(solution, Q)
-    _, loops = closed_loop_sequence(A, C, R, solution)
+    loops = _solution_loops(A, C, Q, R, solution)
     for anchor in range(solution.period):
         rep = monodromy(loops, anchor)
         if rep.spectral_radius > rho_bound + 1e-9:
@@ -440,8 +426,9 @@ def dpre_monotonicity_probe(A, C, Q, R1, R2, tol: float = DEFAULT_TOL) -> bool:
 def fixed_point_defect(solution: SppsSolution, A, C, Q, R) -> float:
     """Largest one-step defect when substituting a solution into its Riccati map."""
     A, C, Q, R = normalize_period([A, C, Q, R])
+    S = _measurement_information(C, R, solution.period)
     worst = 0.0
     for k in range(solution.period):
-        P_next = _riccati_step(A.at(k), C.at(k), Q.at(k), R.at(k), solution.at(k))
+        P_next = _information_step(A.at(k), Q.at(k), solution.at(k), S[k, 0])
         worst = max(worst, spectral_norm(P_next - solution.at(k + 1)))
     return worst

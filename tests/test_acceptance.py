@@ -19,6 +19,7 @@ from conftest import (
     two_node_weights,
     two_sensor_scalar_plant,
 )
+import measurement_form as mf
 from filterlab import (
     PeriodicSequence,
     benchmark_scenario,
@@ -46,7 +47,6 @@ from filterlab import (
     spectral_diagnostics,
     uniform_observability,
 )
-from filterlab.filters import modified_sequences
 from filterlab.spps import solution_monodromy
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -145,10 +145,7 @@ def _periodicity_defect_riccati(solution, A, C, Q, R):
     P = solution.at(0)
     worst = 0.0
     for k in range(solution.period):
-        G = C.at(k) @ P
-        S = G @ C.at(k).T + R.at(k)
-        P = A.at(k) @ (P - G.T @ np.linalg.solve(S, G)) @ A.at(k).T + Q.at(k)
-        P = (P + P.T) / 2
+        P = mf.riccati_step(A.at(k), C.at(k), Q.at(k), R.at(k), P)
         worst = max(worst, np.linalg.norm(P - solution.at(k + 1), 2))
     return worst
 
@@ -163,11 +160,8 @@ def _periodicity_defect_lyapunov(solution, A, Q):
 
 
 def test_criterion_4_spps_periodicity(bench):
-    from filterlab.gap import _network_sequences
-    from filterlab.spps import closed_loop_sequence
-
     plant, weights, d = bench["plant"], bench["weights"], bench["d"]
-    C_full, R_full = _network_sequences(plant)
+    C_full, R_full = mf.network_sequences(plant)
 
     start = time.perf_counter()
     central = centralized_dpre(plant, tol=1e-10)
@@ -178,7 +172,7 @@ def test_criterion_4_spps_periodicity(bench):
     sensor_sets = {d: range(plant.N), d + 4: (0, 3, 13), d + 8: (0, 3, 13)}
     for L, sensors in sensor_sets.items():
         for i in sensors:
-            C_mod, R_eff, R_mask, _ = modified_sequences(plant, weights, L, i)
+            C_mod, R_eff, R_mask, _ = mf.modified_sequences(plant, weights, L, i)
             start = time.perf_counter()
             sol = cmdf_dpre(plant, weights, L, i, tol=1e-10)
             err = cmdf_error_dple(plant, weights, L, i, tol=1e-10, dpre_solution=sol)
@@ -186,7 +180,7 @@ def test_criterion_4_spps_periodicity(bench):
             worst = max(
                 worst, _periodicity_defect_riccati(sol, plant.A, C_mod, plant.Q, R_eff)
             )
-            gains, loops = closed_loop_sequence(plant.A, C_mod, R_eff, sol)
+            gains, loops = mf.closed_loop_sequence(plant.A, C_mod, R_eff, sol)
             Q_noise = PeriodicSequence(
                 [
                     plant.Q.at(k) + gains[k] @ R_mask.at(k) @ gains[k].T
@@ -207,7 +201,7 @@ def test_criterion_5_covariance_recursion_converges_to_dple(bench):
     worst = 0.0
     for L in (d, d + 2, d + 4):
         for i in range(plant.N):
-            C_mod, R_eff, R_mask, _ = modified_sequences(plant, weights, L, i)
+            C_mod, R_eff, R_mask, _ = mf.modified_sequences(plant, weights, L, i)
             sol = cmdf_dpre(plant, weights, L, i, tol=1e-12, check_observability=False)
             err_sol = cmdf_error_dple(
                 plant, weights, L, i, tol=1e-12, dpre_solution=sol

@@ -170,6 +170,14 @@ class TestErrorPaths:
             ("simulate", {"L_values": "12"}, []),
             ("simulate", {"trials": 2.5}, []),
             ("simulate", {"noise_scale": float("nan")}, []),
+            ("simulate", {"plant": "abc"}, []),
+            ("simulate", {"graph": [1, 2]}, []),
+            ("simulate", {"plant.sensors": 3}, []),
+            ("simulate", {"x0": "ab"}, []),
+            ("simulate", {"plant.A": "abc"}, []),
+            ("simulate", {"weights": [["a"]]}, []),
+            ("simulate", {"plant.period": "x"}, []),
+            ("simulate", {"graph.edges": [[0, "a"]]}, []),
         ],
     )
     def test_malformed_scenario_values_rejected(
@@ -177,8 +185,12 @@ class TestErrorPaths:
     ):
         with open(tiny_scenario) as fh:
             cfg = json.load(fh)
-        # None stands for a config that is a JSON list instead of an object.
-        cfg = [cfg] if change is None else {**cfg, **change}
+        # None stands for a config that is a JSON list instead of an object;
+        # a dotted key replaces a value inside a section.
+        for key, value in (change or {}).items():
+            *section, name = key.split(".")
+            (cfg[section[0]] if section else cfg)[name] = value
+        cfg = [cfg] if change is None else cfg
         path = write_json(tmp_path / "malformed.json", cfg)
         argv = [command, "--scenario", path, "--out", str(tmp_path / "out")]
         assert main(argv + flags) == 1
@@ -285,16 +297,15 @@ class TestPipelines:
 
     def test_simulate_theory_uses_tol(self, tiny_scenario, tmp_path, monkeypatch):
         tols = set()
+        riccati = filterlab.gap._information_riccati
 
-        def recording(solver):
-            def wrapper(*args, **kwargs):
-                tols.add(kwargs.get("tol"))
-                return solver(*args, **kwargs)
+        def recording(A, Q, S, tol, max_sweeps):
+            # The centralized solve is the one-row stack of the fusion row 1'.
+            if S.shape[1] == 1:
+                tols.add(tol)
+            return riccati(A, Q, S, tol, max_sweeps)
 
-            return wrapper
-
-        for name in ("dpre_spps", "dple_spps"):
-            monkeypatch.setattr(filterlab.gap, name, recording(getattr(filterlab.gap, name)))
+        monkeypatch.setattr(filterlab.gap, "_information_riccati", recording)
         node_tols = []
         fused_solve = filterlab.gap._fused_solve
 

@@ -20,10 +20,10 @@ from filterlab import (
     default_states,
     fusion_rounds,
     metropolis_weights,
-    modified_observation,
     simulate_trajectory,
     weight_power,
 )
+from measurement_form import modified_observation
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 

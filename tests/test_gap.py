@@ -9,6 +9,7 @@ from conftest import (
     two_node_weights,
     two_sensor_scalar_plant,
 )
+import measurement_form as mf
 from filterlab import (
     PeriodicSequence,
     ValidationError,
@@ -18,15 +19,13 @@ from filterlab import (
     cmdf_dpre,
     cmdf_error_dple,
     dple_spps,
-    dpre_spps,
     gap_series_cov,
     gap_series_ric,
     metropolis_weights,
     rate_fit,
     weight_power,
 )
-from filterlab.filters import modified_sequences
-from filterlab.spps import SppsSolution, closed_loop_sequence
+from filterlab.spps import SppsSolution
 
 
 class TestCmdfDpre:
@@ -36,6 +35,14 @@ class TestCmdfDpre:
         node = cmdf_dpre(bench_plant, weights, 1, 0, tol=1e-12)
         for k in range(bench_plant.period):
             assert np.linalg.norm(node.at(k) - central.at(k), 2) < 1e-10
+
+    def test_centralized_row_matches_measurement_form(self, bench_plant):
+        # The fusion row 1' in information form solves the same Riccati
+        # equation as the measurement form on the stacked network pair.
+        central = centralized_dpre(bench_plant, tol=1e-12)
+        oracle = mf.centralized_dpre(bench_plant, tol=1e-12)
+        for k in range(bench_plant.period):
+            np.testing.assert_allclose(central.at(k), oracle.at(k), rtol=1e-12, atol=0)
 
     def test_two_node_scalar_approaches_centralized_at_large_L(self):
         model = two_sensor_scalar_plant(a=1.0, c1=1.0, c2=1.0)
@@ -301,9 +308,9 @@ def _measurement_form_cell(model, weights, L, i, central):
     """(gap_ric, gap_cov, avg_perf) of one cell, solved alone in measurement
     form: the Riccati equation of the node's modified observation model,
     then the Lyapunov equation of its closed loop with the masked noise."""
-    C, R_eff, R_mask, _ = modified_sequences(model, weights, L, i)
-    P = dpre_spps(model.A, C, model.Q, R_eff)
-    gains, loops = closed_loop_sequence(model.A, C, R_eff, P)
+    C, R_eff, R_mask, _ = mf.modified_sequences(model, weights, L, i)
+    P = mf.dpre(model.A, C, model.Q, R_eff)
+    gains, loops = mf.closed_loop_sequence(model.A, C, R_eff, P)
     noise = PeriodicSequence(
         [model.Q.at(k) + gains[k] @ R_mask.at(k) @ gains[k].T for k in range(model.period)]
     )
@@ -319,7 +326,7 @@ def _measurement_form_cell(model, weights, L, i, central):
 class TestStackedSolve:
     def test_scalar_pair_matches_measurement_form(self, small_report):
         report, model, weights = small_report
-        central = centralized_dpre(model)
+        central = mf.centralized_dpre(model)
         for cell in report.cells:
             want = _measurement_form_cell(model, weights, cell.L, cell.sensor, central)
             got = (cell.gap_ric, cell.gap_cov, cell.avg_perf)
@@ -344,7 +351,7 @@ class TestStackedSolve:
         report = build_gap_report(bench_plant, bench_weights, L_values=[2])
         masks = {m.tobytes() for L in (2, 3) for m in weight_power(bench_weights, L)[1]}
         assert len(checked) == len(masks) == 15
-        central = centralized_dpre(bench_plant)
+        central = mf.centralized_dpre(bench_plant)
         for cell in report.cells:
             want = _measurement_form_cell(bench_plant, bench_weights, 2, cell.sensor, central)
             got = (cell.gap_ric, cell.gap_cov, cell.avg_perf)

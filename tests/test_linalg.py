@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import filterlab
 from filterlab import NumericalError
 from filterlab._linalg import spd_inverse, sym
 
@@ -32,3 +37,14 @@ class TestStackedHelpers:
         M[2] = np.diag([1.0, -1.0, 2.0])
         with pytest.raises(NumericalError, match="posterior information is not positive definite"):
             spd_inverse(M, what="posterior information")
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests alone.
+    code = "import sys, filterlab; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = os.path.dirname(os.path.dirname(filterlab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -9,8 +9,8 @@ from filterlab import (
     benchmark_plant,
     normalize_period,
     simulate_trajectory,
-    stacked_observation,
 )
+from measurement_form import stacked_observation
 
 
 class TestPeriodicSequence:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_discrete_are
+from scipy.linalg import solve_discrete_are, solve_discrete_lyapunov
 
 from conftest import alternating_pair, random_periodic_system, spd
 from filterlab import (
@@ -10,7 +10,6 @@ from filterlab import (
     NumericalError,
     PeriodicSequence,
     ValidationError,
-    closed_loop,
     dple_spps,
     dpre_spps,
     dpre_monotonicity_probe,
@@ -21,6 +20,7 @@ from filterlab import (
     uniform_observability,
 )
 from filterlab.spps import _iterate_to_period, fixed_point_defect, solution_monodromy
+from measurement_form import closed_loop, closed_loop_sequence, stacked_observation
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -100,6 +100,50 @@ class TestDpreSpps:
     def test_bounds_flag_runs(self):
         A, C, Q, R, _ = random_periodic_system(7)
         dpre_spps(A, C, Q, R, check_bounds=True)
+
+    def test_singular_measurement_noise_raises(self):
+        # The information form needs R_k^{-1}; R = 0 is outside the model.
+        with pytest.raises(NumericalError, match="measurement noise covariance"):
+            dpre_spps([[1.0]], [[1.0]], [[1.0]], [[0.0]])
+
+
+class TestScaleInvariance:
+    """The stop is relative, so the answer does not depend on the units of
+    Q and R: scaling both by s scales the solution by s."""
+
+    def test_small_scale_scalar_riccati_matches_dare(self):
+        sol = dpre_spps([[0.5]], [[1.0]], [[1e-12]], [[1.0]])
+        P_ref = solve_discrete_are([[0.5]], [[1.0]], [[1e-12]], [[1.0]])
+        np.testing.assert_allclose(sol.P[0], P_ref, rtol=1e-9, atol=0)
+
+    def test_small_scale_scalar_lyapunov(self):
+        sol = dple_spps([[0.5]], [[1e-12]])
+        np.testing.assert_allclose(sol.P[0][0, 0], 1e-12 / 0.75, rtol=1e-9, atol=0)
+
+    def test_time_invariant_lyapunov_matches_scipy(self):
+        rng = np.random.default_rng(5)
+        A = rng.normal(size=(4, 4))
+        A *= 0.8 / np.abs(np.linalg.eigvals(A)).max()
+        Q = 1e-9 * spd(rng, 4)
+        sol = dple_spps(A, Q)
+        X_ref = solve_discrete_lyapunov(A, Q)
+        np.testing.assert_allclose(sol.P[0], X_ref, rtol=1e-9, atol=1e-9 * np.abs(X_ref).max())
+
+    def test_scaling_noise_scales_solutions(self):
+        rng = np.random.default_rng(8)
+        A = [0.7 * rng.normal(size=(3, 3)) for _ in range(3)]
+        C = [rng.normal(size=(2, 3)) for _ in range(3)]
+        Q = [spd(rng, 3) for _ in range(3)]
+        R = [spd(rng, 2) for _ in range(3)]
+        stable = [0.5 * M / np.linalg.norm(M, 2) for M in A]
+        P1 = dpre_spps(A, C, Q, R)
+        X1 = dple_spps(stable, Q)
+        for s in 10.0 ** np.arange(-12, 13, 3):
+            P = dpre_spps(A, C, [s * M for M in Q], [s * M for M in R])
+            X = dple_spps(stable, [s * M for M in Q])
+            for k in range(3):
+                np.testing.assert_allclose(P.P[k], s * P1.P[k], rtol=1e-9, atol=0)
+                np.testing.assert_allclose(X.P[k], s * X1.P[k], rtol=1e-9, atol=0)
 
 
 class TestDpleSpps:
@@ -238,6 +282,16 @@ class TestMonodromyBounds:
                 assert rep.spectral_radius <= rho_bound + 1e-8
                 assert rep.norm2 <= norm_bound + 1e-8
 
+    def test_information_loop_is_measurement_loop(self):
+        # The loop A P+ P^{-1} equals the measurement form's A - K C.
+        for seed in range(15):
+            A, C, Q, R, _ = random_periodic_system(seed)
+            sol = dpre_spps(A, C, Q, R)
+            _, loops = closed_loop_sequence(A, C, R, sol)
+            for anchor in range(sol.period):
+                phi = solution_monodromy(A, C, Q, R, sol, anchor=anchor).phi
+                assert np.linalg.norm(phi - monodromy(loops, anchor).phi, 2) <= 1e-12
+
 
 class TestPowerNormBound:
     def test_identity(self):
@@ -280,8 +334,6 @@ class TestUniformObservability:
         assert not uniform_observability(A, C)
 
     def test_benchmark_network_pair(self, bench_plant):
-        from filterlab import stacked_observation
-
         C_full = PeriodicSequence(
             [stacked_observation(bench_plant, k)[0] for k in range(30)]
         )
