@@ -15,6 +15,7 @@ from .periodic import (
     benchmark_plant,
     normalize_period,
     simulate_trajectory,
+    simulate_trials,
 )
 from .network import (
     ConsensusWeights,

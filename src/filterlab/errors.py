@@ -35,3 +35,12 @@ def config_section(name: str):
         raise ValidationError(f"{name} config is missing key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name} config is malformed: {exc}") from None
+
+
+def config_integer(value, key: str) -> int:
+    """A whole-number config value: 3 and 3.0 pass, 2.5, "3" and true do not."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"config {key!r} must be an integer, got {value!r}")
+    return value

@@ -56,9 +56,7 @@ def observable_support(model: PlantModel, support, verdicts: dict) -> bool:
         sensors = np.flatnonzero(support)
         verdicts[key] = sensors.size > 0 and uniform_observability(
             model.A,
-            PeriodicSequence(
-                [np.vstack([model.C[j].at(k) for j in sensors]) for k in range(model.period)]
-            ),
+            PeriodicSequence(np.concatenate([model.C[j].stack for j in sensors], axis=1)),
         )
     return verdicts[key]
 

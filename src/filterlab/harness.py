@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import spd_inverse, sym
-from .errors import NumericalError, ValidationError, config_section
+from .errors import NumericalError, ValidationError, config_integer, config_section
 from . import gap as gap_mod
 from .filters import _fused_information, _sensor_information
 from .network import (
@@ -40,7 +40,7 @@ from .network import (
     metropolis_weights,
     second_largest_eigenvalue,
 )
-from .periodic import PlantModel, benchmark_plant, simulate_trajectory
+from .periodic import PlantModel, benchmark_plant, simulate_trials
 from .network import random_geometric_graph
 from .spps import DEFAULT_TOL
 
@@ -277,14 +277,7 @@ def run_monte_carlo(
     plant = scenario.plant
     K, h = scenario.horizon, scenario.trials
     children = np.random.SeedSequence(scenario.seed).spawn(h)
-    X = np.empty((h, K + 1, plant.n))
-    Y = np.empty((h, K + 1, plant.m))
-    for l, child in enumerate(children):
-        traj = simulate_trajectory(
-            plant, K, child, x0=scenario.x0, noise_scale=scenario.noise_scale
-        )
-        X[l] = traj.states
-        Y[l] = np.concatenate(traj.measurements, axis=1)
+    X, Y = simulate_trials(plant, K, children, scenario.x0, scenario.noise_scale)
 
     gain, own = _sensor_information(plant)
     runs = []
@@ -539,22 +532,13 @@ def network_from_dict(data: dict) -> tuple[SensorGraph, ConsensusWeights]:
         return graph, ConsensusWeights(matrix=np.asarray(weights_cfg, dtype=float))
 
 
-def _integer(value, key: str) -> int:
-    """A whole-number config value: 3 and 3.0 pass, 2.5, "3" and true do not."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"config {key!r} must be an integer, got {value!r}")
-    return value
-
-
 def config_ints(data: dict, key: str, default=()) -> tuple[int, ...]:
     """The list of integers under ``key``, or ``default`` when it is absent."""
     if key not in data:
         return tuple(default)
     if not isinstance(data[key], list):
         raise ValidationError(f"config {key!r} must be a list of integers")
-    return tuple(_integer(v, key) for v in data[key])
+    return tuple(config_integer(v, key) for v in data[key])
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -570,13 +554,13 @@ def scenario_from_dict(data: dict) -> Scenario:
             graph=graph,
             weights=weights,
             L_values=config_ints(data, "L_values"),
-            horizon=_integer(data["horizon"], "horizon"),
-            trials=_integer(data["trials"], "trials"),
-            seed=_integer(data["seed"], "seed"),
+            horizon=config_integer(data["horizon"], "horizon"),
+            trials=config_integer(data["trials"], "trials"),
+            seed=config_integer(data["seed"], "seed"),
             filters=tuple(data.get("filters", ("ckf", "cmdf"))),
             noise_scale=float(noise_scale),
             x0=data.get("x0"),
-            steady_window=None if window is None else _integer(window, "steady_window"),
+            steady_window=None if window is None else config_integer(window, "steady_window"),
         )
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, config_section
+from .errors import ValidationError, config_integer, config_section
 
 # Entries of weight-matrix powers at or below this are treated as structural
 # zeros (no information path of that length).
@@ -78,8 +78,10 @@ class SensorGraph:
     def from_dict(cls, data: dict) -> "SensorGraph":
         with config_section("graph"):
             return cls(
-                n_nodes=int(data["N"]),
-                edges=frozenset(tuple(e) for e in data["edges"]),
+                n_nodes=config_integer(data["N"], "N"),
+                edges=frozenset(
+                    tuple(config_integer(v, "edges") for v in e) for e in data["edges"]
+                ),
                 positions=np.asarray(data["positions"], dtype=float)
                 if data.get("positions") is not None
                 else None,

@@ -1,7 +1,7 @@
 """Periodic system data: matrix sequences, plant models, trajectory simulation.
 
 Everything here is immutable after construction; trajectory simulation is a
-pure function of (model, horizon, seed, x0, noise_scale).
+pure function of (model, horizon, seeds, x0, noise_scale).
 """
 
 import math
@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import sym
-from .errors import NumericalError, ValidationError, config_section
+from .errors import NumericalError, ValidationError, config_integer, config_section
 
 # Smallest admissible eigenvalue for noise covariance matrices.
 PD_EIG_TOL = 1e-12
@@ -20,12 +20,13 @@ class PeriodicSequence:
     """A T-periodic sequence of equally shaped real matrices.
 
     Indexing is defined for every integer time step: ``seq.at(k)`` returns
-    the stored matrix at slot ``k % period``.
+    the stored matrix at slot ``k % period``. ``stack`` is the read-only
+    (period, rows, cols) array of one period's matrices.
     """
 
     def __init__(self, items):
         if isinstance(items, PeriodicSequence):
-            self._stack = items._stack
+            self.stack = items.stack
             return
         if isinstance(items, np.ndarray) and items.ndim == 3:
             mats = [items[i] for i in range(items.shape[0])]
@@ -44,25 +45,25 @@ class PeriodicSequence:
                 raise ValidationError(
                     f"item {idx} has shape {a.shape}, expected {shape}"
                 )
-        self._stack = np.stack(arrays)
-        self._stack.setflags(write=False)
+        self.stack = np.stack(arrays)
+        self.stack.setflags(write=False)
 
     @property
     def period(self) -> int:
-        return self._stack.shape[0]
+        return self.stack.shape[0]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self._stack.shape[1:]
+        return self.stack.shape[1:]
 
     def at(self, k: int) -> np.ndarray:
-        return self._stack[k % self.period]
+        return self.stack[k % self.period]
 
     def __len__(self) -> int:
         return self.period
 
     def __iter__(self):
-        return iter(self._stack)
+        return iter(self.stack)
 
     def __repr__(self) -> str:
         return f"PeriodicSequence(period={self.period}, shape={self.shape})"
@@ -75,10 +76,10 @@ class PeriodicSequence:
             )
         if period == self.period:
             return self
-        return PeriodicSequence(np.tile(self._stack, (period // self.period, 1, 1)))
+        return PeriodicSequence(np.tile(self.stack, (period // self.period, 1, 1)))
 
     def tolist(self):
-        return [m.tolist() for m in self._stack]
+        return [m.tolist() for m in self.stack]
 
 
 def as_periodic(items) -> PeriodicSequence:
@@ -211,7 +212,7 @@ class PlantModel:
                 C=[s["C"] for s in sensors],
                 R=[s["R"] for s in sensors],
             )
-            if "period" in data and model.period != int(data["period"]):
+            if "period" in data and model.period != config_integer(data["period"], "period"):
                 raise ValidationError(
                     f"declared period {data['period']} does not match "
                     f"the sequences' common period {model.period}"
@@ -237,6 +238,62 @@ class Trajectory:
             y.setflags(write=False)
 
 
+def simulate_trials(
+    model: PlantModel,
+    K: int,
+    seeds,
+    x0: np.ndarray | None = None,
+    noise_scale: float = 1.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Simulate K steps of the plant once per seed, all trials at once.
+
+    Returns the states X (h, K+1, n) and the stacked measurements
+    Y (h, K+1, m) of h = len(seeds) trials; sensor i's y_{i,k} is
+    ``Y[:, k, model.observation_slices()[i]]``. Trial l draws (K, n) and then
+    (K+1, m) standard normals from ``np.random.default_rng(seeds[l])``, so its
+    process noise is N(0, noise_scale^2 Q_k) and its measurement noise
+    N(0, noise_scale^2 R_k) with R_k block-diagonal over the sensors.
+    noise_scale = 0 yields the deterministic system response. Identical
+    arguments reproduce every trial bit-exactly; the same seed in a call with
+    a different number of trials agrees to rounding.
+    """
+    if K < 1:
+        raise ValidationError("horizon K must be >= 1")
+    if not 0 <= noise_scale < math.inf:
+        raise ValidationError("noise_scale must be a finite number >= 0")
+    n, m, T, h = model.n, model.m, model.period, len(seeds)
+    x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
+    if x0.shape != (n,):
+        raise ValidationError(f"x0 must have shape ({n},)")
+    slots = np.arange(K + 1) % T
+    W = np.zeros((h, K, n))
+    Y = np.zeros((h, K + 1, m))
+    if noise_scale > 0:
+        for l, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            rng.standard_normal(out=W[l])
+            rng.standard_normal(out=Y[l])
+        R = np.zeros((T, m, m))
+        for sl, Ri in zip(model.observation_slices(), model.R):
+            R[:, sl, sl] = Ri.stack
+        chol_Q = noise_scale * np.linalg.cholesky(sym(model.Q.stack))
+        chol_R = noise_scale * np.linalg.cholesky(sym(R))
+        W = np.einsum("kij,hkj->hki", chol_Q[slots[:-1]], W)
+        Y = np.einsum("kij,hkj->hki", chol_R[slots], Y)
+
+    X = np.empty((h, K + 1, n))
+    X[:, 0] = x0
+    for k in range(K):
+        X[:, k + 1] = X[:, k] @ model.A.stack[slots[k]].T + W[:, k]
+    if not np.all(np.isfinite(X)):
+        raise NumericalError(
+            "trajectory produced non-finite values (unstable plant at this horizon)"
+        )
+    C = np.concatenate([Ci.stack for Ci in model.C], axis=1)
+    Y += np.einsum("kij,hkj->hki", C[slots], X)
+    return X, Y
+
+
 def simulate_trajectory(
     model: PlantModel,
     K: int,
@@ -244,63 +301,10 @@ def simulate_trajectory(
     x0: np.ndarray | None = None,
     noise_scale: float = 1.0,
 ) -> Trajectory:
-    """Simulate K steps of the plant with mutually independent Gaussian noise.
-
-    Process noise is N(0, noise_scale^2 Q_k) and sensor i's measurement noise
-    is N(0, noise_scale^2 R_{i,k}). noise_scale = 0 yields the deterministic
-    system response (useful for exact regression tests). Identical arguments
-    reproduce the trajectory bit-exactly.
-    """
-    if K < 1:
-        raise ValidationError("horizon K must be >= 1")
-    if noise_scale < 0:
-        raise ValidationError("noise_scale must be >= 0")
-    n, m, T = model.n, model.m, model.period
-    x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
-    if x0.shape != (n,):
-        raise ValidationError(f"x0 must have shape ({n},)")
-
-    if noise_scale > 0:
-        rng = np.random.default_rng(seed)
-        w_std = rng.standard_normal((K, n))
-        v_std = rng.standard_normal((K + 1, m))
-        # Only factor the period slots the horizon actually touches.
-        chol_Q = [
-            np.linalg.cholesky(sym(model.Q.at(k))) for k in range(min(T, K))
-        ]
-        chol_R = []
-        for k in range(min(T, K + 1)):
-            Lr = np.zeros((m, m))
-            for sl, Ri in zip(model.observation_slices(), model.R):
-                Lr[sl, sl] = np.linalg.cholesky(sym(Ri.at(k)))
-            chol_R.append(Lr)
-        w = np.stack(
-            [noise_scale * chol_Q[k % T] @ w_std[k] for k in range(K)]
-        )
-        v = np.stack(
-            [noise_scale * chol_R[k % T] @ v_std[k] for k in range(K + 1)]
-        )
-    else:
-        w = np.zeros((K, n))
-        v = np.zeros((K + 1, m))
-
-    states = np.empty((K + 1, n))
-    states[0] = x0
-    for k in range(K):
-        states[k + 1] = model.A.at(k) @ states[k] + w[k]
-    if not np.all(np.isfinite(states)):
-        raise NumericalError(
-            "trajectory produced non-finite values (unstable plant at this horizon)"
-        )
-
-    slices = model.observation_slices()
-    measurements = []
-    for i, Ci in enumerate(model.C):
-        yi = np.empty((K + 1, Ci.shape[0]))
-        for k in range(K + 1):
-            yi[k] = Ci.at(k) @ states[k] + v[k, slices[i]]
-        measurements.append(yi)
-    return Trajectory(states=states, measurements=tuple(measurements), seed=seed)
+    """One trial of ``simulate_trials``, with per-sensor measurements."""
+    X, Y = simulate_trials(model, K, [seed], x0, noise_scale)
+    measurements = tuple(Y[0, :, sl] for sl in model.observation_slices())
+    return Trajectory(states=X[0], measurements=measurements, seed=seed)
 
 
 def benchmark_plant() -> PlantModel:

@@ -188,10 +188,8 @@ def _information_riccati(A, Q, S, tol, max_sweeps):
 
 def _measurement_information(C, R, period: int) -> np.ndarray:
     """C_k' R_k^{-1} C_k per slot as a one-cell (T, 1, n, n) stack."""
-    Rinv = spd_inverse(
-        np.stack([R.at(k) for k in range(period)]), what="measurement noise covariance"
-    )
-    C = np.stack([C.at(k) for k in range(period)])
+    Rinv = spd_inverse(R.with_period(period).stack, what="measurement noise covariance")
+    C = C.with_period(period).stack
     return sym(C.swapaxes(1, 2) @ Rinv @ C)[:, None]
 
 
@@ -201,8 +199,7 @@ def _closed_loops(A, Q, P, S, S2):
     A P+ P^{-1}, and the noise Q + A P+ S2 P+ A' that drives the true error
     covariance through that loop."""
     T = P.shape[0]
-    A = np.stack([A.at(k) for k in range(T)])[:, None]
-    Q = np.stack([Q.at(k) for k in range(T)])[:, None]
+    A, Q = A.with_period(T).stack[:, None], Q.with_period(T).stack[:, None]
     prior = spd_inverse(P, what="predicted covariance")
     gain = A @ spd_inverse(prior + S, what="posterior information")
     return gain, gain @ prior, sym(Q + gain @ S2 @ gain.swapaxes(2, 3))
@@ -277,9 +274,7 @@ def dple_spps(
     steady solution exists and NumericalError is raised.
     """
     A, Q = normalize_period([A, Q])
-    loops = np.stack([A.at(k) for k in range(A.period)])[:, None]
-    noise = np.stack([Q.at(k) for k in range(A.period)])[:, None]
-    return _cell_solution(_lyapunov_stack(loops, noise, tol, max_sweeps))
+    return _cell_solution(_lyapunov_stack(A.stack[:, None], Q.stack[:, None], tol, max_sweeps))
 
 
 def monodromy(A_cl, anchor: int = 0) -> MonodromyReport:
@@ -424,11 +419,14 @@ def dpre_monotonicity_probe(A, C, Q, R1, R2, tol: float = DEFAULT_TOL) -> bool:
 
 
 def fixed_point_defect(solution: SppsSolution, A, C, Q, R) -> float:
-    """Largest one-step defect when substituting a solution into its Riccati map."""
+    """Largest one-step defect when substituting a solution into its Riccati
+    map, each slot's defect relative to that slot's largest absolute entry
+    (the measure the solver's stop uses)."""
     A, C, Q, R = normalize_period([A, C, Q, R])
     S = _measurement_information(C, R, solution.period)
     worst = 0.0
     for k in range(solution.period):
         P_next = _information_step(A.at(k), Q.at(k), solution.at(k), S[k, 0])
-        worst = max(worst, spectral_norm(P_next - solution.at(k + 1)))
+        target = solution.at(k + 1)
+        worst = max(worst, spectral_norm(P_next - target) / np.abs(target).max())
     return worst

@@ -178,6 +178,9 @@ class TestErrorPaths:
             ("simulate", {"weights": [["a"]]}, []),
             ("simulate", {"plant.period": "x"}, []),
             ("simulate", {"graph.edges": [[0, "a"]]}, []),
+            ("simulate", {"plant.period": 1.5}, []),
+            ("simulate", {"graph.N": 3.5}, []),
+            ("simulate", {"graph.edges": [[0, 1.5], [1, 2], [0, 2]]}, []),
         ],
     )
     def test_malformed_scenario_values_rejected(

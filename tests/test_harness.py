@@ -21,7 +21,9 @@ from filterlab import (
     metropolis_weights,
     run_monte_carlo,
     simulate_trajectory,
+    simulate_trials,
 )
+from filterlab import harness
 from filterlab.harness import (
     CidfComparison,
     TrialResults,
@@ -205,6 +207,18 @@ class TestRunMonteCarlo:
         for ra, rb in zip(a.runs, b.runs):
             assert np.array_equal(ra.mse_per_step, rb.mse_per_step)
             assert np.array_equal(ra.mse_steady, rb.mse_steady)
+
+    def test_simulates_every_trial_in_one_call(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return simulate_trials(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "simulate_trials", counted)
+        scn = triangle_scenario(trials=5)
+        run_monte_carlo(scn, with_theory=False)
+        assert len(calls) == 1 and len(calls[0]) == 5
 
     def test_theory_matches_simulation_within_three_se(self):
         # Fixed-seed statistical consistency of Monte Carlo vs the exact

@@ -9,8 +9,10 @@ from filterlab import (
     benchmark_plant,
     normalize_period,
     simulate_trajectory,
+    simulate_trials,
 )
 from measurement_form import stacked_observation
+from reference_simulation import reference_trial
 
 
 class TestPeriodicSequence:
@@ -172,12 +174,8 @@ class TestSimulateTrajectory:
     def test_process_noise_covariance(self, bench_plant):
         # Monte Carlo oracle: the first increment is exactly the process
         # noise when x0 = 0, so its sample covariance must approach Q_0.
-        trials = 10_000
-        draws = np.empty((trials, 4))
-        for l in range(trials):
-            traj = simulate_trajectory(bench_plant, K=1, seed=l)
-            draws[l] = traj.states[1]
-        sample = np.cov(draws.T)
+        X, _ = simulate_trials(bench_plant, K=1, seeds=range(10_000))
+        sample = np.cov(X[:, 1].T)
         Q = bench_plant.Q.at(0)
         rel = np.linalg.norm(sample - Q, 2) / np.linalg.norm(Q, 2)
         assert rel < 0.05
@@ -207,6 +205,46 @@ class TestSimulateTrajectory:
             simulate_trajectory(model, K=0, seed=0)
         with pytest.raises(ValidationError):
             simulate_trajectory(model, K=2, seed=0, noise_scale=-1.0)
+        for scale in (float("nan"), float("inf")):
+            with pytest.raises(ValidationError):
+                simulate_trajectory(model, K=2, seed=0, noise_scale=scale)
+
+
+class TestSimulateTrials:
+    @pytest.mark.parametrize(
+        "x0, noise_scale", [(None, 1.0), ([1.0, -2.0, 0.5, 3.0], 0.5)]
+    )
+    def test_matches_per_trial_reference(self, bench_plant, x0, noise_scale):
+        seeds = np.random.SeedSequence(2023).spawn(50)
+        X, Y = simulate_trials(bench_plant, 100, seeds, x0, noise_scale)
+        assert X.shape == (50, 101, 4) and Y.shape == (50, 101, 20)
+        for l, seed in enumerate(seeds):
+            states, measurements = reference_trial(bench_plant, 100, seed, x0, noise_scale)
+            # Batched products round differently from per-vector ones, so
+            # near-zero entries only agree relative to the trial's size.
+            assert np.abs(X[l] - states).max() <= 1e-13 * np.abs(states).max()
+            assert np.abs(Y[l] - measurements).max() <= 1e-13 * np.abs(measurements).max()
+
+    def test_noiseless_trials_are_the_deterministic_response(self, bench_plant):
+        x0 = np.array([1.0, -2.0, 0.5, 3.0])
+        X, Y = simulate_trials(bench_plant, 60, range(3), x0, noise_scale=0.0)
+        # No noise is drawn: the seeds do not matter and every trial is the same.
+        other = simulate_trials(bench_plant, 60, [97, 98, 99], x0, noise_scale=0.0)
+        assert np.array_equal(X, other[0]) and np.array_equal(Y, other[1])
+        assert np.array_equal(X, np.broadcast_to(X[0], X.shape))
+        states, measurements = reference_trial(bench_plant, 60, 0, x0, noise_scale=0.0)
+        assert np.abs(X[0] - states).max() <= 1e-13 * np.abs(states).max()
+        # The benchmark's C rows pick single states, so y = C x is exact.
+        for k in range(61):
+            C = np.vstack([Ci.at(k) for Ci in bench_plant.C])
+            assert np.array_equal(Y[:, k], X[:, k] @ C.T)
+
+    def test_one_trial_view(self, bench_plant):
+        seed = np.random.SeedSequence(5).spawn(1)[0]
+        traj = simulate_trajectory(bench_plant, 30, seed, noise_scale=0.7)
+        X, Y = simulate_trials(bench_plant, 30, [seed], noise_scale=0.7)
+        assert np.array_equal(traj.states, X[0])
+        assert np.array_equal(np.concatenate(traj.measurements, axis=1), Y[0])
 
 
 class TestBenchmarkPlant:

@@ -86,6 +86,13 @@ class TestDpreSpps:
             assert fixed_point_defect(sol, A, C, Q, R) <= 10 * tol
             for Pk in sol.P:
                 assert np.abs(Pk - Pk.T).max() < 1e-10
+        # The defect is relative to each slot's size, as the solver's stop
+        # is, so the bound holds at any scale of Q and R.
+        A, C, Q, R, _ = random_periodic_system(0)
+        for scale in (1e-6, 1e6):
+            Qs, Rs = PeriodicSequence(scale * Q.stack), PeriodicSequence(scale * R.stack)
+            sol = dpre_spps(A, C, Qs, Rs, tol=tol)
+            assert fixed_point_defect(sol, A, C, Qs, Rs) <= 10 * tol
 
     def test_divergent_recursion_raises(self):
         with pytest.raises(ConvergenceError):
