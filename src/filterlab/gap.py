@@ -259,6 +259,13 @@ def average_performance(solution: SppsSolution) -> float:
     return float(np.mean([np.trace(P) for P in solution.P]))
 
 
+def _decay_rate(perf_L: float, perf_next: float, central: float) -> float:
+    """(perf(L+1) - central) / (perf(L) - central), or NaN when the
+    denominator sits at the numerical floor."""
+    den = perf_L - central
+    return (perf_next - central) / den if abs(den) > RATE_FLOOR else math.nan
+
+
 def rate_fit(
     model: PlantModel,
     weights: ConsensusWeights,
@@ -280,12 +287,7 @@ def rate_fit(
     for L in needed:
         X = _fused_solve(model, weights, L, own, verdicts, tol, rows=[i])[1]
         perf[L] = float(np.trace(X[:, 0], axis1=1, axis2=2).mean())
-    rates = []
-    for L in L_range:
-        den = perf[L] - central
-        num = perf[L + 1] - central
-        rates.append(num / den if abs(den) > RATE_FLOOR else math.nan)
-    return rates
+    return [_decay_rate(perf[L], perf[L + 1], central) for L in L_range]
 
 
 @dataclass(frozen=True)
@@ -415,9 +417,7 @@ def build_gap_report(
         previous = None
         for L in L_values:
             gap_ric, gap_cov, perf = (float(v[i]) for v in solved[L])
-            den = perf - central_avg
-            num = float(solved[L + 1][2][i]) - central_avg
-            rate = num / den if abs(den) > RATE_FLOOR else math.nan
+            rate = _decay_rate(perf, float(solved[L + 1][2][i]), central_avg)
             if previous is not None and gap_cov > previous[1] + 1e-8:
                 logger.warning(
                     "gap at sensor %d grew from L=%d to L=%d (%.3e -> %.3e); "

@@ -12,8 +12,9 @@ Node i corrects to x_i = P+_i q_i with
 
     q_i = sum_j prior_mix_ij P_j^{-1} x_j + sum_j fusion_ij C_j' R_j^{-1} y_j.
 
-The covariances are data-independent, so each run precomputes its schedule
-once, batched over nodes, and one sweep then advances all trials together.
+The covariances are data-independent, so each run is one loop over the
+steps: each step advances the covariances of all nodes, batched, and then the
+estimates of all trials together.
 Empirical MSE is computed on the one-step-ahead (predicted) estimates,
 matching the error covariance recursions the theory curves iterate.
 """
@@ -174,61 +175,55 @@ def _filter_runs(scenario: Scenario) -> list[tuple]:
     return runs
 
 
-def _schedule(plant, prior_mix, fusion, own, K, x0, noise_scale, theory):
-    """Predicted information P^{-1} and posterior covariance P+ of every node
-    at k = 1..K, as (K+1, rows, n, n) stacks, plus with ``theory`` the exact
+def _run_filter(plant, prior_mix, fusion, gain, own, X, Y, noise_scale, theory):
+    """Squared one-step-ahead errors (rows, trials, K) of one run over the
+    states X and measurements Y, plus with ``theory`` the exact
     predicted-error traces (rows, K).
 
-    Node i's posterior information is sum_j prior_mix_ij P_j^{-1} plus
-    sum_j fusion_ij C_j' R_j^{-1} C_j. The theory holds for nodes that keep
-    their own prior (prior_mix = I): the fused measurement noise then adds
-    P+ (sum_j fusion_ij^2 C_j' R_j^{-1} C_j) P+ to the error covariance.
-    """
-    T, n, rows = plant.period, plant.n, fusion.shape[0]
-    info, info_sq = _fused_information(fusion, own)
-    Pinv = np.empty((K + 1, rows, n, n))
-    Ppost = np.empty((K + 1, rows, n, n))
-    post = np.broadcast_to(np.eye(n), (rows, n, n))
-    # Estimates start at zero, the true state at the deterministic x0.
-    e0 = np.zeros(n) if x0 is None else x0
-    X = np.broadcast_to(np.outer(e0, e0), (rows, n, n))
-    traces = np.empty((rows, K)) if theory else None
-    scale2 = noise_scale**2
-    for k in range(1, K + 1):
-        A, Q = plant.A.at(k - 1), plant.Q.at(k - 1)
-        km = k % T
-        Pinv[k] = spd_inverse(A @ post @ A.T + Q, what="predicted covariance")
-        prior = np.tensordot(prior_mix, Pinv[k], axes=(1, 0))
-        post = Ppost[k] = spd_inverse(prior + info[km], what="posterior information")
-        if theory:
-            M = post @ Pinv[k]
-            Xp = sym(A @ X @ A.T + scale2 * Q)
-            traces[:, k - 1] = np.trace(Xp, axis1=1, axis2=2)
-            X = sym(M @ Xp @ M.swapaxes(1, 2) + scale2 * post @ info_sq[km] @ post)
-    return Pinv, Ppost, traces
-
-
-def _sweep(plant, prior_mix, fusion, gain, Pinv, Ppost, X, Y):
-    """Squared one-step-ahead errors (rows, trials, K) of one run.
-
-    All trials advance together; each step corrects every node with
-    x_i = P+_i (sum_j prior_mix_ij P_j^{-1} x_j + sum_j fusion_ij C_j' R_j^{-1} y_j).
+    The covariances are data-independent, so each step first advances every
+    node's predicted information P^{-1} and posterior covariance P+, whose
+    inverse is sum_j prior_mix_ij P_j^{-1} + sum_j fusion_ij C_j' R_j^{-1} C_j,
+    then corrects all trials together. The theory holds for nodes that
+    keep their own prior (prior_mix = I): the fused measurement noise then
+    adds P+ (sum_j fusion_ij^2 C_j' R_j^{-1} C_j) P+ to the error covariance.
+    A trial whose estimate has an entry above DIVERGENCE_NORM or NaN at any
+    step has its rows set to NaN.
     """
     h, K, n = X.shape[0], X.shape[1] - 1, plant.n
     rows, T = fusion.shape[0], plant.period
+    info, info_sq = _fused_information(fusion, own)
     owner = np.repeat(np.arange(plant.N), plant.sensor_dims)
     # fused[t, i] maps the stacked measurement to node i's fused information.
     fused = fusion[:, owner][None, :, :, None] * gain[:, None, :, :]
+    post = np.broadcast_to(np.eye(n), (rows, n, n))
+    # Estimates start at zero; the simulator starts every trial at x0.
+    x0 = X[0, 0]
+    E = np.broadcast_to(np.outer(x0, x0), (rows, n, n))
+    traces = np.empty((rows, K)) if theory else None
+    scale2 = noise_scale**2
     xhat = np.zeros((rows, h, n))
+    peak = np.zeros((rows, h, n))
     sq = np.empty((rows, h, K))
     for k in range(1, K + 1):
-        xhat = xhat @ plant.A.at(k - 1).T
+        A, Q = plant.A.at(k - 1), plant.Q.at(k - 1)
+        km = k % T
+        Pinv = spd_inverse(A @ post @ A.T + Q, what="predicted covariance")
+        prior = np.tensordot(prior_mix, Pinv, axes=(1, 0))
+        post = spd_inverse(prior + info[km], what="posterior information")
+        if theory:
+            M = post @ Pinv
+            Ep = sym(A @ E @ A.T + scale2 * Q)
+            traces[:, k - 1] = np.trace(Ep, axis1=1, axis2=2)
+            E = sym(M @ Ep @ M.swapaxes(1, 2) + scale2 * post @ info_sq[km] @ post)
+        xhat = xhat @ A.T
         err = xhat - X[:, k]
         sq[:, :, k - 1] = np.einsum("ihn,ihn->ih", err, err)
-        q = np.tensordot(prior_mix, xhat @ Pinv[k], axes=(1, 0))
-        xhat = (q + Y[:, k] @ fused[k % T]) @ Ppost[k]
-        _mark_divergence(sq, k - 1, xhat)
-    return sq
+        q = np.tensordot(prior_mix, xhat @ Pinv, axes=(1, 0))
+        xhat = (q + Y[:, k] @ fused[km]) @ post
+        np.maximum(peak, np.abs(xhat), out=peak)
+    # NaN fails the comparison too, so non-finite estimates count as diverged.
+    sq[:, ~(peak.max(axis=(0, 2)) <= DIVERGENCE_NORM)] = np.nan
+    return sq, traces
 
 
 def _reduce(sq, window):
@@ -251,14 +246,6 @@ def _reduce(sq, window):
     return mse_step, step_se, mse_steady, steady_se, tuple(np.nonzero(bad)[0].tolist())
 
 
-def _mark_divergence(sq, step_idx, xhat):
-    # NaN fails the comparison too, so non-finite estimates count as diverged.
-    bad = ~(np.abs(xhat).max(axis=(0, 2)) <= DIVERGENCE_NORM)
-    if bad.any():
-        sq[:, bad, step_idx:] = np.nan
-        xhat[:, bad, :] = 0.0
-
-
 def run_monte_carlo(
     scenario: Scenario, with_theory: bool = True, tol: float = DEFAULT_TOL
 ) -> TrialResults:
@@ -266,8 +253,9 @@ def run_monte_carlo(
 
     Trial l draws its noise from the l-th spawn of the master seed, so runs
     are reproducible and trials mutually independent. A trial whose estimate
-    norm exceeds 1e9 (or goes non-finite) is recorded as diverged and dropped
-    from the averages; the run aborts if more than 1% of trials diverge.
+    has an entry above 1e9 in magnitude (or NaN) at any step is recorded as
+    diverged and dropped from the averages; the run aborts if more than 1% of
+    trials diverge.
 
     With theory, the steady covariances come from one gap report over the
     scenario's sweep, solved to ``tol``; a scenario without a sweep solves
@@ -283,17 +271,10 @@ def run_monte_carlo(
     runs = []
     for name, L, prior_mix, fusion in _filter_runs(scenario):
         # The information baseline mixes priors, so it has no exact theory.
-        Pinv, Ppost, theory = _schedule(
-            plant,
-            prior_mix,
-            fusion,
-            own,
-            K,
-            scenario.x0,
-            scenario.noise_scale,
+        sq, theory = _run_filter(
+            plant, prior_mix, fusion, gain, own, X, Y, scenario.noise_scale,
             theory=with_theory and name != "cidf",
         )
-        sq = _sweep(plant, prior_mix, fusion, gain, Pinv, Ppost, X, Y)
         stats = _reduce(sq, scenario.steady_window)
         run = FilterRun(
             name=name,

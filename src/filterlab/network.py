@@ -54,10 +54,6 @@ class SensorGraph:
             A[i, j] = A[j, i] = 1.0
         return A
 
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        out = [j for a, j in self.edges if a == i] + [a for a, j in self.edges if j == i]
-        return tuple(sorted(out))
-
     def degrees(self) -> np.ndarray:
         deg = np.zeros(self.n_nodes, dtype=int)
         for i, j in self.edges:

@@ -46,9 +46,6 @@ class SppsSolution:
     def at(self, k: int) -> np.ndarray:
         return self.P[k % self.period]
 
-    def sequence(self) -> PeriodicSequence:
-        return PeriodicSequence(list(self.P))
-
     def to_dict(self) -> dict:
         return {
             "period": self.period,

@@ -24,6 +24,7 @@ from filterlab import (
     simulate_trials,
 )
 from filterlab import harness
+from filterlab.filters import _sensor_information
 from filterlab.harness import (
     CidfComparison,
     TrialResults,
@@ -162,7 +163,7 @@ class TestRunMonteCarlo:
                 assert np.allclose(a.estimate, b[0].estimate, atol=1e-13)
 
     def test_batched_engine_matches_step_functions(self):
-        # The harness vectorizes trials through precomputed gain schedules;
+        # The harness advances all trials together in one filter loop;
         # it must agree with the reference per-step filters trial by trial.
         scn = triangle_scenario(trials=4, horizon=8, L_values=(2,))
         results = run_monte_carlo(scn, with_theory=False)
@@ -266,6 +267,42 @@ class TestRunMonteCarlo:
         with pytest.raises(NumericalError):
             with np.errstate(over="ignore", invalid="ignore"):
                 run_monte_carlo(scn, with_theory=False)
+
+    def test_partial_divergence_flags_only_blown_up_trials(self):
+        # The state grows by 1.6 per step, so by k = 44 some trials' estimates
+        # cross the divergence norm and others do not. Trial 0 also gets one
+        # spiked measurement: its estimate crosses the norm at k = 5 and is
+        # back below it at k = 44, so it must be flagged all the same. The
+        # filter must flag exactly the trials whose reference estimate
+        # crosses at some step and leave the others' errors untouched.
+        plant = PlantModel(A=[[1.6]], Q=[[1.0]], C=[[[1.0]], [[0.0]]], R=[[[1.0]], [[1.0]]])
+        weights = metropolis_weights(two_node_graph())
+        h, K = 40, 44
+        X, Y = simulate_trials(plant, K, np.random.SeedSequence(1).spawn(h))
+        Y[0, 5, 0] = 1e12
+        gain, own = _sensor_information(plant)
+        ref = np.empty((plant.N, h, K))
+        peak, final = np.zeros(h), np.zeros(h)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq, traces = harness._run_filter(
+                plant, np.eye(2), 2 * weights.matrix, gain, own, X, Y, 1.0, theory=False
+            )
+            for l in range(h):
+                states = default_states(plant)
+                for k in range(1, K + 1):
+                    for i, s in enumerate(states):
+                        pred = plant.A.at(k - 1) @ s.estimate
+                        ref[i, l, k - 1] = np.sum((pred - X[l, k]) ** 2)
+                    states = cmdf_step(plant, weights, 1, states, np.split(Y[l, k], 2), k)
+                    final[l] = max(np.abs(s.estimate).max() for s in states)
+                    peak[l] = max(peak[l], final[l])
+        assert traces is None
+        flagged = ~np.isfinite(sq).all(axis=(0, 2))
+        assert np.array_equal(flagged, peak > harness.DIVERGENCE_NORM)
+        assert flagged[0] and final[0] < harness.DIVERGENCE_NORM
+        assert 0 < flagged.sum() < h
+        assert np.isnan(sq[:, flagged]).all()
+        np.testing.assert_allclose(sq[:, ~flagged], ref[:, ~flagged], rtol=1e-12)
 
 
 class TestCompareCidf:
