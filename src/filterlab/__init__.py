@@ -56,11 +56,9 @@ from .gap import (
     average_performance,
     build_gap_report,
     centralized_dpre,
-    cmdf_dpre,
-    cmdf_error_dple,
+    cmdf_spps,
     gap_series_cov,
     gap_series_ric,
-    rate_fit,
 )
 from .harness import (
     Scenario,

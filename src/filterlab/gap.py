@@ -61,87 +61,55 @@ def observable_support(model: PlantModel, support, verdicts: dict) -> bool:
     return verdicts[key]
 
 
-def _fused_rows(model, weights, L, rows, own, verdicts, check_observability=True):
-    """Fused information S and S2, (T, len(rows), n, n), of the given nodes
-    at depth L (see ``filters._fused_information``).
+def _fused_rows(model, weights, L, own, verdicts):
+    """Fused information S and S2, (T, N, n, n), of every node at depth L
+    (see ``filters._fused_information``).
 
     Node i fuses sensor j with weight N (W^L)_ij on its support, the sensors
-    an L-step path reaches. A node with an empty support, or with
-    ``check_observability`` one that is not uniformly observable, has no
-    steady covariance and raises ValidationError.
+    an L-step path reaches. A node with an empty support, or one that is not
+    uniformly observable, has no steady covariance and raises
+    ValidationError.
     """
     power, mask = weight_power(weights, L)
-    for i in rows:
+    for i in range(model.N):
         if not mask[i].any():
             raise ValidationError(
                 f"node {i} has empty fusion support at L={L}; no observation model exists"
             )
-        if check_observability and not observable_support(model, mask[i], verdicts):
+        if not observable_support(model, mask[i], verdicts):
             raise ValidationError(
                 f"node {i} at L={L}: the pair (A, modified C) is not uniformly "
                 "observable, so the consensus filter has no steady covariance"
             )
-    return _fused_information(np.where(mask, model.N * power, 0.0)[rows], own)
+    return _fused_information(np.where(mask, model.N * power, 0.0), own)
 
 
-def _fused_solve(model, weights, L, own, verdicts, tol, rows=None):
-    """Steady parameter and true error covariances, (T, rows, n, n) each, of
-    the given nodes (default: all N) at fusion depth L, solved as one stack."""
-    rows = list(range(model.N)) if rows is None else rows
-    S, S2 = _fused_rows(model, weights, L, rows, own, verdicts)
-    P = _information_riccati(model.A, model.Q, S, tol, None)[0]
-    _, loops, noise = _closed_loops(model.A, model.Q, P, S, S2)
-    return P, _lyapunov_stack(loops, noise, tol, None)[0]
+def _fused_solve(model, weights, L, own, verdicts, tol):
+    """Steady parameter and true error covariances of all N nodes at fusion
+    depth L, solved as one stack: the ``_iterate_to_period`` results of the
+    Riccati and then the Lyapunov recursion, slots (T, N, n, n) each."""
+    S, S2 = _fused_rows(model, weights, L, own, verdicts)
+    riccati = _information_riccati(model.A, model.Q, S, tol, None)
+    _, loops, noise = _closed_loops(model.A, model.Q, riccati[0], S, S2)
+    return riccati, _lyapunov_stack(loops, noise, tol, None)
 
 
-def cmdf_dpre(
+def cmdf_spps(
     model: PlantModel,
     weights: ConsensusWeights,
     L: int,
-    i: int,
     tol: float = DEFAULT_TOL,
-    max_sweeps: int | None = None,
-    check_observability: bool = True,
-) -> SppsSolution:
-    """Steady parameter covariance of node i's consensus filter at fusion depth L.
+) -> list[tuple[SppsSolution, SppsSolution]]:
+    """Steady covariances of every node's consensus filter at fusion depth L.
 
-    Solves the Riccati equation in information form with the node's fused
-    measurement information; this is the limit of the covariance recursion
-    the node actually iterates.
+    Entry i is node i's (P, X): P solves the Riccati equation in information
+    form with the node's fused measurement information, the limit of the
+    covariance recursion the node iterates; X solves the Lyapunov equation
+    of P's closed loop, driven by the noise the node's fusion weights inject,
+    and is the node's true steady error covariance.
     """
-    S, _ = _fused_rows(
-        model, weights, L, [i], _sensor_information(model)[1], {}, check_observability
-    )
-    return _cell_solution(_information_riccati(model.A, model.Q, S, tol, max_sweeps))
-
-
-def cmdf_error_dple(
-    model: PlantModel,
-    weights: ConsensusWeights,
-    L: int,
-    i: int,
-    tol: float = DEFAULT_TOL,
-    max_sweeps: int | None = None,
-    dpre_solution: SppsSolution | None = None,
-) -> SppsSolution:
-    """True steady error covariance of node i's consensus filter.
-
-    Solves the Lyapunov equation driven by the closed loop of the node's
-    Riccati solution, with the noise its fusion weights inject re-entering
-    through the gains.
-    """
-    S, S2 = _fused_rows(
-        model, weights, L, [i], _sensor_information(model)[1], {},
-        check_observability=dpre_solution is None,
-    )
-    if dpre_solution is None:
-        P = _information_riccati(model.A, model.Q, S, tol, max_sweeps)[0]
-    elif dpre_solution.period != model.period:
-        raise ValidationError("solution period does not match the sequences")
-    else:
-        P = np.stack(dpre_solution.P)[:, None]
-    _, loops, noise = _closed_loops(model.A, model.Q, P, S, S2)
-    return dple_spps(loops[:, 0], noise[:, 0], tol=tol, max_sweeps=max_sweeps)
+    P, X = _fused_solve(model, weights, L, _sensor_information(model)[1], {}, tol)
+    return [(_cell_solution(P, i), _cell_solution(X, i)) for i in range(model.N)]
 
 
 @dataclass(frozen=True)
@@ -171,7 +139,7 @@ def _series_parts(model, weights, L, i, tol):
     return P, S, S2, _closed_loops(model.A, model.Q, P, S, S2)
 
 
-def _series(loops, anchor, mid, rows, direct, truncation, term_tol) -> GapSeries:
+def _series(loops, anchor, mid, rows, direct, truncation) -> GapSeries:
     """Sum the geometric series of one-period propagations of the gap that
     slot t injects as mid(t), carried on the left by the closed loop of row
     rows[0] and on the right by that of rows[1], and set it against the
@@ -191,7 +159,7 @@ def _series(loops, anchor, mid, rows, direct, truncation, term_tol) -> GapSeries
     for j in range(truncation):
         term = left @ Psi @ right.T
         total += term
-        if spectral_norm(term) < term_tol:
+        if spectral_norm(term) < SERIES_TERM_TOL:
             series = sym(total)
             return GapSeries(series, direct, spectral_norm(series - direct), j + 1)
         left = phi[0] @ left
@@ -210,7 +178,6 @@ def gap_series_ric(
     truncation: int = 5000,
     anchor: int = 0,
     tol: float = DEFAULT_TOL,
-    term_tol: float = SERIES_TERM_TOL,
 ) -> GapSeries:
     """Series form of the parameter-covariance gap (node i minus centralized).
 
@@ -225,7 +192,7 @@ def gap_series_ric(
     def mid(t):
         return gain[t, 0] @ (S[t, 1] - S[t, 0]) @ gain[t, 1].T
 
-    return _series(loops, anchor, mid, (0, 1), P[a, 0] - P[a, 1], truncation, term_tol)
+    return _series(loops, anchor, mid, (0, 1), P[a, 0] - P[a, 1], truncation)
 
 
 def gap_series_cov(
@@ -236,7 +203,6 @@ def gap_series_cov(
     truncation: int = 5000,
     anchor: int = 0,
     tol: float = DEFAULT_TOL,
-    term_tol: float = SERIES_TERM_TOL,
 ) -> GapSeries:
     """Series form of the error-vs-parameter covariance gap at node i.
 
@@ -251,7 +217,7 @@ def gap_series_cov(
         return gain[t, 0] @ (S2[t, 0] - S[t, 0]) @ gain[t, 0].T
 
     direct = err.at(anchor) - P[anchor % model.period, 0]
-    return _series(loops, anchor, mid, (0, 0), direct, truncation, term_tol)
+    return _series(loops, anchor, mid, (0, 0), direct, truncation)
 
 
 def average_performance(solution: SppsSolution) -> float:
@@ -264,30 +230,6 @@ def _decay_rate(perf_L: float, perf_next: float, central: float) -> float:
     denominator sits at the numerical floor."""
     den = perf_L - central
     return (perf_next - central) / den if abs(den) > RATE_FLOOR else math.nan
-
-
-def rate_fit(
-    model: PlantModel,
-    weights: ConsensusWeights,
-    i: int,
-    L_range,
-    tol: float = DEFAULT_TOL,
-) -> list[float]:
-    """Per-step decay ratios of node i's average performance gap.
-
-    For each L in L_range returns (perf(L+1) - perf_central) divided by
-    (perf(L) - perf_central); entries whose denominator sits at the numerical
-    floor are reported as NaN rather than divided.
-    """
-    L_range = sorted(set(int(L) for L in L_range))
-    central = average_performance(centralized_dpre(model, tol=tol))
-    needed = sorted(set(L_range) | {L + 1 for L in L_range})
-    own, verdicts = _sensor_information(model)[1], {}
-    perf = {}
-    for L in needed:
-        X = _fused_solve(model, weights, L, own, verdicts, tol, rows=[i])[1]
-        perf[L] = float(np.trace(X[:, 0], axis1=1, axis2=2).mean())
-    return [_decay_rate(perf[L], perf[L + 1], central) for L in L_range]
 
 
 @dataclass(frozen=True)
@@ -405,7 +347,7 @@ def build_gap_report(
     own, verdicts = _sensor_information(model)[1], {}
     solved = {}
     for L in needed_L:
-        P, X = _fused_solve(model, weights, L, own, verdicts, tol)
+        (P, *_), (X, *_) = _fused_solve(model, weights, L, own, verdicts, tol)
         solved[L] = (
             np.linalg.norm(P - central_P, 2, axis=(2, 3)).max(axis=0),
             np.linalg.norm(X - central_P, 2, axis=(2, 3)).max(axis=0),

@@ -85,6 +85,9 @@ class Scenario:
             raise ValidationError("weights are not supported by the graph")
         if any(L < 0 for L in self.L_values):
             raise ValidationError("fusion steps must be >= 0")
+        repeated = sorted({L for L in self.L_values if self.L_values.count(L) > 1})
+        if repeated:
+            raise ValidationError(f"fusion steps repeat {repeated}")
         needs_L = {"cmdf", "cidf"} & set(self.filters)
         if needs_L and not self.L_values:
             raise ValidationError("consensus filters need at least one L value")

@@ -181,6 +181,8 @@ class TestErrorPaths:
             ("simulate", {"plant.period": 1.5}, []),
             ("simulate", {"graph.N": 3.5}, []),
             ("simulate", {"graph.edges": [[0, 1.5], [1, 2], [0, 2]]}, []),
+            ("simulate", {}, ["--fusion-steps", "1,1"]),
+            ("simulate", {"L_values": [1, 1]}, []),
         ],
     )
     def test_malformed_scenario_values_rejected(
@@ -347,9 +349,9 @@ class TestPaperPipeline:
         solver = filterlab.gap._fused_solve
 
         def counting(model, weights, L, *args, **kwargs):
-            P, X = solver(model, weights, L, *args, **kwargs)
-            calls.append((L, P.shape[1]))
-            return P, X
+            riccati, lyapunov = solver(model, weights, L, *args, **kwargs)
+            calls.append((L, riccati[0].shape[1]))
+            return riccati, lyapunov
 
         monkeypatch.setattr(filterlab.gap, "_fused_solve", counting)
         # Small trial count and a short sweep keep the smoke test brisk.

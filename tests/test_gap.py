@@ -16,13 +16,11 @@ from filterlab import (
     average_performance,
     build_gap_report,
     centralized_dpre,
-    cmdf_dpre,
-    cmdf_error_dple,
+    cmdf_spps,
     dple_spps,
     gap_series_cov,
     gap_series_ric,
     metropolis_weights,
-    rate_fit,
     weight_power,
 )
 from filterlab.spps import SppsSolution
@@ -32,7 +30,7 @@ class TestCmdfDpre:
     def test_complete_graph_single_round_equals_centralized(self, bench_plant):
         weights = metropolis_weights(complete_graph(bench_plant.N))
         central = centralized_dpre(bench_plant, tol=1e-12)
-        node = cmdf_dpre(bench_plant, weights, 1, 0, tol=1e-12)
+        node = cmdf_spps(bench_plant, weights, 1, tol=1e-12)[0][0]
         for k in range(bench_plant.period):
             assert np.linalg.norm(node.at(k) - central.at(k), 2) < 1e-10
 
@@ -48,7 +46,7 @@ class TestCmdfDpre:
         model = two_sensor_scalar_plant(a=1.0, c1=1.0, c2=1.0)
         weights = two_node_weights(0.3)
         central = centralized_dpre(model, tol=1e-13)
-        node = cmdf_dpre(model, weights, 20, 0, tol=1e-13)
+        node = cmdf_spps(model, weights, 20, tol=1e-13)[0][0]
         assert abs(node.P[0][0, 0] - central.P[0][0, 0]) < 1e-7
 
     def test_observability_guard(self):
@@ -62,7 +60,7 @@ class TestCmdfDpre:
         )
         weights = two_node_weights(0.3)
         with pytest.raises(ValidationError):
-            cmdf_dpre(model, weights, 0, 1)
+            cmdf_spps(model, weights, 0)
 
     def test_benchmark_solutions_exist_for_all_sensors(
         self, bench_plant, bench_graph, bench_weights
@@ -70,8 +68,9 @@ class TestCmdfDpre:
         from filterlab import diameter
 
         d = diameter(bench_graph)
+        nodes = cmdf_spps(bench_plant, bench_weights, d)
         for i in (0, 4, 13):
-            sol = cmdf_dpre(bench_plant, bench_weights, d, i)
+            sol = nodes[i][0]
             assert sol.period == 30
             assert sol.residual < 1e-10
 
@@ -81,8 +80,7 @@ class TestCmdfErrorDple:
         # With exact averaging the effective and true noise agree, so the
         # steady error covariance coincides with the Riccati solution.
         weights = metropolis_weights(complete_graph(bench_plant.N))
-        node = cmdf_dpre(bench_plant, weights, 1, 2, tol=1e-12)
-        err = cmdf_error_dple(bench_plant, weights, 1, 2, tol=1e-12, dpre_solution=node)
+        node, err = cmdf_spps(bench_plant, weights, 1, tol=1e-12)[2]
         for k in range(30):
             assert np.linalg.norm(err.at(k) - node.at(k), 2) < 1e-9
 
@@ -91,13 +89,12 @@ class TestCmdfErrorDple:
         model = two_sensor_scalar_plant(a=1.0, c1=1.0, c2=1.0)
         weights = two_node_weights(0.3)
         for L in (1, 3, 5):
-            node = cmdf_dpre(model, weights, L, 0, tol=1e-12)
-            err = cmdf_error_dple(model, weights, L, 0, tol=1e-12, dpre_solution=node)
+            node, err = cmdf_spps(model, weights, L, tol=1e-12)[0]
             assert err.P[0][0, 0] >= node.P[0][0, 0] - 1e-10
 
     def test_large_L_collapses_to_centralized(self, bench_plant, bench_weights):
         central = centralized_dpre(bench_plant, tol=1e-12)
-        err = cmdf_error_dple(bench_plant, bench_weights, 200, 5, tol=1e-12)
+        err = cmdf_spps(bench_plant, bench_weights, 200, tol=1e-12)[5][1]
         worst = max(
             np.linalg.norm(err.at(k) - central.at(k), 2) for k in range(30)
         )
@@ -112,8 +109,9 @@ class TestCmdfErrorDple:
 
         d = diameter(bench_graph)
         central = centralized_dpre(bench_plant, tol=1e-12)
+        nodes = cmdf_spps(bench_plant, bench_weights, d, tol=1e-12)
         for i in (0, 13):
-            err = cmdf_error_dple(bench_plant, bench_weights, d, i, tol=1e-12)
+            err = nodes[i][1]
             for k in range(30):
                 gap = err.at(k) - central.at(k)
                 assert np.linalg.eigvalsh((gap + gap.T) / 2)[0] >= -1e-8
@@ -128,7 +126,7 @@ class TestCmdfErrorDple:
         d = diameter(bench_graph)
         central = average_performance(centralized_dpre(bench_plant))
         averages = [
-            average_performance(cmdf_error_dple(bench_plant, bench_weights, L, 13))
+            average_performance(cmdf_spps(bench_plant, bench_weights, L)[13][1])
             for L in (d, d + 3, d + 6)
         ]
         assert averages[0] > averages[1] > averages[2] > central
@@ -192,7 +190,8 @@ class TestAveragePerformance:
 class TestRateFit:
     def test_complete_graph_reports_floor(self, bench_plant):
         weights = metropolis_weights(complete_graph(bench_plant.N))
-        rates = rate_fit(bench_plant, weights, 0, [1, 2])
+        report = build_gap_report(bench_plant, weights, L_values=[1, 2])
+        rates = [report.cell(0, L).rate for L in (1, 2)]
         assert all(math.isnan(q) for q in rates)
 
     def test_two_node_rates_respect_envelope_and_attain_squared_gap(self):
@@ -205,7 +204,8 @@ class TestRateFit:
         for w in (0.1, 0.3):
             weights = two_node_weights(w)
             sigma2 = abs(1.0 - 2.0 * w)
-            rates = rate_fit(model, weights, 0, [6, 7, 8])
+            report = build_gap_report(model, weights, L_values=[6, 7, 8])
+            rates = [report.cell(0, L).rate for L in (6, 7, 8)]
             for q in rates:
                 assert not math.isnan(q)
                 assert q <= sigma2 + 0.02
@@ -220,8 +220,7 @@ class TestRateFit:
         central = average_performance(centralized_dpre(model, tol=1e-13))
         ric, cov = {}, {}
         for L in (6, 7):
-            p_l = cmdf_dpre(model, weights, L, 0, tol=1e-13)
-            p_e = cmdf_error_dple(model, weights, L, 0, tol=1e-13, dpre_solution=p_l)
+            p_l, p_e = cmdf_spps(model, weights, L, tol=1e-13)[0]
             ric[L] = average_performance(p_l) - central
             cov[L] = average_performance(p_e) - average_performance(p_l)
         assert abs(ric[7] / ric[6] - 0.8) < 0.05
@@ -356,3 +355,36 @@ class TestStackedSolve:
             want = _measurement_form_cell(bench_plant, bench_weights, 2, cell.sensor, central)
             got = (cell.gap_ric, cell.gap_cov, cell.avg_perf)
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+
+class TestCmdfSpps:
+    """The public per-node view reads the stacked solve the report is built
+    from, so every node's (P, X) reproduces its report cell."""
+
+    @staticmethod
+    def _assert_nodes_match_report(model, weights, report, L):
+        central = centralized_dpre(model)
+        T = model.period
+        for i, (P, X) in enumerate(cmdf_spps(model, weights, L)):
+            cell = report.cell(i, L)
+            gap_ric = max(np.linalg.norm(P.at(k) - central.at(k), 2) for k in range(T))
+            gap_cov = max(np.linalg.norm(X.at(k) - central.at(k), 2) for k in range(T))
+            assert (gap_ric, gap_cov) == (cell.gap_ric, cell.gap_cov)
+            np.testing.assert_allclose(
+                average_performance(X), cell.avg_perf, rtol=1e-14, atol=0
+            )
+
+    def test_scalar_pair_nodes_match_report(self, small_report):
+        report, model, weights = small_report
+        for L in (1, 2, 3):
+            self._assert_nodes_match_report(model, weights, report, L)
+
+    def test_benchmark_nodes_match_report(self, bench_plant, bench_graph, bench_weights):
+        # L = 2 mixes fusion supports across the stack; L = d gives every
+        # node the full support.
+        from filterlab import diameter
+
+        d = diameter(bench_graph)
+        report = build_gap_report(bench_plant, bench_weights, L_values=[2, d])
+        for L in (2, d):
+            self._assert_nodes_match_report(bench_plant, bench_weights, report, L)

@@ -104,10 +104,6 @@ class TestDpreSpps:
         with pytest.raises(NumericalError):
             dpre_spps([[0.5]], [[0.0]], [[1.0]], bad_R, max_sweeps=50)
 
-    def test_bounds_flag_runs(self):
-        A, C, Q, R, _ = random_periodic_system(7)
-        dpre_spps(A, C, Q, R, check_bounds=True)
-
     def test_singular_measurement_noise_raises(self):
         # The information form needs R_k^{-1}; R = 0 is outside the model.
         with pytest.raises(NumericalError, match="measurement noise covariance"):
