@@ -17,13 +17,13 @@ Each subcommand accepts only the flags it reads. Exit codes: 0 success,
 import argparse
 import dataclasses
 import datetime
-import json
 import math
 import os
 import sys
 
 from . import gap as gap_mod
 from . import harness
+from ._artifacts import write_json
 from .errors import NumericalError, ValidationError
 from .network import diameter, weight_power
 from .periodic import PlantModel
@@ -54,11 +54,6 @@ def _positive_float(text: str) -> float:
 
 def _str_list(text: str) -> list[str]:
     return [tok.strip() for tok in text.split(",") if tok.strip() != ""]
-
-
-def _write_json(path: str, data) -> None:
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2)
 
 
 def _plant(cfg: dict) -> PlantModel:
@@ -107,9 +102,7 @@ def _cmd_observability(args) -> dict:
     if L_list is None:
         d = diameter(graph)
         L_list = harness.config_ints(cfg, "L_values", range(d, d + 3))
-    if any(L < 0 for L in L_list):
-        raise ValidationError("fusion steps must be >= 0")
-    for L in L_list:
+    for L in harness.check_fusion_steps(L_list):
         _, mask = weight_power(weights, L)
         for i in range(plant.N):
             ok = gap_mod.observable_support(plant, mask[i], verdicts)
@@ -126,7 +119,7 @@ def _cmd_simulate(args) -> dict:
     """`simulate` and `paper`: one run, and every artifact it holds."""
     scenario = _scenario(args)
     out = args.out
-    _write_json(os.path.join(out, "scenario.json"), harness.scenario_to_dict(scenario))
+    write_json(os.path.join(out, "scenario.json"), harness.scenario_to_dict(scenario))
     results = harness.run_monte_carlo(scenario, tol=args.tol)
     written = ["scenario.json", "results_{per_step,steady}.csv", "results.json"]
     harness.export_results(results, out)
@@ -233,7 +226,7 @@ def main(argv=None) -> int:
         if out is not None:
             # The only timestamped artifact; data files stay byte-identical per seed.
             stamp = {"generated": datetime.datetime.now().isoformat(), "command": args.command}
-            _write_json(os.path.join(out, "run_info.json"), {**stamp, **info})
+            write_json(os.path.join(out, "run_info.json"), {**stamp, **info})
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

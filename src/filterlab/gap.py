@@ -2,15 +2,15 @@
 centralized filter, series-form verifications of that gap, and fitted decay
 rates against the network's spectral gap."""
 
-import csv
 import hashlib
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
 
+from ._artifacts import write_csv, write_json
 from ._linalg import spectral_norm, sym
 from .errors import NumericalError, ValidationError
 from .network import ConsensusWeights, SensorGraph, second_largest_eigenvalue, weight_power
@@ -260,38 +260,14 @@ class GapReport:
         raise KeyError((sensor, L))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["sensor", "L", "gap_ric", "gap_cov", "avg_perf", "rate", "sigma2"]
-            )
-            for c in self.cells:
-                writer.writerow(
-                    [
-                        c.sensor,
-                        c.L,
-                        f"{c.gap_ric:.17g}",
-                        f"{c.gap_cov:.17g}",
-                        f"{c.avg_perf:.17g}",
-                        "" if math.isnan(c.rate) else f"{c.rate:.17g}",
-                        f"{self.sigma2:.17g}",
-                    ]
-                )
+        """One row per cell: its fields, then sigma2."""
+        header = ["sensor", "L", "gap_ric", "gap_cov", "avg_perf", "rate", "sigma2"]
+        write_csv(path, header, (astuple(c) + (self.sigma2,) for c in self.cells))
 
     def rates_to_csv(self, path) -> None:
         """The decay-rate table: one row per cell, blank where the rate is NaN."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sensor", "L", "rate_q", "sigma2"])
-            for c in self.cells:
-                writer.writerow(
-                    [
-                        c.sensor,
-                        c.L,
-                        "" if math.isnan(c.rate) else f"{c.rate:.17g}",
-                        f"{self.sigma2:.17g}",
-                    ]
-                )
+        rows = ((c.sensor, c.L, c.rate, self.sigma2) for c in self.cells)
+        write_csv(path, ["sensor", "L", "rate_q", "sigma2"], rows)
 
     def to_json(self, path) -> None:
         data = {
@@ -299,19 +275,11 @@ class GapReport:
             "centralized_avg": self.centralized_avg,
             "metadata": self.metadata,
             "cells": [
-                {
-                    "sensor": c.sensor,
-                    "L": c.L,
-                    "gap_ric": c.gap_ric,
-                    "gap_cov": c.gap_cov,
-                    "avg_perf": c.avg_perf,
-                    "rate": None if math.isnan(c.rate) else c.rate,
-                }
+                {**asdict(c), "rate": None if math.isnan(c.rate) else c.rate}
                 for c in self.cells
             ],
         }
-        with open(path, "w") as fh:
-            json.dump(data, fh, indent=2)
+        write_json(path, data)
 
 
 def graph_fingerprint(graph: SensorGraph) -> str:

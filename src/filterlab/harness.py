@@ -19,7 +19,6 @@ Empirical MSE is computed on the one-step-ahead (predicted) estimates,
 matching the error covariance recursions the theory curves iterate.
 """
 
-import csv
 import dataclasses
 import json
 import math
@@ -29,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._artifacts import write_csv, write_json
 from ._linalg import spd_inverse, sym
 from .errors import NumericalError, ValidationError, config_integer, config_section
 from . import gap as gap_mod
@@ -51,6 +51,17 @@ DEFAULT_SEED = 7
 DEFAULT_GRAPH_SEED = 12
 
 
+def check_fusion_steps(L_values) -> tuple[int, ...]:
+    """The fusion depths as ints; ValidationError if one is negative or repeats."""
+    L_values = tuple(int(L) for L in L_values)
+    if any(L < 0 for L in L_values):
+        raise ValidationError("fusion steps must be >= 0")
+    repeated = sorted({L for L in L_values if L_values.count(L) > 1})
+    if repeated:
+        raise ValidationError(f"fusion steps repeat {repeated}")
+    return L_values
+
+
 @dataclass
 class Scenario:
     """Everything one experiment needs: plant, network, sweep, and budgets."""
@@ -68,7 +79,7 @@ class Scenario:
     steady_window: int | None = None
 
     def __post_init__(self):
-        self.L_values = tuple(int(L) for L in self.L_values)
+        self.L_values = check_fusion_steps(self.L_values)
         self.filters = tuple(self.filters)
         if self.steady_window is None:
             self.steady_window = self.plant.period
@@ -83,11 +94,6 @@ class Scenario:
             raise ValidationError("scenario graph must be connected")
         if not self.weights.consistent_with(self.graph):
             raise ValidationError("weights are not supported by the graph")
-        if any(L < 0 for L in self.L_values):
-            raise ValidationError("fusion steps must be >= 0")
-        repeated = sorted({L for L in self.L_values if self.L_values.count(L) > 1})
-        if repeated:
-            raise ValidationError(f"fusion steps repeat {repeated}")
         needs_L = {"cmdf", "cidf"} & set(self.filters)
         if needs_L and not self.L_values:
             raise ValidationError("consensus filters need at least one L value")
@@ -348,7 +354,6 @@ class CidfComparison:
 
     rows: list
     crossover: dict
-    results: TrialResults
 
     @classmethod
     def from_results(cls, results: TrialResults) -> "CidfComparison":
@@ -370,18 +375,13 @@ class CidfComparison:
             crossover[i] = next(
                 (L for idx, L in enumerate(Ls) if all(wins[idx:])), None
             )
-        return cls(rows=rows, crossover=crossover, results=results)
+        return cls(rows=rows, crossover=crossover)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sensor", "L", "mse_cmdf", "mse_cidf"])
-            for sensor, L, a, b in self.rows:
-                writer.writerow([sensor, L, f"{a:.17g}", f"{b:.17g}"])
+        write_csv(path, ["sensor", "L", "mse_cmdf", "mse_cidf"], self.rows)
 
     def crossover_to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump({str(k): v for k, v in self.crossover.items()}, fh, indent=2)
+        write_json(path, {str(k): v for k, v in self.crossover.items()})
 
 
 def compare_cidf(scenario: Scenario) -> CidfComparison:
@@ -391,65 +391,42 @@ def compare_cidf(scenario: Scenario) -> CidfComparison:
     return CidfComparison.from_results(run_monte_carlo(scenario, with_theory=False))
 
 
-def _fmt(x) -> str:
-    return "" if x is None or (isinstance(x, float) and math.isnan(x)) else f"{x:.17g}"
+def _per_step_rows(results: TrialResults):
+    for r in results.runs:
+        label, K = r.label, results.horizon
+        for i, mse in enumerate(r.mse_per_step.tolist()):
+            sensor = -1 if r.name == "ckf" else i
+            theory = [None] * K if r.theory_per_step is None else r.theory_per_step[i].tolist()
+            for k, (a, b) in enumerate(zip(mse, theory), start=1):
+                yield label, sensor, k, a, b
+
+
+def _steady_rows(results: TrialResults):
+    report = results.gap_report
+    for r in results.runs:
+        for i, mse in enumerate(r.mse_steady.tolist()):
+            theory = None if r.theory_steady is None else r.theory_steady[i]
+            rate = None
+            if r.name == "cmdf" and report is not None:
+                rate = report.cell(i, r.fusion_steps).rate
+            sensor = -1 if r.name == "ckf" else i
+            yield r.label, sensor, r.fusion_steps, mse, theory, rate, results.sigma2
 
 
 def export_results(results: TrialResults, out_dir, stem: str = "results") -> list[str]:
     """Write per-step and steady CSVs plus a JSON mirror; returns the paths.
 
-    Column order is fixed and all numbers carry 17 significant digits, so
-    identical runs produce byte-identical files.
+    Column order is fixed and ``write_csv`` writes every number with 17
+    significant digits, so identical runs produce byte-identical files.
     """
     os.makedirs(out_dir, exist_ok=True)
     per_step = os.path.join(out_dir, f"{stem}_per_step.csv")
     steady = os.path.join(out_dir, f"{stem}_steady.csv")
     mirror = os.path.join(out_dir, f"{stem}.json")
-
-    with open(per_step, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["filter", "sensor", "k", "mse_empirical", "mse_theory"])
-        for r in results.runs:
-            nodes = r.mse_per_step.shape[0]
-            for i in range(nodes):
-                sensor = -1 if r.name == "ckf" else i
-                for k in range(results.horizon):
-                    theory = (
-                        r.theory_per_step[i, k]
-                        if r.theory_per_step is not None
-                        else None
-                    )
-                    writer.writerow(
-                        [r.label, sensor, k + 1, _fmt(r.mse_per_step[i, k]), _fmt(theory)]
-                    )
-
-    report = results.gap_report
-    with open(steady, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["filter", "sensor", "L", "mse_i", "theory_avg", "rate_q", "sigma2"]
-        )
-        for r in results.runs:
-            nodes = r.mse_steady.shape[0]
-            for i in range(nodes):
-                sensor = -1 if r.name == "ckf" else i
-                rate = None
-                if r.name == "cmdf" and report is not None:
-                    rate = report.cell(i, r.fusion_steps).rate
-                theory = (
-                    r.theory_steady[i] if r.theory_steady is not None else None
-                )
-                writer.writerow(
-                    [
-                        r.label,
-                        sensor,
-                        "" if r.fusion_steps is None else r.fusion_steps,
-                        _fmt(r.mse_steady[i]),
-                        _fmt(theory),
-                        _fmt(rate),
-                        f"{results.sigma2:.17g}",
-                    ]
-                )
+    header = ["filter", "sensor", "k", "mse_empirical", "mse_theory"]
+    write_csv(per_step, header, _per_step_rows(results))
+    header = ["filter", "sensor", "L", "mse_i", "theory_avg", "rate_q", "sigma2"]
+    write_csv(steady, header, _steady_rows(results))
 
     payload = {
         "horizon": results.horizon,
@@ -477,8 +454,7 @@ def export_results(results: TrialResults, out_dir, stem: str = "results") -> lis
             for r in results.runs
         ],
     }
-    with open(mirror, "w") as fh:
-        json.dump(payload, fh, indent=2)
+    write_json(mirror, payload)
     return [per_step, steady, mirror]
 
 

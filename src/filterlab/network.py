@@ -1,11 +1,11 @@
 """Sensor communication graphs, doubly stochastic consensus weights, and
 their spectral/convergence diagnostics."""
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._artifacts import write_csv
 from .errors import ValidationError, config_integer, config_section
 
 # Entries of weight-matrix powers at or below this are treated as structural
@@ -277,8 +277,4 @@ def spectral_diagnostics(
 
 def weights_to_csv(weights: ConsensusWeights, path) -> None:
     """Row-major CSV dump with a header row of node ids."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([str(i) for i in range(weights.n_nodes)])
-        for row in weights.matrix:
-            writer.writerow([f"{v:.17g}" for v in row])
+    write_csv(path, range(weights.n_nodes), weights.matrix.tolist())

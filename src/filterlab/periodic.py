@@ -118,7 +118,7 @@ class PlantModel:
     construction, so every downstream solver sees a single period.
     """
 
-    def __init__(self, A, Q, C, R, validate: bool = True):
+    def __init__(self, A, Q, C, R):
         if len(C) != len(R):
             raise ValidationError("need one R sequence per C sequence")
         if len(C) == 0:
@@ -141,10 +141,9 @@ class PlantModel:
                 raise ValidationError(f"C[{i}] must have {n} columns")
             if Ri.shape != (ni, ni):
                 raise ValidationError(f"R[{i}] must be {ni}x{ni} to match C[{i}]")
-        if validate:
-            _check_spd_sequence(self.Q, "Q")
-            for i, Ri in enumerate(self.R):
-                _check_spd_sequence(Ri, f"R[{i}]")
+        _check_spd_sequence(self.Q, "Q")
+        for i, Ri in enumerate(self.R):
+            _check_spd_sequence(Ri, f"R[{i}]")
 
     @property
     def n(self) -> int:

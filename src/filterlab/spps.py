@@ -8,13 +8,12 @@ Solutions are the symmetric periodic positive semidefinite (SPPS) family
 P_0..P_{T-1} with P_{k+T} = P_k.
 """
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._artifacts import write_csv, write_json
 from ._linalg import min_eig_sym, spd_inverse, spectral_norm, spectral_radius, sym
 from .errors import ConvergenceError, NumericalError, ValidationError
 from .periodic import PeriodicSequence, as_periodic, normalize_period
@@ -49,43 +48,23 @@ class SppsSolution:
     def at(self, k: int) -> np.ndarray:
         return self.P[k % self.period]
 
-    def to_dict(self) -> dict:
-        return {
-            "period": self.period,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "P": [M.tolist() for M in self.P],
-        }
-
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
+        data = {"period": self.period, "iterations": self.iterations, "residual": self.residual}
+        write_json(path, {**data, "P": [M.tolist() for M in self.P]})
 
     def to_csv(self, path) -> None:
         """One row per (k, i, j, value)."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "i", "j", "value"])
-            for k, M in enumerate(self.P):
-                for i in range(M.shape[0]):
-                    for j in range(M.shape[1]):
-                        writer.writerow([k, i, j, f"{M[i, j]:.17g}"])
+        rows = ((k, i, j, M[i, j]) for k, M in enumerate(self.P) for i, j in np.ndindex(M.shape))
+        write_csv(path, ["k", "i", "j", "value"], rows)
 
 
 @dataclass(frozen=True)
 class MonodromyReport:
-    """A one-period closed-loop transition product and its spectral data.
-
-    ``rho_bound``/``norm_bound`` are filled when the report is derived from a
-    Riccati solution, in which case spectral_radius <= rho_bound and
-    norm2 <= norm_bound must hold.
-    """
+    """A one-period closed-loop transition product and its spectral data."""
 
     phi: np.ndarray
     spectral_radius: float
     norm2: float
-    rho_bound: float | None = None
-    norm_bound: float | None = None
 
 
 def transition_product(seq, start: int, stop: int) -> np.ndarray:
@@ -315,16 +294,9 @@ def _solution_loops(A, C, Q, R, solution: SppsSolution) -> PeriodicSequence:
 
 
 def solution_monodromy(A, C, Q, R, solution: SppsSolution, anchor: int = 0) -> MonodromyReport:
-    """Monodromy report for a solved Riccati system, bounds included."""
-    base = monodromy(_solution_loops(A, C, Q, R, solution), anchor)
-    rho_bound, norm_bound = monodromy_bounds(solution, Q)
-    return MonodromyReport(
-        phi=base.phi,
-        spectral_radius=base.spectral_radius,
-        norm2=base.norm2,
-        rho_bound=rho_bound,
-        norm_bound=norm_bound,
-    )
+    """Monodromy report of the closed loops along a solved Riccati system;
+    ``monodromy_bounds`` bounds its spectral radius and norm."""
+    return monodromy(_solution_loops(A, C, Q, R, solution), anchor)
 
 
 def power_norm_bound(A: np.ndarray, k: int) -> float:

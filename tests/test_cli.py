@@ -149,10 +149,22 @@ class TestObservability:
         assert main(argv) == 1
         assert "'graph' section" in capsys.readouterr().err
 
-    def test_negative_fusion_steps_rejected(self, tiny_scenario, capsys):
-        argv = ["observability", "--scenario", tiny_scenario, "--fusion-steps", "-1"]
-        assert main(argv) == 1
-        assert "sensor 0" not in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "L_values, flags",
+        [([1, 2], ["--fusion-steps", "-1"]), ([1, 2], ["--fusion-steps", "1,1"]), ([1, 1], [])],
+        ids=["-1", "1,1", "config-1,1"],
+    )
+    def test_negative_fusion_steps_rejected(
+        self, tiny_scenario, tmp_path, capsys, L_values, flags
+    ):
+        # Depths must be >= 0 and distinct, from the flag or from the config.
+        with open(tiny_scenario) as fh:
+            cfg = json.load(fh)
+        path = write_json(tmp_path / "steps.json", {**cfg, "L_values": L_values})
+        assert main(["observability", "--scenario", path] + flags) == 1
+        captured = capsys.readouterr()
+        assert "sensor 0" not in captured.out
+        assert "error:" in captured.err
 
 
 class TestErrorPaths:

@@ -21,6 +21,7 @@ from filterlab import (
     fusion_rounds,
     metropolis_weights,
     simulate_trajectory,
+    simulate_trials,
     weight_power,
 )
 from measurement_form import modified_observation
@@ -332,13 +333,14 @@ class TestUnbiasedness:
         weights = two_node_weights(0.3)
         trials = 10_000
         errors = np.empty((trials, 2))
+        X, Y = simulate_trials(model, 2, range(trials))
+        slices = model.observation_slices()
         for l in range(trials):
-            traj = simulate_trajectory(model, K=2, seed=l)
             states = default_states(model)
             for k in (1, 2):
-                y = [yy[k] for yy in traj.measurements]
+                y = [Y[l, k, sl] for sl in slices]
                 states = cmdf_step(model, weights, 1, states, y, k)
-            errors[l] = [s.estimate[0] - traj.states[2, 0] for s in states]
+            errors[l] = [s.estimate[0] - X[l, 2, 0] for s in states]
         mean = errors.mean(axis=0)
         se = errors.std(axis=0, ddof=1) / math.sqrt(trials)
         assert np.all(np.abs(mean) <= 4.0 * se)
