@@ -1,20 +1,19 @@
 """Consensus-based distributed Kalman filtering on periodic systems.
 
-The package ties together four layers: periodic plant models and trajectory
-simulation (`periodic`), sensor graphs and doubly stochastic consensus
-weights (`network`), steady-state periodic Riccati/Lyapunov solvers and
-their spectral analysis (`spps`), and the filters themselves plus the gap
-theory and Monte Carlo harness (`filters`, `gap`, `harness`).
+The package ties together four layers: periodic plant models and batched
+trajectory simulation (`periodic`), sensor graphs and doubly stochastic
+consensus weights (`network`), steady-state periodic Riccati/Lyapunov
+solvers and their spectral analysis (`spps`), and the gap theory plus the
+Monte Carlo harness, whose batched engine is the one filter implementation
+(`gap`, `harness`).
 """
 
 from .errors import ConvergenceError, FilterlabError, NumericalError, ValidationError
 from .periodic import (
     PeriodicSequence,
     PlantModel,
-    Trajectory,
     benchmark_plant,
     normalize_period,
-    simulate_trajectory,
     simulate_trials,
 )
 from .network import (
@@ -38,17 +37,7 @@ from .spps import (
     monodromy,
     monodromy_bounds,
     power_norm_bound,
-    transition_product,
     uniform_observability,
-)
-from .filters import (
-    FusionProducts,
-    NodeState,
-    ckf_step,
-    cidf_step,
-    cmdf_step,
-    default_states,
-    fusion_rounds,
 )
 from .gap import (
     GapReport,

@@ -15,7 +15,6 @@ from ._linalg import spectral_norm, sym
 from .errors import NumericalError, ValidationError
 from .network import ConsensusWeights, SensorGraph, second_largest_eigenvalue, weight_power
 from .periodic import PeriodicSequence, PlantModel
-from .filters import _fused_information, _sensor_information
 from .spps import (
     DEFAULT_TOL,
     SppsSolution,
@@ -31,8 +30,34 @@ logger = logging.getLogger("filterlab.gap")
 
 # Series terms below this spectral norm terminate the truncated sums.
 SERIES_TERM_TOL = 1e-14
-# Rate denominators at or below this are reported as floored, not divided.
-RATE_FLOOR = 1e-12
+# A gap within this many solver tolerances of the centralized value, relative
+# to it, is below what the solves resolve: its decay rate is left blank.
+RATE_RESOLUTION = 100
+
+
+def _sensor_information(plant: PlantModel) -> tuple[np.ndarray, np.ndarray]:
+    """Per period slot t: R_j^{-1} C_j stacked over sensors, (T, m, n), and
+    C_j' R_j^{-1} C_j, (T, N, n, n)."""
+    T, n = plant.period, plant.n
+    gain = np.empty((T, plant.m, n))
+    own = np.empty((T, plant.N, n, n))
+    for t in range(T):
+        for j, sl in enumerate(plant.observation_slices()):
+            C = plant.C[j].at(t)
+            gain[t, sl] = np.linalg.solve(plant.R[j].at(t), C)
+            own[t, j] = C.T @ gain[t, sl]
+    return gain, own
+
+
+def _fused_information(fusion: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per slot and fusing node i, (T, rows, n, n): the fused information
+    S_i = sum_j fusion_ij C_j' R_j^{-1} C_j and, for the noise that fusion
+    injects, S2_i = sum_j fusion_ij^2 C_j' R_j^{-1} C_j; ``own`` is the
+    second table of ``_sensor_information``."""
+    return (
+        sym(np.einsum("ij,tjab->tiab", fusion, own)),
+        sym(np.einsum("ij,tjab->tiab", fusion**2, own)),
+    )
 
 
 def centralized_dpre(model: PlantModel, tol: float = DEFAULT_TOL) -> SppsSolution:
@@ -63,7 +88,7 @@ def observable_support(model: PlantModel, support, verdicts: dict) -> bool:
 
 def _fused_rows(model, weights, L, own, verdicts):
     """Fused information S and S2, (T, N, n, n), of every node at depth L
-    (see ``filters._fused_information``).
+    (see ``_fused_information``).
 
     Node i fuses sensor j with weight N (W^L)_ij on its support, the sensors
     an L-step path reaches. A node with an empty support, or one that is not
@@ -225,11 +250,13 @@ def average_performance(solution: SppsSolution) -> float:
     return float(np.mean([np.trace(P) for P in solution.P]))
 
 
-def _decay_rate(perf_L: float, perf_next: float, central: float) -> float:
+def _decay_rate(perf_L: float, perf_next: float, central: float, tol: float) -> float:
     """(perf(L+1) - central) / (perf(L) - central), or NaN when the
-    denominator sits at the numerical floor."""
+    denominator is within RATE_RESOLUTION relative tolerances of ``central``,
+    where solves converged to ``tol`` cannot tell it from zero."""
     den = perf_L - central
-    return (perf_next - central) / den if abs(den) > RATE_FLOOR else math.nan
+    resolved = abs(den) > RATE_RESOLUTION * tol * abs(central)
+    return (perf_next - central) / den if resolved else math.nan
 
 
 @dataclass(frozen=True)
@@ -327,7 +354,7 @@ def build_gap_report(
         previous = None
         for L in L_values:
             gap_ric, gap_cov, perf = (float(v[i]) for v in solved[L])
-            rate = _decay_rate(perf, float(solved[L + 1][2][i]), central_avg)
+            rate = _decay_rate(perf, float(solved[L + 1][2][i]), central_avg, tol)
             if previous is not None and gap_cov > previous[1] + 1e-8:
                 logger.warning(
                     "gap at sensor %d grew from L=%d to L=%d (%.3e -> %.3e); "

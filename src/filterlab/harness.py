@@ -32,7 +32,6 @@ from ._artifacts import write_csv, write_json
 from ._linalg import spd_inverse, sym
 from .errors import NumericalError, ValidationError, config_integer, config_section
 from . import gap as gap_mod
-from .filters import _fused_information, _sensor_information
 from .network import (
     ConsensusWeights,
     SensorGraph,
@@ -200,7 +199,7 @@ def _run_filter(plant, prior_mix, fusion, gain, own, X, Y, noise_scale, theory):
     """
     h, K, n = X.shape[0], X.shape[1] - 1, plant.n
     rows, T = fusion.shape[0], plant.period
-    info, info_sq = _fused_information(fusion, own)
+    info, info_sq = gap_mod._fused_information(fusion, own)
     owner = np.repeat(np.arange(plant.N), plant.sensor_dims)
     # fused[t, i] maps the stacked measurement to node i's fused information.
     fused = fusion[:, owner][None, :, :, None] * gain[:, None, :, :]
@@ -276,7 +275,7 @@ def run_monte_carlo(
     children = np.random.SeedSequence(scenario.seed).spawn(h)
     X, Y = simulate_trials(plant, K, children, scenario.x0, scenario.noise_scale)
 
-    gain, own = _sensor_information(plant)
+    gain, own = gap_mod._sensor_information(plant)
     runs = []
     for name, L, prior_mix, fusion in _filter_runs(scenario):
         # The information baseline mixes priors, so it has no exact theory.

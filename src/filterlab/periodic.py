@@ -5,15 +5,16 @@ pure function of (model, horizon, seeds, x0, noise_scale).
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._linalg import sym
 from .errors import NumericalError, ValidationError, config_integer, config_section
 
-# Smallest admissible eigenvalue for noise covariance matrices.
+# Smallest admissible eigenvalue of a noise covariance matrix, and its largest
+# asymmetry, each relative to the matrix's own scale.
 PD_EIG_TOL = 1e-12
+SYMMETRY_TOL = 1e-10
 
 
 class PeriodicSequence:
@@ -101,11 +102,15 @@ def _check_spd_sequence(seq: PeriodicSequence, name: str) -> None:
     if r != c:
         raise ValidationError(f"{name} matrices must be square, got {seq.shape}")
     for k, M in enumerate(seq):
-        if not np.allclose(M, M.T, rtol=0.0, atol=1e-10):
+        if not np.all(np.isfinite(M)):
+            raise ValidationError(f"{name}[{k}] has non-finite entries")
+        if np.abs(M - M.T).max() > SYMMETRY_TOL * np.abs(M).max():
             raise ValidationError(f"{name}[{k}] is not symmetric")
-        if np.linalg.eigvalsh(sym(M))[0] <= PD_EIG_TOL:
+        eig = np.linalg.eigvalsh(sym(M))
+        if eig[0] <= PD_EIG_TOL * np.abs(eig).max():
             raise ValidationError(
-                f"{name}[{k}] is not positive definite (min eig <= {PD_EIG_TOL})"
+                f"{name}[{k}] is not positive definite "
+                f"(min eig <= {PD_EIG_TOL} x largest |eig|)"
             )
 
 
@@ -219,24 +224,6 @@ class PlantModel:
             return model
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """A simulated state path with per-sensor measurements.
-
-    ``states[k]`` is x_k for k = 0..K; ``measurements[i][k]`` is y_{i,k} over
-    the same range. ``seed`` records the generator seed used.
-    """
-
-    states: np.ndarray
-    measurements: tuple[np.ndarray, ...]
-    seed: object = field(repr=False)
-
-    def __post_init__(self):
-        self.states.setflags(write=False)
-        for y in self.measurements:
-            y.setflags(write=False)
-
-
 def simulate_trials(
     model: PlantModel,
     K: int,
@@ -291,19 +278,6 @@ def simulate_trials(
     C = np.concatenate([Ci.stack for Ci in model.C], axis=1)
     Y += np.einsum("kij,hkj->hki", C[slots], X)
     return X, Y
-
-
-def simulate_trajectory(
-    model: PlantModel,
-    K: int,
-    seed,
-    x0: np.ndarray | None = None,
-    noise_scale: float = 1.0,
-) -> Trajectory:
-    """One trial of ``simulate_trials``, with per-sensor measurements."""
-    X, Y = simulate_trials(model, K, [seed], x0, noise_scale)
-    measurements = tuple(Y[0, :, sl] for sl in model.observation_slices())
-    return Trajectory(states=X[0], measurements=measurements, seed=seed)
 
 
 def benchmark_plant() -> PlantModel:

@@ -88,10 +88,14 @@ def _iterate_to_period(step, period, P0, tol, max_sweeps, label):
     after the first in which its own largest slot change is below ``tol``.
     Returns (slots, sweeps, residual): slots[s, c] approximates cell c's SPPS
     solution at time slot s; sweeps and residual are per cell.
-    ``max_sweeps=None`` budgets about MAX_STEP_BUDGET time steps.
+    ``max_sweeps=None`` budgets about MAX_STEP_BUDGET time steps; a budget
+    below 2 sweeps raises ValidationError, since the first sweep has nothing
+    to compare against.
     """
     if max_sweeps is None:
         max_sweeps = max(2, math.ceil(MAX_STEP_BUDGET / period))
+    elif max_sweeps < 2:
+        raise ValidationError(f"max_sweeps must be >= 2, got {max_sweeps}")
     P = sym(np.asarray(P0, dtype=float))
     slots = np.empty((period,) + P.shape)
     sweeps = np.zeros(P.shape[0], dtype=int)
@@ -198,7 +202,7 @@ def dpre_spps(
         P_{k+1} = A_k (P_k^{-1} + C_k' R_k^{-1} C_k)^{-1} A_k' + Q_k
     forward from the identity until one full period changes by less than
     ``tol`` relative to its size. Convergence requires the pair (A., C.) to
-    be uniformly observable; exhausting ``max_sweeps`` raises
+    be uniformly observable; exhausting ``max_sweeps`` (at least 2) raises
     ConvergenceError.
     """
     A, C, Q, R = normalize_period([A, C, Q, R])

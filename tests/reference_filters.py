@@ -1,20 +1,65 @@
-"""Step-wise filters: centralized Kalman (CKF), consensus-on-measurement
-distributed filtering (CMDF), and the consensus-on-information baseline (CIDF).
+"""Per-trial reference for the batched filter engine.
+
+``harness._run_filter`` advances every node and every trial of a run at
+once. This module keeps the plain step-wise filters, one trial and one time
+step at a time: the centralized Kalman filter (CKF), consensus-on-measurement
+distributed filtering (CMDF) and the consensus-on-information baseline
+(CIDF). Each forms its own C' R^{-1} C with ``np.linalg.solve`` and never
+calls the engine's information tables, so the tests can pin the engine to an
+independent recursion.
 
 Each ``*_step`` consumes the measurements of time k and advances the states
 from k-1 to k (predict with A_{k-1}, Q_{k-1}, then correct). Consensus fusion
 runs in synchronous rounds: node i only reads neighbor j's previous-round
 value where the weight l_ij is nonzero.
+
+``simulate_trajectory`` is the one-trial view of ``periodic.simulate_trials``
+that feeds these loops.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import spd_inverse, sym
-from .errors import NumericalError, ValidationError
-from .network import ConsensusWeights
-from .periodic import PlantModel
+from filterlab import (
+    ConsensusWeights,
+    NumericalError,
+    PlantModel,
+    ValidationError,
+    simulate_trials,
+)
+from filterlab._linalg import spd_inverse, sym
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """A simulated state path with per-sensor measurements.
+
+    ``states[k]`` is x_k for k = 0..K; ``measurements[i][k]`` is y_{i,k} over
+    the same range. ``seed`` records the generator seed used.
+    """
+
+    states: np.ndarray
+    measurements: tuple[np.ndarray, ...]
+    seed: object = field(repr=False)
+
+    def __post_init__(self):
+        self.states.setflags(write=False)
+        for y in self.measurements:
+            y.setflags(write=False)
+
+
+def simulate_trajectory(
+    model: PlantModel,
+    K: int,
+    seed,
+    x0: np.ndarray | None = None,
+    noise_scale: float = 1.0,
+) -> Trajectory:
+    """One trial of ``simulate_trials``, with per-sensor measurements."""
+    X, Y = simulate_trials(model, K, [seed], x0, noise_scale)
+    measurements = tuple(Y[0, :, sl] for sl in model.observation_slices())
+    return Trajectory(states=X[0], measurements=measurements, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -44,15 +89,6 @@ class NodeState:
         object.__setattr__(self, "covariance", cov)
 
 
-@dataclass(frozen=True)
-class FusionProducts:
-    """Scaled information pair held by a node after ``rounds`` fusion rounds."""
-
-    S: np.ndarray
-    I: np.ndarray
-    rounds: int
-
-
 def default_states(model: PlantModel) -> list[NodeState]:
     """Zero estimate, identity covariance for every node."""
     n = model.n
@@ -68,31 +104,6 @@ def _information_terms(model: PlantModel, i: int, k: int, y_i: np.ndarray):
     R = model.R[i].at(k)
     RinvC = np.linalg.solve(R, C)
     return C.T @ RinvC, RinvC.T @ y_i
-
-
-def _sensor_information(plant: PlantModel) -> tuple[np.ndarray, np.ndarray]:
-    """Per period slot t: R_j^{-1} C_j stacked over sensors, (T, m, n), and
-    C_j' R_j^{-1} C_j, (T, N, n, n)."""
-    T, n = plant.period, plant.n
-    gain = np.empty((T, plant.m, n))
-    own = np.empty((T, plant.N, n, n))
-    for t in range(T):
-        for j, sl in enumerate(plant.observation_slices()):
-            C = plant.C[j].at(t)
-            gain[t, sl] = np.linalg.solve(plant.R[j].at(t), C)
-            own[t, j] = C.T @ gain[t, sl]
-    return gain, own
-
-
-def _fused_information(fusion: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per slot and fusing node i, (T, rows, n, n): the fused information
-    S_i = sum_j fusion_ij C_j' R_j^{-1} C_j and, for the noise that fusion
-    injects, S2_i = sum_j fusion_ij^2 C_j' R_j^{-1} C_j; ``own`` is the
-    second table of ``_sensor_information``."""
-    return (
-        sym(np.einsum("ij,tjab->tiab", fusion, own)),
-        sym(np.einsum("ij,tjab->tiab", fusion**2, own)),
-    )
 
 
 def ckf_step(
@@ -127,11 +138,12 @@ def fusion_rounds(
     L: int,
     y: list,
     k: int,
-) -> list[FusionProducts]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Run the measurement-information consensus of one sampling instant.
 
     Each node starts from its own N-scaled information pair and performs L
-    synchronous neighbor-averaging rounds.
+    synchronous neighbor-averaging rounds. Returns every node's fused pair,
+    stacked: S (N, n, n) and I (N, n).
     """
     if L < 0:
         raise ValidationError("fusion step count L must be >= 0")
@@ -149,7 +161,7 @@ def fusion_rounds(
         # l_ij = 0 contributes nothing, so dense mixing == neighbor reads
         S = np.einsum("ij,jnm->inm", W, S)
         I = W @ I
-    return [FusionProducts(S=sym(S[i]), I=I[i], rounds=L) for i in range(N)]
+    return sym(S), I
 
 
 def cmdf_step(
@@ -170,14 +182,14 @@ def cmdf_step(
     if len(states) != model.N or len(y) != model.N:
         raise ValidationError("need one state and one measurement per node")
     A, Q = model.A.at(k - 1), model.Q.at(k - 1)
-    fused = fusion_rounds(model, weights, L, y, k)
+    S, I = fusion_rounds(model, weights, L, y, k)
     out = []
     for i, state in enumerate(states):
         x_pred = A @ state.estimate
         P_pred = sym(A @ state.covariance @ A.T + Q)
         P_pred_inv = spd_inverse(P_pred, what="predicted covariance")
-        P_post = spd_inverse(P_pred_inv + fused[i].S, what="posterior information")
-        x_post = P_post @ (P_pred_inv @ x_pred + fused[i].I)
+        P_post = spd_inverse(P_pred_inv + S[i], what="posterior information")
+        x_post = P_post @ (P_pred_inv @ x_pred + I[i])
         out.append(NodeState(estimate=x_post, covariance=P_post))
     return out
 

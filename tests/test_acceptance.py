@@ -25,10 +25,7 @@ from filterlab import (
     benchmark_scenario,
     build_gap_report,
     centralized_dpre,
-    ckf_step,
     cmdf_spps,
-    cmdf_step,
-    default_states,
     diameter,
     dpre_spps,
     dpre_monotonicity_probe,
@@ -42,11 +39,11 @@ from filterlab import (
     random_geometric_graph,
     run_monte_carlo,
     second_largest_eigenvalue,
-    simulate_trajectory,
     spectral_diagnostics,
     uniform_observability,
 )
 from filterlab.spps import solution_monodromy
+from reference_filters import ckf_step, cmdf_step, default_states, simulate_trajectory
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 

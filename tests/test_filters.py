@@ -11,20 +11,22 @@ from conftest import (
 )
 from filterlab import (
     ConsensusWeights,
-    NodeState,
     PlantModel,
     ValidationError,
+    metropolis_weights,
+    simulate_trials,
+    weight_power,
+)
+from measurement_form import modified_observation
+from reference_filters import (
+    NodeState,
     ckf_step,
     cidf_step,
     cmdf_step,
     default_states,
     fusion_rounds,
-    metropolis_weights,
     simulate_trajectory,
-    simulate_trials,
-    weight_power,
 )
-from measurement_form import modified_observation
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -173,13 +175,13 @@ class TestCmdfStep:
     def test_consensus_conserves_information_totals(self, bench_plant, bench_weights):
         traj = simulate_trajectory(bench_plant, K=2, seed=9)
         y = [yy[1] for yy in traj.measurements]
-        base = fusion_rounds(bench_plant, bench_weights, 0, y, 1)
-        total_S = sum(f.S for f in base)
-        total_I = sum(f.I for f in base)
+        base_S, base_I = fusion_rounds(bench_plant, bench_weights, 0, y, 1)
+        total_S = sum(base_S)
+        total_I = sum(base_I)
         for L in (1, 3, 7):
-            fused = fusion_rounds(bench_plant, bench_weights, L, y, 1)
-            S = sum(f.S for f in fused)
-            I = sum(f.I for f in fused)
+            fused_S, fused_I = fusion_rounds(bench_plant, bench_weights, L, y, 1)
+            S = sum(fused_S)
+            I = sum(fused_I)
             assert np.linalg.norm(S - total_S, 2) <= 1e-9 * max(
                 1.0, np.linalg.norm(total_S, 2)
             )

@@ -11,7 +11,10 @@ from conftest import (
 )
 import measurement_form as mf
 from filterlab import (
+    ConsensusWeights,
     PeriodicSequence,
+    PlantModel,
+    SensorGraph,
     ValidationError,
     average_performance,
     build_gap_report,
@@ -194,6 +197,21 @@ class TestRateFit:
         rates = [report.cell(0, L).rate for L in (1, 2)]
         assert all(math.isnan(q) for q in rates)
 
+    def test_unresolved_gaps_report_no_rate(self):
+        # On the path 0-1-2, node 1 fuses the exact network average at L = 2,
+        # and by L = 80 every node sits within the solver's tolerance of the
+        # centralized filter: those gaps are rounding, so no rate is fitted.
+        model = PlantModel(
+            A=np.array([[0.9, 0.1], [0.0, 0.7]]),
+            Q=0.3 * np.eye(2),
+            C=[[[1.0, 0.0]], [[0.0, 1.0]], [[0.0, 0.0]]],
+            R=[[[1.0]]] * 3,
+        )
+        graph = SensorGraph(n_nodes=3, edges=frozenset({(0, 1), (1, 2)}))
+        report = build_gap_report(model, metropolis_weights(graph), [2, 80, 200])
+        blank = {(c.sensor, c.L) for c in report.cells if math.isnan(c.rate)}
+        assert blank == {(1, 2)} | {(i, L) for i in range(3) for L in (80, 200)}
+
     def test_two_node_rates_respect_envelope_and_attain_squared_gap(self):
         # sigma2 = |1 - 2w| for the symmetric pair. The exponential envelope
         # (rate at most sigma2 plus slack) always holds, but the attained
@@ -301,6 +319,25 @@ class TestGapReport:
         grew = [r.getMessage() for r in caplog.records if "grew" in r.getMessage()]
         assert grew
         assert all("from L=0 to L=3" in m for m in grew)
+
+    def test_permuting_sensors_permutes_the_report(self, bench_plant, bench_weights):
+        # Relabelling sensor perm[i] as i, in the plant and in both indices
+        # of the weights, relabels every cell the same way.
+        perm = np.random.default_rng(3).permutation(bench_plant.N)
+        plant = PlantModel(
+            A=bench_plant.A,
+            Q=bench_plant.Q,
+            C=[bench_plant.C[j] for j in perm],
+            R=[bench_plant.R[j] for j in perm],
+        )
+        weights = ConsensusWeights(matrix=bench_weights.matrix[np.ix_(perm, perm)])
+        base = build_gap_report(bench_plant, bench_weights, [4, 5, 8])
+        permuted = build_gap_report(plant, weights, [4, 5, 8])
+        assert permuted.centralized_avg == base.centralized_avg
+        for cell in permuted.cells:
+            ref = base.cell(int(perm[cell.sensor]), cell.L)
+            for name in ("gap_ric", "gap_cov", "avg_perf", "rate"):
+                np.testing.assert_allclose(getattr(cell, name), getattr(ref, name), rtol=1e-9)
 
 
 def _measurement_form_cell(model, weights, L, i, central):

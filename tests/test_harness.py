@@ -12,19 +12,14 @@ from filterlab import (
     SensorGraph,
     ValidationError,
     benchmark_scenario,
-    ckf_step,
-    cidf_step,
-    cmdf_step,
     compare_cidf,
-    default_states,
     export_results,
     metropolis_weights,
     run_monte_carlo,
-    simulate_trajectory,
     simulate_trials,
 )
 from filterlab import harness
-from filterlab.filters import _sensor_information
+from filterlab.gap import _sensor_information
 from filterlab.harness import (
     CidfComparison,
     TrialResults,
@@ -32,6 +27,7 @@ from filterlab.harness import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from reference_filters import ckf_step, cidf_step, cmdf_step, default_states, simulate_trajectory
 
 
 def small_periodic_plant() -> PlantModel:

@@ -8,10 +8,10 @@ from filterlab import (
     ValidationError,
     benchmark_plant,
     normalize_period,
-    simulate_trajectory,
     simulate_trials,
 )
 from measurement_form import stacked_observation
+from reference_filters import simulate_trajectory
 from reference_simulation import reference_trial
 
 
@@ -86,6 +86,23 @@ class TestPlantModel:
                 C=[np.eye(2)],
                 R=[np.array([[1.0, 0.3], [0.0, 1.0]])],
             )
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_noise_checks_hold_at_every_scale(self, scale):
+        good = scale * np.eye(2)
+        model = PlantModel(A=np.eye(2), Q=good, C=[np.eye(2)], R=[good])
+        assert np.array_equal(model.Q.at(0), good)
+        bad = [
+            np.zeros((2, 2)),
+            -np.eye(2),
+            np.ones((2, 2)),
+            np.array([[1.0, 0.3], [0.0, 1.0]]),
+        ]
+        for M in bad:
+            with pytest.raises(ValidationError):
+                PlantModel(A=np.eye(2), Q=scale * M, C=[np.eye(2)], R=[good])
+            with pytest.raises(ValidationError):
+                PlantModel(A=np.eye(2), Q=good, C=[np.eye(2)], R=[scale * M])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):

@@ -9,17 +9,23 @@ from filterlab import (
     ConvergenceError,
     NumericalError,
     PeriodicSequence,
+    PlantModel,
     ValidationError,
+    centralized_dpre,
     dple_spps,
     dpre_spps,
     dpre_monotonicity_probe,
     monodromy,
     monodromy_bounds,
     power_norm_bound,
-    transition_product,
     uniform_observability,
 )
-from filterlab.spps import _iterate_to_period, fixed_point_defect, solution_monodromy
+from filterlab.spps import (
+    _iterate_to_period,
+    fixed_point_defect,
+    solution_monodromy,
+    transition_product,
+)
 from measurement_form import closed_loop, closed_loop_sequence, stacked_observation
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -104,6 +110,15 @@ class TestDpreSpps:
         with pytest.raises(NumericalError):
             dpre_spps([[0.5]], [[0.0]], [[1.0]], bad_R, max_sweeps=50)
 
+    @pytest.mark.parametrize("max_sweeps", [-1, 0, 1])
+    def test_budget_below_two_sweeps_rejected(self, max_sweeps):
+        # Convergence is first tested on the second sweep, so a smaller
+        # budget could only report a residual it never measured.
+        with pytest.raises(ValidationError, match="max_sweeps"):
+            dpre_spps([[0.5]], [[1.0]], [[1.0]], [[1.0]], max_sweeps=max_sweeps)
+        with pytest.raises(ValidationError, match="max_sweeps"):
+            dple_spps([[0.5]], [[1.0]], max_sweeps=max_sweeps)
+
     def test_singular_measurement_noise_raises(self):
         # The information form needs R_k^{-1}; R = 0 is outside the model.
         with pytest.raises(NumericalError, match="measurement noise covariance"):
@@ -147,6 +162,20 @@ class TestScaleInvariance:
             for k in range(3):
                 np.testing.assert_allclose(P.P[k], s * P1.P[k], rtol=1e-9, atol=0)
                 np.testing.assert_allclose(X.P[k], s * X1.P[k], rtol=1e-9, atol=0)
+
+    def test_plant_model_path_scales(self, bench_plant):
+        # The plant's noise checks are relative too, so the model accepts
+        # (sQ, sR) at every scale and its centralized filter scales by s.
+        P1 = np.stack(centralized_dpre(bench_plant).P)
+        for s in 10.0 ** np.arange(-12, 13, 3):
+            plant = PlantModel(
+                A=bench_plant.A,
+                Q=s * bench_plant.Q.stack,
+                C=bench_plant.C,
+                R=[s * R.stack for R in bench_plant.R],
+            )
+            P = np.stack(centralized_dpre(plant).P)
+            np.testing.assert_allclose(P, s * P1, rtol=1e-9, atol=0)
 
 
 class TestDpleSpps:
