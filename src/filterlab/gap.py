@@ -37,34 +37,30 @@ RATE_RESOLUTION = 100
 
 def _sensor_information(plant: PlantModel) -> tuple[np.ndarray, np.ndarray]:
     """Per period slot t: R_j^{-1} C_j stacked over sensors, (T, m, n), and
-    C_j' R_j^{-1} C_j, (T, N, n, n)."""
+    C_j' R_j^{-1} C_j, (T, N, n, n); each sensor's T slots solve as one stack."""
     T, n = plant.period, plant.n
     gain = np.empty((T, plant.m, n))
     own = np.empty((T, plant.N, n, n))
-    for t in range(T):
-        for j, sl in enumerate(plant.observation_slices()):
-            C = plant.C[j].at(t)
-            gain[t, sl] = np.linalg.solve(plant.R[j].at(t), C)
-            own[t, j] = C.T @ gain[t, sl]
+    for j, sl in enumerate(plant.observation_slices()):
+        C = plant.C[j].with_period(T).stack
+        gain[:, sl] = np.linalg.solve(plant.R[j].with_period(T).stack, C)
+        own[:, j] = C.swapaxes(1, 2) @ gain[:, sl]
     return gain, own
 
 
-def _fused_information(fusion: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per slot and fusing node i, (T, rows, n, n): the fused information
-    S_i = sum_j fusion_ij C_j' R_j^{-1} C_j and, for the noise that fusion
-    injects, S2_i = sum_j fusion_ij^2 C_j' R_j^{-1} C_j; ``own`` is the
-    second table of ``_sensor_information``."""
-    return (
-        sym(np.einsum("ij,tjab->tiab", fusion, own)),
-        sym(np.einsum("ij,tjab->tiab", fusion**2, own)),
-    )
+def _fused_information(fusion: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """Per slot and fusing node i, (T, rows, n, n), the fused information
+    S_i = sum_j fusion_ij C_j' R_j^{-1} C_j; ``own`` is the second table of
+    ``_sensor_information``. With ``fusion**2`` it is S2_i, the information
+    of the noise that fusion injects."""
+    return sym(np.einsum("ij,tjab->tiab", fusion, own))
 
 
 def centralized_dpre(model: PlantModel, tol: float = DEFAULT_TOL) -> SppsSolution:
     """Steady covariance of the centralized filter over the whole network:
     the information-form Riccati equation of the fusion row 1', which fuses
     every sensor's C_j' R_j^{-1} C_j."""
-    S = _fused_information(np.ones((1, model.N)), _sensor_information(model)[1])[0]
+    S = _fused_information(np.ones((1, model.N)), _sensor_information(model)[1])
     return _cell_solution(_information_riccati(model.A, model.Q, S, tol, None))
 
 
@@ -86,14 +82,13 @@ def observable_support(model: PlantModel, support, verdicts: dict) -> bool:
     return verdicts[key]
 
 
-def _fused_rows(model, weights, L, own, verdicts):
-    """Fused information S and S2, (T, N, n, n), of every node at depth L
-    (see ``_fused_information``).
+def _fusion_matrix(model, weights, L, verdicts):
+    """The fusion weights of every node at depth L, (N, N): node i fuses
+    sensor j with weight N (W^L)_ij on its support, the sensors an L-step
+    path reaches.
 
-    Node i fuses sensor j with weight N (W^L)_ij on its support, the sensors
-    an L-step path reaches. A node with an empty support, or one that is not
-    uniformly observable, has no steady covariance and raises
-    ValidationError.
+    A node with an empty support, or one that is not uniformly observable,
+    has no steady covariance and raises ValidationError.
     """
     power, mask = weight_power(weights, L)
     for i in range(model.N):
@@ -106,17 +101,32 @@ def _fused_rows(model, weights, L, own, verdicts):
                 f"node {i} at L={L}: the pair (A, modified C) is not uniformly "
                 "observable, so the consensus filter has no steady covariance"
             )
-    return _fused_information(np.where(mask, model.N * power, 0.0), own)
+    return np.where(mask, model.N * power, 0.0)
 
 
-def _fused_solve(model, weights, L, own, verdicts, tol):
-    """Steady parameter and true error covariances of all N nodes at fusion
-    depth L, solved as one stack: the ``_iterate_to_period`` results of the
-    Riccati and then the Lyapunov recursion, slots (T, N, n, n) each."""
-    S, S2 = _fused_rows(model, weights, L, own, verdicts)
-    riccati = _information_riccati(model.A, model.Q, S, tol, None)
-    _, loops, noise = _closed_loops(model.A, model.Q, riccati[0], S, S2)
-    return riccati, _lyapunov_stack(loops, noise, tol, None)
+def _fused_solve(model, weights, L_values, own, verdicts, tol):
+    """Steady parameter and true error covariances of all N nodes at every
+    fusion depth in ``L_values``: yields (L, riccati, lyapunov) per depth, in
+    order, each the ``_iterate_to_period`` result of that depth's N cells.
+
+    The Riccati recursions of all depths iterate as one stack of
+    len(L_values) * N cells, each cell stopping on its own sweep. The closed
+    loops and the Lyapunov recursion are formed one depth at a time, so only
+    the Riccati slots and the fused information S are held at full stack
+    size.
+    """
+    fusions = [_fusion_matrix(model, weights, L, verdicts) for L in L_values]
+    N = model.N
+    S = np.empty((model.period, len(fusions) * N) + own.shape[2:])
+    for d, fusion in enumerate(fusions):
+        S[:, d * N : (d + 1) * N] = _fused_information(fusion, own)
+    slots, sweeps, residual = _information_riccati(model.A, model.Q, S, tol, None)
+    for d, (L, fusion) in enumerate(zip(L_values, fusions)):
+        cells = slice(d * N, (d + 1) * N)
+        S2 = _fused_information(fusion**2, own)
+        _, loops, noise = _closed_loops(model.A, model.Q, slots[:, cells], S[:, cells], S2)
+        lyapunov = _lyapunov_stack(loops, noise, tol, None)
+        yield L, (slots[:, cells], sweeps[cells], residual[cells]), lyapunov
 
 
 def cmdf_spps(
@@ -125,7 +135,8 @@ def cmdf_spps(
     L: int,
     tol: float = DEFAULT_TOL,
 ) -> list[tuple[SppsSolution, SppsSolution]]:
-    """Steady covariances of every node's consensus filter at fusion depth L.
+    """Steady covariances of every node's consensus filter at fusion depth L,
+    the one-depth case of the report's stacked solve.
 
     Entry i is node i's (P, X): P solves the Riccati equation in information
     form with the node's fused measurement information, the limit of the
@@ -133,7 +144,7 @@ def cmdf_spps(
     of P's closed loop, driven by the noise the node's fusion weights inject,
     and is the node's true steady error covariance.
     """
-    P, X = _fused_solve(model, weights, L, _sensor_information(model)[1], {}, tol)
+    [(_, P, X)] = _fused_solve(model, weights, [L], _sensor_information(model)[1], {}, tol)
     return [(_cell_solution(P, i), _cell_solution(X, i)) for i in range(model.N)]
 
 
@@ -157,9 +168,9 @@ def _series_parts(model, weights, L, i, tol):
             f"series form needs full fusion support for node {i} at L={L} "
             "(take L at least the graph diameter)"
         )
-    S, S2 = _fused_information(
-        np.stack([model.N * power[i], np.ones(model.N)]), _sensor_information(model)[1]
-    )
+    fusion = np.stack([model.N * power[i], np.ones(model.N)])
+    own = _sensor_information(model)[1]
+    S, S2 = _fused_information(fusion, own), _fused_information(fusion**2, own)
     P = _information_riccati(model.A, model.Q, S, min(tol, 1e-11), None)[0]
     return P, S, S2, _closed_loops(model.A, model.Q, P, S, S2)
 
@@ -327,9 +338,11 @@ def build_gap_report(
 ) -> GapReport:
     """Solve every (sensor, L) cell and assemble the report.
 
-    Each swept L also solves L + 1, the numerator of its decay rate. The N
-    nodes of one L are solved in information form as one stack, and
-    observability is decided once per distinct support mask.
+    Each swept L also solves L + 1, the numerator of its decay rate. The
+    Riccati recursions of every needed L are solved in information form as
+    one stack, the Lyapunov recursion one L at a time (``_fused_solve``), and
+    each L's covariances are reduced to its cells' numbers as they arrive.
+    Observability is decided once per distinct support mask.
     """
     L_values = sorted(set(int(L) for L in L_values))
     if not L_values:
@@ -339,10 +352,9 @@ def build_gap_report(
     central_P = np.stack(central.P)[:, None]
     needed_L = sorted(set(L_values) | {L + 1 for L in L_values})
 
-    own, verdicts = _sensor_information(model)[1], {}
     solved = {}
-    for L in needed_L:
-        (P, *_), (X, *_) = _fused_solve(model, weights, L, own, verdicts, tol)
+    own = _sensor_information(model)[1]
+    for L, (P, *_), (X, *_) in _fused_solve(model, weights, needed_L, own, {}, tol):
         solved[L] = (
             np.linalg.norm(P - central_P, 2, axis=(2, 3)).max(axis=0),
             np.linalg.norm(X - central_P, 2, axis=(2, 3)).max(axis=0),

@@ -194,12 +194,15 @@ def _run_filter(plant, prior_mix, fusion, gain, own, X, Y, noise_scale, theory):
     then corrects all trials together. The theory holds for nodes that
     keep their own prior (prior_mix = I): the fused measurement noise then
     adds P+ (sum_j fusion_ij^2 C_j' R_j^{-1} C_j) P+ to the error covariance.
-    A trial whose estimate has an entry above DIVERGENCE_NORM or NaN at any
+    An identity ``prior_mix`` (CKF, CMDF) is skipped, not multiplied. A
+    trial whose estimate has an entry above DIVERGENCE_NORM or NaN at any
     step has its rows set to NaN.
     """
     h, K, n = X.shape[0], X.shape[1] - 1, plant.n
     rows, T = fusion.shape[0], plant.period
-    info, info_sq = gap_mod._fused_information(fusion, own)
+    own_prior = np.array_equal(prior_mix, np.eye(rows))
+    info = gap_mod._fused_information(fusion, own)
+    info_sq = gap_mod._fused_information(fusion**2, own)
     owner = np.repeat(np.arange(plant.N), plant.sensor_dims)
     # fused[t, i] maps the stacked measurement to node i's fused information.
     fused = fusion[:, owner][None, :, :, None] * gain[:, None, :, :]
@@ -216,7 +219,7 @@ def _run_filter(plant, prior_mix, fusion, gain, own, X, Y, noise_scale, theory):
         A, Q = plant.A.at(k - 1), plant.Q.at(k - 1)
         km = k % T
         Pinv = spd_inverse(A @ post @ A.T + Q, what="predicted covariance")
-        prior = np.tensordot(prior_mix, Pinv, axes=(1, 0))
+        prior = Pinv if own_prior else np.tensordot(prior_mix, Pinv, axes=(1, 0))
         post = spd_inverse(prior + info[km], what="posterior information")
         if theory:
             M = post @ Pinv
@@ -226,7 +229,9 @@ def _run_filter(plant, prior_mix, fusion, gain, own, X, Y, noise_scale, theory):
         xhat = xhat @ A.T
         err = xhat - X[:, k]
         sq[:, :, k - 1] = np.einsum("ihn,ihn->ih", err, err)
-        q = np.tensordot(prior_mix, xhat @ Pinv, axes=(1, 0))
+        q = xhat @ Pinv
+        if not own_prior:
+            q = np.tensordot(prior_mix, q, axes=(1, 0))
         xhat = (q + Y[:, k] @ fused[km]) @ post
         np.maximum(peak, np.abs(xhat), out=peak)
     # NaN fails the comparison too, so non-finite estimates count as diverged.
@@ -284,6 +289,8 @@ def run_monte_carlo(
             theory=with_theory and name != "cidf",
         )
         stats = _reduce(sq, scenario.steady_window)
+        # Release this run's errors before the next run fills its own.
+        del sq
         run = FilterRun(
             name=name,
             fusion_steps=L,

@@ -98,20 +98,29 @@ def normalize_period(sequences: list) -> list[PeriodicSequence]:
 
 
 def _check_spd_sequence(seq: PeriodicSequence, name: str) -> None:
+    """ValidationError naming the first slot that is not finite, symmetric
+    and positive definite, with its first failed check; all slots are
+    checked as one stack."""
     r, c = seq.shape
     if r != c:
         raise ValidationError(f"{name} matrices must be square, got {seq.shape}")
-    for k, M in enumerate(seq):
-        if not np.all(np.isfinite(M)):
-            raise ValidationError(f"{name}[{k}] has non-finite entries")
-        if np.abs(M - M.T).max() > SYMMETRY_TOL * np.abs(M).max():
-            raise ValidationError(f"{name}[{k}] is not symmetric")
-        eig = np.linalg.eigvalsh(sym(M))
-        if eig[0] <= PD_EIG_TOL * np.abs(eig).max():
-            raise ValidationError(
-                f"{name}[{k}] is not positive definite "
-                f"(min eig <= {PD_EIG_TOL} x largest |eig|)"
-            )
+    finite = np.isfinite(seq.stack).all(axis=(1, 2))
+    M = np.where(finite[:, None, None], seq.stack, 0.0)
+    size = np.abs(M).max(axis=(1, 2))
+    asymmetric = np.abs(M - M.swapaxes(1, 2)).max(axis=(1, 2)) > SYMMETRY_TOL * size
+    eig = np.linalg.eigvalsh(sym(M))
+    indefinite = eig[:, 0] <= PD_EIG_TOL * np.abs(eig).max(axis=1)
+    bad = np.flatnonzero(~finite | asymmetric | indefinite)
+    if bad.size == 0:
+        return
+    k = int(bad[0])
+    if not finite[k]:
+        raise ValidationError(f"{name}[{k}] has non-finite entries")
+    if asymmetric[k]:
+        raise ValidationError(f"{name}[{k}] is not symmetric")
+    raise ValidationError(
+        f"{name}[{k}] is not positive definite (min eig <= {PD_EIG_TOL} x largest |eig|)"
+    )
 
 
 class PlantModel:

@@ -24,6 +24,9 @@ MAX_STEP_BUDGET = 100_000
 # Window Gramian eigenvalues above this fraction of the largest count toward
 # the rank in uniform_observability.
 OBSERVABILITY_REL_TOL = 1e-9
+# uniform_observability advances as many anchors together as keep their
+# window factors within this many entries (256 kB).
+OBSERVABILITY_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -82,9 +85,11 @@ def _iterate_to_period(step, period, P0, tol, max_sweeps, label):
     each cell's full period changes by < tol, relative to its size.
 
     ``step`` advances the rows of the still-running cells, whose stack
-    indices it is given. A slot's change is the spectral norm of its change
-    over its largest absolute entry, so the stop does not depend on the scale
-    of the problem. Each cell stops, keeping its values, at the first sweep
+    indices it is given, and returns symmetric iterates. A slot's change is
+    the spectral norm of its change over its largest absolute entry, so the
+    stop does not depend on the scale of the problem; the change is
+    symmetric, so its norm is its largest absolute eigenvalue, which costs
+    half an SVD. Each cell stops, keeping its values, at the first sweep
     after the first in which its own largest slot change is below ``tol``.
     Returns (slots, sweeps, residual): slots[s, c] approximates cell c's SPPS
     solution at time slot s; sweeps and residual are per cell.
@@ -114,9 +119,8 @@ def _iterate_to_period(step, period, P0, tol, max_sweeps, label):
             s = (k + 1) % period
             if sweep > 0:
                 scale = np.maximum(np.abs(P).max(axis=(1, 2)), np.finfo(float).tiny)
-                change = np.maximum(
-                    change, np.linalg.norm(P - slots[s, cells], 2, axis=(1, 2)) / scale
-                )
+                delta = np.abs(np.linalg.eigvalsh(P - slots[s, cells])).max(axis=-1)
+                change = np.maximum(change, delta / scale)
             slots[s, cells] = P
         if sweep > 0:
             done = change < tol
@@ -333,22 +337,27 @@ def uniform_observability(A, C) -> bool:
     n, with rank decided by Gramian eigenvalues above OBSERVABILITY_REL_TOL
     times the largest. The rank is evaluated on the stacked observability
     factor, whose squared singular values are the Gramian's, to avoid forming
-    the square.
+    the square. Blocks of anchors advance through their windows together and
+    take one batched SVD, each block's factors holding at most
+    OBSERVABILITY_BLOCK entries.
     """
     A, C = normalize_period([A, C])
-    n = A.shape[0]
-    period = A.period
+    n, period, rows = A.shape[0], A.period, C.shape[0]
     window = n * period
-    for anchor in range(period):
-        rows = []
-        Phi = np.eye(n)
+    block = max(1, OBSERVABILITY_BLOCK // (window * rows * n))
+    for first in range(0, period, block):
+        anchors = np.arange(first, min(first + block, period))
+        factor = np.empty((anchors.size, window * rows, n))
+        Phi = np.broadcast_to(np.eye(n), (anchors.size, n, n))
         for j in range(window):
-            rows.append(C.at(anchor + j) @ Phi)
-            Phi = A.at(anchor + j) @ Phi
-        sv = np.linalg.svd(np.vstack(rows), compute_uv=False)
-        if sv[0] <= 0.0:
+            t = (anchors + j) % period
+            factor[:, j * rows : (j + 1) * rows] = C.stack[t] @ Phi
+            Phi = A.stack[t] @ Phi
+        sv = np.linalg.svd(factor, compute_uv=False)
+        if not np.all(sv[:, 0] > 0.0):
             return False
-        if np.count_nonzero(sv > math.sqrt(OBSERVABILITY_REL_TOL) * sv[0]) < n:
+        ranks = np.count_nonzero(sv > math.sqrt(OBSERVABILITY_REL_TOL) * sv[:, :1], axis=1)
+        if np.any(ranks < n):
             return False
     return True
 

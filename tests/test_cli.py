@@ -323,19 +323,19 @@ class TestPipelines:
             return riccati(A, Q, S, tol, max_sweeps)
 
         monkeypatch.setattr(filterlab.gap, "_information_riccati", recording)
-        node_tols = []
+        node_calls = []
         fused_solve = filterlab.gap._fused_solve
 
-        def recording_fused(model, weights, L, own, verdicts, tol, *args, **kwargs):
-            node_tols.append(tol)
-            return fused_solve(model, weights, L, own, verdicts, tol, *args, **kwargs)
+        def recording_fused(model, weights, L_values, own, verdicts, tol, *args, **kwargs):
+            node_calls.append((list(L_values), tol))
+            return fused_solve(model, weights, L_values, own, verdicts, tol, *args, **kwargs)
 
         monkeypatch.setattr(filterlab.gap, "_fused_solve", recording_fused)
         argv = ["simulate", "--scenario", tiny_scenario, "--out", str(tmp_path)]
         assert main(argv + ["--tol", "1e-7"]) == 0
         assert tols == {1e-7}
-        # The node theory: one stacked solve for each of L = 1, 2 and the rate's 3.
-        assert node_tols == [1e-7] * 3
+        # The node theory: one stacked solve carrying L = 1, 2 and the rate's 3.
+        assert node_calls == [([1, 2, 3], 1e-7)]
 
     def test_compare_cidf(self, tiny_scenario, tmp_path, capsys):
         out = tmp_path / "cmp"
@@ -357,13 +357,14 @@ class TestPipelines:
 
 class TestPaperPipeline:
     def test_smoke_run_emits_all_csvs(self, tmp_path, capsys, monkeypatch):
-        calls = []
+        calls, rows = [], []
         solver = filterlab.gap._fused_solve
 
-        def counting(model, weights, L, *args, **kwargs):
-            riccati, lyapunov = solver(model, weights, L, *args, **kwargs)
-            calls.append((L, riccati[0].shape[1]))
-            return riccati, lyapunov
+        def counting(model, weights, L_values, *args, **kwargs):
+            calls.append(list(L_values))
+            for L, riccati, lyapunov in solver(model, weights, L_values, *args, **kwargs):
+                rows.append((L, riccati[0].shape[1]))
+                yield L, riccati, lyapunov
 
         monkeypatch.setattr(filterlab.gap, "_fused_solve", counting)
         # Small trial count and a short sweep keep the smoke test brisk.
@@ -392,10 +393,10 @@ class TestPaperPipeline:
             scn = json.load(fh)
         assert scn["trials"] == 10
         assert scn["horizon"] == 100
-        # One theory solve per cell: one stack of the 20 sensors for each of
-        # L = 4, 5 and the rate's 6.
-        assert sorted(L for L, _ in calls) == [4, 5, 6]
-        assert sum(rows for _, rows in calls) == 60
+        # One theory solve per cell: one stacked call carrying L = 4, 5 and
+        # the rate's 6, with the 20 sensors of each.
+        assert calls == [[4, 5, 6]]
+        assert rows == [(4, 20), (5, 20), (6, 20)]
 
         def column(name, key, field):
             with open(out / name) as fh:

@@ -393,6 +393,54 @@ class TestStackedSolve:
             got = (cell.gap_ric, cell.gap_cov, cell.avg_perf)
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
+    @pytest.mark.parametrize("swept", ["d..d+2", "2"])
+    def test_stacking_changes_no_cell(self, bench_plant, bench_graph, bench_weights, swept):
+        # The report solves the Riccati recursions of all its depths (the swept
+        # ones and each rate's L + 1) as one stack; every cell must match its
+        # depth solved alone. L = 2 and 3 mix fusion supports (15 masks).
+        from filterlab import diameter
+
+        d = diameter(bench_graph)
+        L_values = [d, d + 1, d + 2] if swept == "d..d+2" else [2]
+        report = build_gap_report(bench_plant, bench_weights, L_values)
+        central = centralized_dpre(bench_plant)
+        T, c = bench_plant.period, report.centralized_avg
+
+        def gaps(S):
+            return max(np.linalg.norm(S.at(k) - central.at(k), 2) for k in range(T))
+
+        alone = {}
+        for L in set(L_values) | {L + 1 for L in L_values}:
+            nodes = cmdf_spps(bench_plant, bench_weights, L)
+            alone[L] = [(gaps(P), gaps(X), average_performance(X)) for P, X in nodes]
+        for L in L_values:
+            for i, (gap_ric, gap_cov, perf) in enumerate(alone[L]):
+                rate = (alone[L + 1][i][2] - c) / (perf - c)
+                cell = report.cell(i, L)
+                np.testing.assert_allclose(
+                    [cell.gap_ric, cell.gap_cov, cell.avg_perf, cell.rate],
+                    [gap_ric, gap_cov, perf, rate],
+                    rtol=1e-12,
+                    atol=0,
+                )
+
+    def test_stack_memory_stays_bounded(self, bench_plant, bench_graph, bench_weights):
+        # Only the Riccati slots and the fused information are held at the full
+        # size of the 10-depth stack; the closed loops and the Lyapunov
+        # recursion are formed one depth at a time.
+        import tracemalloc
+
+        from filterlab import diameter
+
+        d = diameter(bench_graph)
+        tracemalloc.start()
+        try:
+            build_gap_report(bench_plant, bench_weights, range(d, d + 9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5e6
+
 
 class TestCmdfSpps:
     """The public per-node view reads the stacked solve the report is built

@@ -73,6 +73,9 @@ class TestNormalizePeriod:
             assert np.array_equal(ob.at(k), b.at(k))
 
 
+I2 = np.eye(2)
+
+
 class TestPlantModel:
     def test_rejects_indefinite_q(self):
         with pytest.raises(ValidationError):
@@ -103,6 +106,20 @@ class TestPlantModel:
                 PlantModel(A=np.eye(2), Q=scale * M, C=[np.eye(2)], R=[good])
             with pytest.raises(ValidationError):
                 PlantModel(A=np.eye(2), Q=good, C=[np.eye(2)], R=[scale * M])
+
+    @pytest.mark.parametrize(
+        "slots, message",
+        [
+            ([I2, [[1.0, np.inf], [np.inf, 1.0]], -I2], r"Q\[1\] has non-finite entries"),
+            ([I2, [[1.0, 0.3], [0.0, 1.0]], np.full((2, 2), np.nan)], r"Q\[1\] is not symmetric"),
+            ([I2, I2, -I2], r"Q\[2\] is not positive definite"),
+        ],
+    )
+    def test_noise_error_names_first_bad_slot(self, slots, message):
+        # All slots are checked as one stack; the error names the first bad
+        # slot and the first check it fails.
+        with pytest.raises(ValidationError, match=message):
+            PlantModel(A=I2, Q=[np.asarray(M) for M in slots], C=[I2], R=[I2])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):

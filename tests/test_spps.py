@@ -21,11 +21,13 @@ from filterlab import (
     uniform_observability,
 )
 from filterlab.spps import (
+    OBSERVABILITY_REL_TOL,
     _iterate_to_period,
     fixed_point_defect,
     solution_monodromy,
     transition_product,
 )
+import filterlab.spps as spps
 from measurement_form import closed_loop, closed_loop_sequence, stacked_observation
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -352,7 +354,37 @@ class TestPowerNormBound:
                 assert direct <= power_norm_bound(A, k) * (1.0 + 1e-12)
 
 
+def per_anchor_observability(A, C):
+    """Reference loop for the stacked check: each anchor's window factor is
+    built and its rank decided on its own."""
+    A, C = (PeriodicSequence(s) for s in (A, C))
+    n, T = A.shape[0], A.period
+    for anchor in range(T):
+        rows, Phi = [], np.eye(n)
+        for j in range(n * T):
+            rows.append(C.at(anchor + j) @ Phi)
+            Phi = A.at(anchor + j) @ Phi
+        sv = np.linalg.svd(np.vstack(rows), compute_uv=False)
+        if sv[0] <= 0.0 or np.count_nonzero(sv > math.sqrt(OBSERVABILITY_REL_TOL) * sv[0]) < n:
+            return False
+    return True
+
+
 class TestUniformObservability:
+    @pytest.mark.parametrize("block", [1, 64, spps.OBSERVABILITY_BLOCK])
+    def test_matches_per_anchor_loop(self, block, monkeypatch):
+        # Small blocks split the period's anchors over several batched SVDs.
+        monkeypatch.setattr(spps, "OBSERVABILITY_BLOCK", block)
+        rng = np.random.default_rng(0)
+        verdicts = []
+        for _ in range(200):
+            n, T, p = (int(v) for v in rng.integers(1, [5, 6, 3]))
+            A = rng.normal(size=(T, n, n))
+            C = np.where(rng.random((T, p, n)) < 0.5, 0.0, rng.normal(size=(T, p, n)))
+            verdicts.append(uniform_observability(A, C))
+            assert verdicts[-1] == per_anchor_observability(A, C)
+        assert 0 < sum(verdicts) < len(verdicts)
+
     def test_alternating_pair_observable_despite_per_step_rank_loss(self):
         A, C = alternating_pair()
         assert uniform_observability(A, C)
@@ -364,6 +396,18 @@ class TestUniformObservability:
         A = PeriodicSequence(2.0 * np.eye(2))
         C = PeriodicSequence(np.zeros((1, 2)))
         assert not uniform_observability(A, C)
+
+    @pytest.mark.parametrize("blind", [0, 1])
+    def test_every_anchor_is_checked(self, blind):
+        # A and C are zero at slot ``blind``: the window from that anchor
+        # sees only zeros, while the window from the other anchor sees the
+        # state at once.
+        A = np.ones((2, 1, 1))
+        A[blind] = 0.0
+        C = np.ones((2, 1, 1))
+        C[blind] = 0.0
+        assert not uniform_observability(A, C)
+        assert uniform_observability(A, np.ones((2, 1, 1)))
 
     def test_benchmark_network_pair(self, bench_plant):
         C_full = PeriodicSequence(
