@@ -14,6 +14,11 @@ def spectral_norm(M: np.ndarray) -> float:
     return float(np.linalg.norm(M, 2))
 
 
+def sym_spectral_norm(M: np.ndarray) -> np.ndarray:
+    """Spectral norm of each symmetric matrix in a stack, at half an SVD's cost."""
+    return np.abs(np.linalg.eigvalsh(M)).max(axis=-1)
+
+
 def spectral_radius(M: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(M))))
 

@@ -11,7 +11,7 @@ from dataclasses import asdict, astuple, dataclass, field
 import numpy as np
 
 from ._artifacts import write_csv, write_json
-from ._linalg import spectral_norm, sym
+from ._linalg import spectral_norm, sym, sym_spectral_norm
 from .errors import NumericalError, ValidationError
 from .network import ConsensusWeights, SensorGraph, second_largest_eigenvalue, weight_power
 from .periodic import PeriodicSequence, PlantModel
@@ -30,8 +30,10 @@ logger = logging.getLogger("filterlab.gap")
 
 # Series terms below this spectral norm terminate the truncated sums.
 SERIES_TERM_TOL = 1e-14
-# A gap within this many solver tolerances of the centralized value, relative
-# to it, is below what the solves resolve: its decay rate is left blank.
+# Solver tolerance of the steady solutions the series forms are checked against.
+SERIES_TOL = 1e-11
+# A gap, or its growth, within this many solver tolerances of the centralized
+# value, relative to it, is below what the solves resolve (``_resolution``).
 RATE_RESOLUTION = 100
 
 
@@ -104,7 +106,7 @@ def _fusion_matrix(model, weights, L, verdicts):
     return np.where(mask, model.N * power, 0.0)
 
 
-def _fused_solve(model, weights, L_values, own, verdicts, tol):
+def _fused_solve(model, weights, L_values, tol):
     """Steady parameter and true error covariances of all N nodes at every
     fusion depth in ``L_values``: yields (L, riccati, lyapunov) per depth, in
     order, each the ``_iterate_to_period`` result of that depth's N cells.
@@ -115,8 +117,9 @@ def _fused_solve(model, weights, L_values, own, verdicts, tol):
     the Riccati slots and the fused information S are held at full stack
     size.
     """
+    verdicts = {}
     fusions = [_fusion_matrix(model, weights, L, verdicts) for L in L_values]
-    N = model.N
+    own, N = _sensor_information(model)[1], model.N
     S = np.empty((model.period, len(fusions) * N) + own.shape[2:])
     for d, fusion in enumerate(fusions):
         S[:, d * N : (d + 1) * N] = _fused_information(fusion, own)
@@ -144,7 +147,7 @@ def cmdf_spps(
     of P's closed loop, driven by the noise the node's fusion weights inject,
     and is the node's true steady error covariance.
     """
-    [(_, P, X)] = _fused_solve(model, weights, [L], _sensor_information(model)[1], {}, tol)
+    [(_, P, X)] = _fused_solve(model, weights, [L], tol)
     return [(_cell_solution(P, i), _cell_solution(X, i)) for i in range(model.N)]
 
 
@@ -158,7 +161,7 @@ class GapSeries:
     terms: int
 
 
-def _series_parts(model, weights, L, i, tol):
+def _series_parts(model, weights, L, i):
     """Node i (row 0, full fusion support required) and the centralized
     filter (row 1) for the series forms: Riccati solutions P, fused
     information S and S2, and their ``_closed_loops``."""
@@ -171,7 +174,7 @@ def _series_parts(model, weights, L, i, tol):
     fusion = np.stack([model.N * power[i], np.ones(model.N)])
     own = _sensor_information(model)[1]
     S, S2 = _fused_information(fusion, own), _fused_information(fusion**2, own)
-    P = _information_riccati(model.A, model.Q, S, min(tol, 1e-11), None)[0]
+    P = _information_riccati(model.A, model.Q, S, SERIES_TOL, None)[0]
     return P, S, S2, _closed_loops(model.A, model.Q, P, S, S2)
 
 
@@ -213,7 +216,6 @@ def gap_series_ric(
     i: int,
     truncation: int = 5000,
     anchor: int = 0,
-    tol: float = DEFAULT_TOL,
 ) -> GapSeries:
     """Series form of the parameter-covariance gap (node i minus centralized).
 
@@ -222,7 +224,7 @@ def gap_series_ric(
     mismatch A P+_i (S - S_i) P+ A', and compares it against the direct
     difference of the two solved steady solutions.
     """
-    P, S, _, (gain, loops, _) = _series_parts(model, weights, L, i, tol)
+    P, S, _, (gain, loops, _) = _series_parts(model, weights, L, i)
     a = anchor % model.period
 
     def mid(t):
@@ -238,7 +240,6 @@ def gap_series_cov(
     i: int,
     truncation: int = 5000,
     anchor: int = 0,
-    tol: float = DEFAULT_TOL,
 ) -> GapSeries:
     """Series form of the error-vs-parameter covariance gap at node i.
 
@@ -246,8 +247,8 @@ def gap_series_cov(
     covariance and its parameter covariance from the noise mismatch
     A P+_i (S2_i - S_i) P+_i A' propagated through the closed loop.
     """
-    P, S, S2, (gain, loops, noise) = _series_parts(model, weights, L, i, tol)
-    err = dple_spps(loops[:, 0], noise[:, 0], tol=min(tol, 1e-11))
+    P, S, S2, (gain, loops, noise) = _series_parts(model, weights, L, i)
+    err = dple_spps(loops[:, 0], noise[:, 0], tol=SERIES_TOL)
 
     def mid(t):
         return gain[t, 0] @ (S2[t, 0] - S[t, 0]) @ gain[t, 0].T
@@ -261,13 +262,16 @@ def average_performance(solution: SppsSolution) -> float:
     return float(np.mean([np.trace(P) for P in solution.P]))
 
 
+def _resolution(central: float, tol: float) -> float:
+    """The smallest difference from ``central`` that solves to ``tol`` resolve."""
+    return RATE_RESOLUTION * tol * abs(central)
+
+
 def _decay_rate(perf_L: float, perf_next: float, central: float, tol: float) -> float:
     """(perf(L+1) - central) / (perf(L) - central), or NaN when the
-    denominator is within RATE_RESOLUTION relative tolerances of ``central``,
-    where solves converged to ``tol`` cannot tell it from zero."""
+    denominator is below the ``_resolution``."""
     den = perf_L - central
-    resolved = abs(den) > RATE_RESOLUTION * tol * abs(central)
-    return (perf_next - central) / den if resolved else math.nan
+    return (perf_next - central) / den if abs(den) > _resolution(central, tol) else math.nan
 
 
 @dataclass(frozen=True)
@@ -353,11 +357,10 @@ def build_gap_report(
     needed_L = sorted(set(L_values) | {L + 1 for L in L_values})
 
     solved = {}
-    own = _sensor_information(model)[1]
-    for L, (P, *_), (X, *_) in _fused_solve(model, weights, needed_L, own, {}, tol):
+    for L, (P, *_), (X, *_) in _fused_solve(model, weights, needed_L, tol):
         solved[L] = (
-            np.linalg.norm(P - central_P, 2, axis=(2, 3)).max(axis=0),
-            np.linalg.norm(X - central_P, 2, axis=(2, 3)).max(axis=0),
+            sym_spectral_norm(P - central_P).max(axis=0),
+            sym_spectral_norm(X - central_P).max(axis=0),
             np.trace(X, axis1=2, axis2=3).mean(axis=0),
         )
 
@@ -367,7 +370,7 @@ def build_gap_report(
         for L in L_values:
             gap_ric, gap_cov, perf = (float(v[i]) for v in solved[L])
             rate = _decay_rate(perf, float(solved[L + 1][2][i]), central_avg, tol)
-            if previous is not None and gap_cov > previous[1] + 1e-8:
+            if previous is not None and gap_cov - previous[1] > _resolution(central_avg, tol):
                 logger.warning(
                     "gap at sensor %d grew from L=%d to L=%d (%.3e -> %.3e); "
                     "only the exponential envelope is guaranteed",

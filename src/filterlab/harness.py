@@ -41,7 +41,7 @@ from .network import (
     second_largest_eigenvalue,
 )
 from .periodic import PlantModel, benchmark_plant, simulate_trials
-from .network import random_geometric_graph
+from .network import random_geometric_graph, weight_power
 from .spps import DEFAULT_TOL
 
 KNOWN_FILTERS = ("ckf", "cmdf", "cidf")
@@ -169,13 +169,13 @@ def _filter_runs(scenario: Scenario) -> list[tuple]:
     """(name, L, prior_mix, fusion) of every configured run, in run order;
     the module docstring defines the two matrices."""
     N = scenario.plant.N
+    powers = {L: weight_power(scenario.weights, L)[0] for L in scenario.L_values}
     runs = []
     for name in scenario.filters:
         if name == "ckf":
             runs.append(("ckf", None, np.ones((1, 1)), np.ones((1, N))))
             continue
-        for L in scenario.L_values:
-            WL = np.linalg.matrix_power(scenario.weights.matrix, L)
+        for L, WL in powers.items():
             if name == "cmdf":
                 runs.append(("cmdf", L, np.eye(N), N * WL))
             else:

@@ -55,11 +55,7 @@ class SensorGraph:
         return A
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n_nodes, dtype=int)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        return self.adjacency().sum(axis=1).astype(int)
 
     def to_dict(self) -> dict:
         data = {
@@ -147,50 +143,33 @@ def random_geometric_graph(
     return graph_from_positions(positions, radius)
 
 
-def _components_reachable(adj_lists: list[list[int]], start: int) -> set[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in adj_lists[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
-
-
-def _adjacency_lists(graph: SensorGraph) -> list[list[int]]:
-    out = [[] for _ in range(graph.n_nodes)]
-    for i, j in graph.edges:
-        out[i].append(j)
-        out[j].append(i)
-    return out
+def _hops(adjacency: np.ndarray) -> np.ndarray:
+    """Fewest edges from node i to node j over the nonzero entries of
+    ``adjacency``, -1 where no path exists: one boolean product per hop,
+    until one reaches no new pair (diameter + 1 products when connected)."""
+    step = np.asarray(adjacency) > 0
+    reach = np.eye(step.shape[0], dtype=bool)
+    hops = np.where(reach, 0, -1)
+    for k in range(1, step.shape[0]):
+        new = (reach @ step) & ~reach
+        if not new.any():
+            break
+        hops[new] = k
+        reach |= new
+    return hops
 
 
 def is_strongly_connected(graph: SensorGraph) -> bool:
     """For an undirected graph, strong connectivity is plain connectivity."""
-    return len(_components_reachable(_adjacency_lists(graph), 0)) == graph.n_nodes
+    return bool((_hops(graph.adjacency()) >= 0).all())
 
 
 def diameter(graph: SensorGraph) -> int:
-    """Longest shortest path between any two nodes (BFS from every node)."""
-    if not is_strongly_connected(graph):
+    """Longest shortest path between any two nodes."""
+    hops = _hops(graph.adjacency())
+    if (hops < 0).any():
         raise ValidationError("diameter is undefined for a disconnected graph")
-    adj = _adjacency_lists(graph)
-    worst = 0
-    for s in range(graph.n_nodes):
-        dist = {s: 0}
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        worst = max(worst, max(dist.values()))
-    return worst
+    return int(hops.max())
 
 
 def metropolis_weights(graph: SensorGraph) -> ConsensusWeights:
@@ -199,12 +178,8 @@ def metropolis_weights(graph: SensorGraph) -> ConsensusWeights:
     if not is_strongly_connected(graph):
         raise ValidationError("metropolis weights require a connected graph")
     deg = graph.degrees()
-    W = np.zeros((graph.n_nodes, graph.n_nodes))
-    for i, j in graph.edges:
-        w = 1.0 / (1.0 + max(deg[i], deg[j]))
-        W[i, j] = W[j, i] = w
-    for i in range(graph.n_nodes):
-        W[i, i] = 1.0 - W[i].sum()
+    W = graph.adjacency() / (1.0 + np.maximum.outer(deg, deg))
+    np.fill_diagonal(W, 1.0 - W.sum(axis=1))
     return ConsensusWeights(matrix=W)
 
 
@@ -223,9 +198,7 @@ def weight_power(
 
 
 def _support_connected(W: np.ndarray) -> bool:
-    n = W.shape[0]
-    adj = [list(np.nonzero(W[i] > STRUCTURAL_ZERO_TOL)[0]) for i in range(n)]
-    return len(_components_reachable(adj, 0)) == n
+    return bool((_hops(W > STRUCTURAL_ZERO_TOL) >= 0).all())
 
 
 def second_largest_eigenvalue(weights: ConsensusWeights) -> float:

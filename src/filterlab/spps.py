@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._artifacts import write_csv, write_json
-from ._linalg import min_eig_sym, spd_inverse, spectral_norm, spectral_radius, sym
+from ._linalg import (
+    min_eig_sym, spd_inverse, spectral_norm, spectral_radius, sym, sym_spectral_norm,
+)
 from .errors import ConvergenceError, NumericalError, ValidationError
 from .periodic import PeriodicSequence, as_periodic, normalize_period
 
@@ -86,11 +88,10 @@ def _iterate_to_period(step, period, P0, tol, max_sweeps, label):
 
     ``step`` advances the rows of the still-running cells, whose stack
     indices it is given, and returns symmetric iterates. A slot's change is
-    the spectral norm of its change over its largest absolute entry, so the
-    stop does not depend on the scale of the problem; the change is
-    symmetric, so its norm is its largest absolute eigenvalue, which costs
-    half an SVD. Each cell stops, keeping its values, at the first sweep
-    after the first in which its own largest slot change is below ``tol``.
+    the spectral norm of its (symmetric) change over its largest absolute
+    entry, so the stop does not depend on the scale of the problem. Each
+    cell stops, keeping its values, at the first sweep after the first in
+    which its own largest slot change is below ``tol``.
     Returns (slots, sweeps, residual): slots[s, c] approximates cell c's SPPS
     solution at time slot s; sweeps and residual are per cell.
     ``max_sweeps=None`` budgets about MAX_STEP_BUDGET time steps; a budget
@@ -106,7 +107,6 @@ def _iterate_to_period(step, period, P0, tol, max_sweeps, label):
     sweeps = np.zeros(P.shape[0], dtype=int)
     residual = np.zeros(P.shape[0])
     cells = np.arange(P.shape[0])
-    change = np.full(cells.size, math.inf)
     for sweep in range(max_sweeps):
         change = np.zeros(cells.size)
         for k in range(period):
@@ -119,7 +119,7 @@ def _iterate_to_period(step, period, P0, tol, max_sweeps, label):
             s = (k + 1) % period
             if sweep > 0:
                 scale = np.maximum(np.abs(P).max(axis=(1, 2)), np.finfo(float).tiny)
-                delta = np.abs(np.linalg.eigvalsh(P - slots[s, cells])).max(axis=-1)
+                delta = sym_spectral_norm(P - slots[s, cells])
                 change = np.maximum(change, delta / scale)
             slots[s, cells] = P
         if sweep > 0:

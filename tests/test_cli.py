@@ -326,9 +326,9 @@ class TestPipelines:
         node_calls = []
         fused_solve = filterlab.gap._fused_solve
 
-        def recording_fused(model, weights, L_values, own, verdicts, tol, *args, **kwargs):
+        def recording_fused(model, weights, L_values, tol):
             node_calls.append((list(L_values), tol))
-            return fused_solve(model, weights, L_values, own, verdicts, tol, *args, **kwargs)
+            return fused_solve(model, weights, L_values, tol)
 
         monkeypatch.setattr(filterlab.gap, "_fused_solve", recording_fused)
         argv = ["simulate", "--scenario", tiny_scenario, "--out", str(tmp_path)]

@@ -311,14 +311,33 @@ class TestGapReport:
             slope = np.polyfit(np.arange(1, 9), np.log(gaps), 1)[0]
             assert slope <= math.log(sigma2 + 0.02)
 
-    def test_growth_warning_names_the_previous_swept_depth(self, caplog):
-        model = two_sensor_scalar_plant(a=0.9, c1=1.0, c2=0.1)
+    @pytest.mark.parametrize("s", [1e-12, 1.0, 1e12])
+    def test_growth_warning_names_the_previous_swept_depth(self, caplog, s):
+        # Scaling Q and R by s scales every covariance by s: the real growth
+        # is reported at any scale.
+        model = two_sensor_scalar_plant(a=0.9, c1=1.0, c2=0.1, q=s, r=s)
         weights = two_node_weights(0.9)
         with caplog.at_level("WARNING", logger="filterlab.gap"):
             build_gap_report(model, weights, L_values=[0, 3])
         grew = [r.getMessage() for r in caplog.records if "grew" in r.getMessage()]
         assert grew
         assert all("from L=0 to L=3" in m for m in grew)
+
+    @pytest.mark.parametrize("s", [1e-12, 1.0, 1e12])
+    def test_unresolved_growth_is_not_reported(self, caplog, s):
+        # The gaps of the path 0-1-2 at L = 80 and 200 are solver noise
+        # around the centralized value; at any scale of Q and R their
+        # fluctuations are not growth.
+        model = PlantModel(
+            A=np.array([[0.9, 0.1], [0.0, 0.7]]),
+            Q=0.3 * s * np.eye(2),
+            C=[[[1.0, 0.0]], [[0.0, 1.0]], [[0.0, 0.0]]],
+            R=[[[s]]] * 3,
+        )
+        graph = SensorGraph(n_nodes=3, edges=frozenset({(0, 1), (1, 2)}))
+        with caplog.at_level("WARNING", logger="filterlab.gap"):
+            build_gap_report(model, metropolis_weights(graph), [2, 80, 200])
+        assert not [r for r in caplog.records if "grew" in r.getMessage()]
 
     def test_permuting_sensors_permutes_the_report(self, bench_plant, bench_weights):
         # Relabelling sensor perm[i] as i, in the plant and in both indices
@@ -448,12 +467,18 @@ class TestCmdfSpps:
 
     @staticmethod
     def _assert_nodes_match_report(model, weights, report, L):
+        # The report takes the spectral norm of each symmetric difference as
+        # its largest absolute eigenvalue; the same rule gives the same bits.
         central = centralized_dpre(model)
         T = model.period
+
+        def norm(M):
+            return np.abs(np.linalg.eigvalsh(M)).max()
+
         for i, (P, X) in enumerate(cmdf_spps(model, weights, L)):
             cell = report.cell(i, L)
-            gap_ric = max(np.linalg.norm(P.at(k) - central.at(k), 2) for k in range(T))
-            gap_cov = max(np.linalg.norm(X.at(k) - central.at(k), 2) for k in range(T))
+            gap_ric = max(norm(P.at(k) - central.at(k)) for k in range(T))
+            gap_cov = max(norm(X.at(k) - central.at(k)) for k in range(T))
             assert (gap_ric, gap_cov) == (cell.gap_ric, cell.gap_cov)
             np.testing.assert_allclose(
                 average_performance(X), cell.avg_perf, rtol=1e-14, atol=0

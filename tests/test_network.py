@@ -28,8 +28,9 @@ def cycle_graph(n: int) -> SensorGraph:
     return SensorGraph(n_nodes=n, edges=frozenset(edges))
 
 
-def bfs_diameter_oracle(graph: SensorGraph) -> int:
-    # Independent all-pairs BFS, kept deliberately dumb.
+def bfs_diameter_oracle(graph: SensorGraph) -> int | None:
+    # Independent all-pairs BFS, kept deliberately dumb; None when some pair
+    # is unreachable.
     n = graph.n_nodes
     adj = graph.adjacency()
     worst = 0
@@ -43,6 +44,8 @@ def bfs_diameter_oracle(graph: SensorGraph) -> int:
                 if adj[u, v] and dist[v] < 0:
                     dist[v] = dist[u] + 1
                     queue.append(v)
+        if min(dist) < 0:
+            return None
         worst = max(worst, max(dist))
     return worst
 
@@ -117,12 +120,17 @@ class TestDiameter:
         assert diameter(g) == 3
         assert diameter(g) == bfs_diameter_oracle(g)
 
-    def test_random_graphs_match_oracle(self):
-        for seed in range(10):
-            g = random_geometric_graph(12, 100.0, 45.0, seed=seed)
-            if not is_strongly_connected(g):
-                continue
-            assert diameter(g) == bfs_diameter_oracle(g)
+    @pytest.mark.parametrize("n", [1, 2, 6, 12, 20])
+    def test_random_graphs_match_oracle(self, n):
+        for seed in range(50):
+            g = random_geometric_graph(n, 100.0, 45.0, seed=seed)
+            want = bfs_diameter_oracle(g)
+            assert is_strongly_connected(g) == (want is not None)
+            if want is None:
+                with pytest.raises(ValidationError):
+                    diameter(g)
+            else:
+                assert diameter(g) == want
 
     def test_disconnected_raises(self):
         with pytest.raises(ValidationError):
@@ -233,6 +241,14 @@ class TestSpectralDiagnostics:
 
     def test_disconnected_raises(self):
         W = ConsensusWeights(matrix=np.eye(3))
+        with pytest.raises(ValidationError):
+            spectral_diagnostics(W)
+        # A doubly stochastic mixture of permutations that each keep the
+        # blocks {0, 1} and {2, 3, 4}: every node has neighbours, but the
+        # blocks never exchange information.
+        swap = np.eye(5)[[1, 0, 2, 3, 4]]
+        cycle = np.eye(5)[[0, 1, 3, 4, 2]]
+        W = ConsensusWeights(matrix=0.5 * swap + 0.3 * cycle + 0.2 * np.eye(5))
         with pytest.raises(ValidationError):
             spectral_diagnostics(W)
 
