@@ -25,7 +25,7 @@ from . import gap as gap_mod
 from . import harness
 from ._artifacts import write_json
 from .errors import NumericalError, ValidationError
-from .network import diameter, weight_power
+from .network import check_fusion_steps, diameter, weight_power
 from .periodic import PlantModel
 from .spps import DEFAULT_TOL
 
@@ -102,7 +102,7 @@ def _cmd_observability(args) -> dict:
     if L_list is None:
         d = diameter(graph)
         L_list = harness.config_ints(cfg, "L_values", range(d, d + 3))
-    for L in harness.check_fusion_steps(L_list):
+    for L in check_fusion_steps(L_list):
         _, mask = weight_power(weights, L)
         for i in range(plant.N):
             ok = gap_mod.observable_support(plant, mask[i], verdicts)

@@ -14,6 +14,7 @@ from ._artifacts import write_csv, write_json
 from ._linalg import spectral_norm, sym, sym_spectral_norm
 from .errors import NumericalError, ValidationError
 from .network import ConsensusWeights, SensorGraph, second_largest_eigenvalue, weight_power
+from .network import check_fusion_steps
 from .periodic import PeriodicSequence, PlantModel
 from .spps import (
     DEFAULT_TOL,
@@ -200,7 +201,7 @@ def _series(loops, anchor, mid, rows, direct, truncation) -> GapSeries:
         total += term
         if spectral_norm(term) < SERIES_TERM_TOL:
             series = sym(total)
-            return GapSeries(series, direct, spectral_norm(series - direct), j + 1)
+            return GapSeries(series, direct, sym_spectral_norm(series - direct), j + 1)
         left = phi[0] @ left
         right = phi[1] @ right
     raise NumericalError(
@@ -348,7 +349,7 @@ def build_gap_report(
     each L's covariances are reduced to its cells' numbers as they arrive.
     Observability is decided once per distinct support mask.
     """
-    L_values = sorted(set(int(L) for L in L_values))
+    L_values = sorted(check_fusion_steps(L_values))
     if not L_values:
         raise ValidationError("the gap report needs at least one L value")
     central = centralized_dpre(model, tol=tol)

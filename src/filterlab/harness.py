@@ -35,30 +35,23 @@ from . import gap as gap_mod
 from .network import (
     ConsensusWeights,
     SensorGraph,
+    check_fusion_steps,
     diameter,
     is_strongly_connected,
     metropolis_weights,
+    random_geometric_graph,
     second_largest_eigenvalue,
+    weight_power,
 )
 from .periodic import PlantModel, benchmark_plant, simulate_trials
-from .network import random_geometric_graph, weight_power
 from .spps import DEFAULT_TOL
 
 KNOWN_FILTERS = ("ckf", "cmdf", "cidf")
 DIVERGENCE_NORM = 1e9
 DEFAULT_SEED = 7
 DEFAULT_GRAPH_SEED = 12
-
-
-def check_fusion_steps(L_values) -> tuple[int, ...]:
-    """The fusion depths as ints; ValidationError if one is negative or repeats."""
-    L_values = tuple(int(L) for L in L_values)
-    if any(L < 0 for L in L_values):
-        raise ValidationError("fusion steps must be >= 0")
-    repeated = sorted({L for L in L_values if L_values.count(L) > 1})
-    if repeated:
-        raise ValidationError(f"fusion steps repeat {repeated}")
-    return L_values
+# The top-level keys of a config file; any other key is an error.
+SCENARIO_KEYS = ("plant", "graph", "weights", "L_values", "horizon", "trials", "seed", "filters")
 
 
 @dataclass
@@ -73,15 +66,10 @@ class Scenario:
     trials: int
     seed: int
     filters: tuple = ("ckf", "cmdf")
-    noise_scale: float = 1.0
-    x0: np.ndarray | None = None
-    steady_window: int | None = None
 
     def __post_init__(self):
         self.L_values = check_fusion_steps(self.L_values)
         self.filters = tuple(self.filters)
-        if self.steady_window is None:
-            self.steady_window = self.plant.period
         unknown = set(self.filters) - set(KNOWN_FILTERS)
         if unknown:
             raise ValidationError(f"unknown filters {sorted(unknown)}")
@@ -100,18 +88,10 @@ class Scenario:
             raise ValidationError(
                 "horizon must cover at least two periods so a steady window exists"
             )
-        if not (1 <= self.steady_window <= self.horizon):
-            raise ValidationError("steady_window must lie within the horizon")
         if self.trials < 1:
             raise ValidationError("need at least one trial")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
-        if not 0 <= self.noise_scale < math.inf:
-            raise ValidationError("noise_scale must be a finite number >= 0")
-        if self.x0 is not None:
-            self.x0 = np.asarray(self.x0, dtype=float).reshape(-1)
-            if self.x0.shape != (self.plant.n,):
-                raise ValidationError(f"x0 must have shape ({self.plant.n},)")
 
 
 @dataclass
@@ -183,7 +163,7 @@ def _filter_runs(scenario: Scenario) -> list[tuple]:
     return runs
 
 
-def _run_filter(plant, prior_mix, fusion, gain, own, X, Y, noise_scale, theory):
+def _run_filter(plant, prior_mix, fusion, gain, own, X, Y, theory):
     """Squared one-step-ahead errors (rows, trials, K) of one run over the
     states X and measurements Y, plus with ``theory`` the exact
     predicted-error traces (rows, K).
@@ -211,7 +191,6 @@ def _run_filter(plant, prior_mix, fusion, gain, own, X, Y, noise_scale, theory):
     x0 = X[0, 0]
     E = np.broadcast_to(np.outer(x0, x0), (rows, n, n))
     traces = np.empty((rows, K)) if theory else None
-    scale2 = noise_scale**2
     xhat = np.zeros((rows, h, n))
     peak = np.zeros((rows, h, n))
     sq = np.empty((rows, h, K))
@@ -223,9 +202,9 @@ def _run_filter(plant, prior_mix, fusion, gain, own, X, Y, noise_scale, theory):
         post = spd_inverse(prior + info[km], what="posterior information")
         if theory:
             M = post @ Pinv
-            Ep = sym(A @ E @ A.T + scale2 * Q)
+            Ep = sym(A @ E @ A.T + Q)
             traces[:, k - 1] = np.trace(Ep, axis1=1, axis2=2)
-            E = sym(M @ Ep @ M.swapaxes(1, 2) + scale2 * post @ info_sq[km] @ post)
+            E = sym(M @ Ep @ M.swapaxes(1, 2) + post @ info_sq[km] @ post)
         xhat = xhat @ A.T
         err = xhat - X[:, k]
         sq[:, :, k - 1] = np.einsum("ihn,ihn->ih", err, err)
@@ -278,17 +257,16 @@ def run_monte_carlo(
     plant = scenario.plant
     K, h = scenario.horizon, scenario.trials
     children = np.random.SeedSequence(scenario.seed).spawn(h)
-    X, Y = simulate_trials(plant, K, children, scenario.x0, scenario.noise_scale)
+    X, Y = simulate_trials(plant, K, children)
 
     gain, own = gap_mod._sensor_information(plant)
     runs = []
     for name, L, prior_mix, fusion in _filter_runs(scenario):
         # The information baseline mixes priors, so it has no exact theory.
         sq, theory = _run_filter(
-            plant, prior_mix, fusion, gain, own, X, Y, scenario.noise_scale,
-            theory=with_theory and name != "cidf",
+            plant, prior_mix, fusion, gain, own, X, Y, theory=with_theory and name != "cidf"
         )
-        stats = _reduce(sq, scenario.steady_window)
+        stats = _reduce(sq, plant.period)
         # Release this run's errors before the next run fills its own.
         del sq
         run = FilterRun(
@@ -310,7 +288,6 @@ def run_monte_carlo(
 
     report = central_avg = None
     if with_theory:
-        scale2 = scenario.noise_scale**2
         if scenario.L_values:
             report = gap_mod.build_gap_report(
                 plant,
@@ -320,9 +297,9 @@ def run_monte_carlo(
                 graph=scenario.graph,
                 seed=scenario.seed,
             )
-            central_avg = scale2 * report.centralized_avg
+            central_avg = report.centralized_avg
         else:
-            central_avg = scale2 * gap_mod.average_performance(
+            central_avg = gap_mod.average_performance(
                 gap_mod.centralized_dpre(plant, tol=tol)
             )
         for r in runs:
@@ -330,10 +307,7 @@ def run_monte_carlo(
                 r.theory_steady = np.array([central_avg])
             elif r.name == "cmdf":
                 r.theory_steady = np.array(
-                    [
-                        scale2 * report.cell(i, r.fusion_steps).avg_perf
-                        for i in range(plant.N)
-                    ]
+                    [report.cell(i, r.fusion_steps).avg_perf for i in range(plant.N)]
                 )
     return TrialResults(
         horizon=K,
@@ -465,7 +439,7 @@ def export_results(results: TrialResults, out_dir, stem: str = "results") -> lis
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    data = {
+    return {
         "plant": scenario.plant.to_dict(),
         "graph": scenario.graph.to_dict(),
         "weights": scenario.weights.matrix.tolist(),
@@ -475,13 +449,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "seed": scenario.seed,
         "filters": list(scenario.filters),
     }
-    if scenario.noise_scale != 1.0:
-        data["noise_scale"] = scenario.noise_scale
-    if scenario.x0 is not None:
-        data["x0"] = scenario.x0.tolist()
-    if scenario.steady_window != scenario.plant.period:
-        data["steady_window"] = scenario.steady_window
-    return data
 
 
 def network_from_dict(data: dict) -> tuple[SensorGraph, ConsensusWeights]:
@@ -511,10 +478,6 @@ def scenario_from_dict(data: dict) -> Scenario:
     with config_section("scenario"):
         plant = PlantModel.from_dict(data["plant"])
         graph, weights = network_from_dict(data)
-        noise_scale = data.get("noise_scale", 1.0)
-        if isinstance(noise_scale, bool) or not isinstance(noise_scale, (int, float)):
-            raise ValidationError(f"config 'noise_scale' must be a number: {noise_scale!r}")
-        window = data.get("steady_window")
         return Scenario(
             plant=plant,
             graph=graph,
@@ -524,14 +487,12 @@ def scenario_from_dict(data: dict) -> Scenario:
             trials=config_integer(data["trials"], "trials"),
             seed=config_integer(data["seed"], "seed"),
             filters=tuple(data.get("filters", ("ckf", "cmdf"))),
-            noise_scale=float(noise_scale),
-            x0=data.get("x0"),
-            steady_window=None if window is None else config_integer(window, "steady_window"),
         )
 
 
 def read_config(path) -> dict:
-    """The JSON object of a config file; ValidationError when it is not one."""
+    """The JSON object of a config file; ValidationError when it is not one
+    or has a top-level key outside SCENARIO_KEYS."""
     with open(path) as fh:
         try:
             data = json.load(fh)
@@ -539,6 +500,9 @@ def read_config(path) -> dict:
             raise ValidationError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: config must be a JSON object, not {type(data).__name__}")
+    unknown = sorted(set(data) - set(SCENARIO_KEYS))
+    if unknown:
+        raise ValidationError(f"{path}: unknown config keys {unknown}; known: {SCENARIO_KEYS}")
     return data
 
 
@@ -562,10 +526,6 @@ def benchmark_scenario(
     """
     plant = benchmark_plant()
     graph = random_geometric_graph(plant.N, 300.0, 130.0, graph_seed)
-    if not is_strongly_connected(graph):
-        raise ValidationError(
-            f"graph seed {graph_seed} gives a disconnected layout; pick another"
-        )
     weights = metropolis_weights(graph)
     if L_values is None:
         d = diameter(graph)

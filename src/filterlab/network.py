@@ -197,6 +197,17 @@ def weight_power(
     return P, P > STRUCTURAL_ZERO_TOL
 
 
+def check_fusion_steps(L_values) -> tuple[int, ...]:
+    """The fusion depths as ints; ValidationError if one is negative or repeats."""
+    L_values = tuple(int(L) for L in L_values)
+    if any(L < 0 for L in L_values):
+        raise ValidationError("fusion steps must be >= 0")
+    repeated = sorted({L for L in L_values if L_values.count(L) > 1})
+    if repeated:
+        raise ValidationError(f"fusion steps repeat {repeated}")
+    return L_values
+
+
 def _support_connected(W: np.ndarray) -> bool:
     return bool((_hops(W > STRUCTURAL_ZERO_TOL) >= 0).all())
 

@@ -392,5 +392,5 @@ def fixed_point_defect(solution: SppsSolution, A, C, Q, R) -> float:
     for k in range(solution.period):
         P_next = _information_step(A.at(k), Q.at(k), solution.at(k), S[k, 0])
         target = solution.at(k + 1)
-        worst = max(worst, spectral_norm(P_next - target) / np.abs(target).max())
+        worst = max(worst, sym_spectral_norm(P_next - target) / np.abs(target).max())
     return worst

@@ -195,6 +195,8 @@ class TestErrorPaths:
             ("simulate", {"graph.edges": [[0, 1.5], [1, 2], [0, 2]]}, []),
             ("simulate", {}, ["--fusion-steps", "1,1"]),
             ("simulate", {"L_values": [1, 1]}, []),
+            ("simulate", {"filter": ["ckf"]}, []),
+            ("simulate", {"noise_scale": 2.0}, []),
         ],
     )
     def test_malformed_scenario_values_rejected(
@@ -212,6 +214,18 @@ class TestErrorPaths:
         argv = [command, "--scenario", path, "--out", str(tmp_path / "out")]
         assert main(argv + flags) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "solve-dpre", "observability"])
+    def test_unknown_config_key_named(
+        self, tiny_scenario, tmp_path, monkeypatch, capsys, command
+    ):
+        with open(tiny_scenario) as fh:
+            cfg = json.load(fh)
+        cfg["weight"] = "metropolis"
+        path = write_json(tmp_path / "typo.json", cfg)
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--scenario", path]) == 1
+        assert "unknown config keys ['weight']" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

@@ -256,6 +256,11 @@ def small_report():
 
 
 class TestGapReport:
+    def test_repeated_depth_rejected(self, small_report):
+        _, model, weights = small_report
+        with pytest.raises(ValidationError, match=r"repeat \[4\]"):
+            build_gap_report(model, weights, [4, 4])
+
     def test_cells_cover_sweep(self, small_report):
         report, model, _ = small_report
         assert len(report.cells) == model.N * 3

@@ -122,11 +122,13 @@ class TestScenarioValidation:
 
 class TestRunMonteCarlo:
     def test_zero_noise_exact_init_gives_zero_mse(self):
-        scn = triangle_scenario(noise_scale=0.0, trials=3, filters=("ckf", "cmdf"))
-        results = run_monte_carlo(scn, with_theory=False)
-        for run in results.runs:
-            assert np.allclose(run.mse_per_step, 0.0, atol=1e-22)
-            assert np.allclose(run.mse_steady, 0.0, atol=1e-22)
+        scn = triangle_scenario(trials=3, filters=("ckf", "cmdf"))
+        plant = scn.plant
+        X, Y = simulate_trials(plant, scn.horizon, range(scn.trials), noise_scale=0.0)
+        gain, own = _sensor_information(plant)
+        for name, L, prior_mix, fusion in harness._filter_runs(scn):
+            sq, _ = harness._run_filter(plant, prior_mix, fusion, gain, own, X, Y, theory=False)
+            assert np.allclose(sq, 0.0, atol=1e-22)
 
     def test_single_node_cmdf_equals_ckf_trial_by_trial(self):
         plant = scalar_plant(a=0.9, c=1.0, q=0.4, r=0.8)
@@ -281,7 +283,7 @@ class TestRunMonteCarlo:
         peak, final = np.zeros(h), np.zeros(h)
         with np.errstate(over="ignore", invalid="ignore"):
             sq, traces = harness._run_filter(
-                plant, np.eye(2), 2 * weights.matrix, gain, own, X, Y, 1.0, theory=False
+                plant, np.eye(2), 2 * weights.matrix, gain, own, X, Y, theory=False
             )
             for l in range(h):
                 states = default_states(plant)
@@ -338,9 +340,9 @@ class TestCompareCidf:
             assert mse_cidf > mse_cmdf
 
     def test_relabelling_sensors_permutes_rows(self):
-        # Noiseless trials from a nonzero x0 do not depend on the noise
-        # draws, so relabelling the sensors, the graph and W by perm must
-        # relabel every node row the same way and leave the CKF alone.
+        # Relabelling the sensors, the graph and W by perm, and reordering the
+        # sensor blocks of the same measurements, must relabel every node row
+        # the same way and leave the CKF alone.
         plant = small_periodic_plant()
         path = SensorGraph(n_nodes=3, edges=frozenset({(0, 1), (1, 2)}))
         W = metropolis_weights(path).matrix
@@ -359,33 +361,46 @@ class TestCompareCidf:
             ),
             weights=ConsensusWeights(matrix=W[np.ix_(perm, perm)]),
         )
-        common = dict(
-            L_values=(2,), horizon=8, trials=2, noise_scale=0.0, x0=np.array([1.0, -2.0])
+        common = dict(L_values=(2,), horizon=8, trials=2)
+        base_scn = triangle_scenario(
+            plant=plant, graph=path, weights=ConsensusWeights(matrix=W), **common
         )
-        base = run_monte_carlo(
-            triangle_scenario(
-                plant=plant, graph=path, weights=ConsensusWeights(matrix=W), **common
-            )
-        )
-        moved = run_monte_carlo(triangle_scenario(**relabelled, **common))
+        moved_scn = triangle_scenario(**relabelled, **common)
+        X, Y = simulate_trials(plant, 8, range(4), x0=np.array([1.0, -2.0]))
+        blocks = plant.observation_slices()
+        Y_moved = np.concatenate([Y[:, :, blocks[j]] for j in perm], axis=2)
+
+        def filter_runs(scn, Y):
+            gain, own = _sensor_information(scn.plant)
+            return {
+                (name, L): harness._run_filter(
+                    scn.plant, prior_mix, fusion, gain, own, X, Y, theory=name != "cidf"
+                )
+                for name, L, prior_mix, fusion in harness._filter_runs(scn)
+            }
 
         def close(a, b):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
 
-        close(moved.run("ckf").mse_per_step, base.run("ckf").mse_per_step)
+        runs, runs_moved = filter_runs(base_scn, Y), filter_runs(moved_scn, Y_moved)
+        for (name, L), (sq, traces) in runs.items():
+            rows = [0] if name == "ckf" else perm
+            sq_moved, traces_moved = runs_moved[name, L]
+            close(sq_moved, sq[rows])
+            if traces is not None:
+                close(traces_moved, traces[rows])
+        assert set(runs) == {("ckf", None), ("cmdf", 2), ("cidf", 2)}
+
+        base, moved = run_monte_carlo(base_scn), run_monte_carlo(moved_scn)
         close(moved.run("ckf").theory_per_step, base.run("ckf").theory_per_step)
-        for name in ("cmdf", "cidf"):
-            close(moved.run(name, 2).mse_per_step, base.run(name, 2).mse_per_step[perm])
         cmdf, cmdf_moved = base.run("cmdf", 2), moved.run("cmdf", 2)
         close(cmdf_moved.theory_per_step, cmdf.theory_per_step[perm])
         close(cmdf_moved.theory_steady, cmdf.theory_steady[perm])
-        # theory_steady is the noise-free zero here; the unscaled report
-        # cells it is read from must move with the labels too.
+        # The report cells theory_steady is read from move with the labels too.
         for a, old in enumerate(perm):
             assert moved.gap_report.cell(a, 2).avg_perf == pytest.approx(
                 base.gap_report.cell(old, 2).avg_perf, rel=1e-12
             )
-        assert np.all(cmdf.mse_per_step > 0)
 
     def test_crossover_is_reported(self):
         scn = triangle_scenario(trials=120, horizon=12, L_values=(1, 2, 3), seed=13)
