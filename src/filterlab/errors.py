@@ -44,3 +44,14 @@ def config_integer(value, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"config {key!r} must be an integer, got {value!r}")
     return value
+
+
+def config_object(data, known: tuple, where: str) -> dict:
+    """``data`` when it is a JSON object whose keys are all in ``known``;
+    otherwise a ValidationError that starts with ``where``."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"{where}: config must be a JSON object, not {type(data).__name__}")
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValidationError(f"{where}: unknown config keys {unknown}; known: {known}")
+    return data

@@ -54,9 +54,10 @@ def _sensor_information(plant: PlantModel) -> tuple[np.ndarray, np.ndarray]:
 def _fused_information(fusion: np.ndarray, own: np.ndarray) -> np.ndarray:
     """Per slot and fusing node i, (T, rows, n, n), the fused information
     S_i = sum_j fusion_ij C_j' R_j^{-1} C_j; ``own`` is the second table of
-    ``_sensor_information``. With ``fusion**2`` it is S2_i, the information
-    of the noise that fusion injects."""
-    return sym(np.einsum("ij,tjab->tiab", fusion, own))
+    ``_sensor_information``, or one slot of it for one slot's (rows, n, n).
+    With ``fusion**2`` it is S2_i, the information of the noise that fusion
+    injects."""
+    return sym(np.einsum("ij,...jab->...iab", fusion, own))
 
 
 def centralized_dpre(model: PlantModel, tol: float = DEFAULT_TOL) -> SppsSolution:

@@ -12,16 +12,16 @@ Node i corrects to x_i = P+_i q_i with
 
     q_i = sum_j prior_mix_ij P_j^{-1} x_j + sum_j fusion_ij C_j' R_j^{-1} y_j.
 
-The covariances are data-independent, so each run is one loop over the
-steps: each step advances the covariances of all nodes, batched, and then the
-estimates of all trials together.
+The covariances are data-independent, so one loop over the steps serves
+every run of a scenario: each step advances the covariances of the nodes of
+all runs as one stack, then the estimates of all runs and trials together,
+and reduces their squared errors on the spot.
 Empirical MSE is computed on the one-step-ahead (predicted) estimates,
 matching the error covariance recursions the theory curves iterate.
 """
 
 import dataclasses
 import json
-import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -30,7 +30,13 @@ import numpy as np
 
 from ._artifacts import write_csv, write_json
 from ._linalg import spd_inverse, sym
-from .errors import NumericalError, ValidationError, config_integer, config_section
+from .errors import (
+    NumericalError,
+    ValidationError,
+    config_integer,
+    config_object,
+    config_section,
+)
 from . import gap as gap_mod
 from .network import (
     ConsensusWeights,
@@ -163,79 +169,116 @@ def _filter_runs(scenario: Scenario) -> list[tuple]:
     return runs
 
 
-def _run_filter(plant, prior_mix, fusion, gain, own, X, Y, theory):
-    """Squared one-step-ahead errors (rows, trials, K) of one run over the
-    states X and measurements Y, plus with ``theory`` the exact
-    predicted-error traces (rows, K).
+def _run_filters(plant, runs, gain, own, X, Y, theory):
+    """One FilterRun per entry of ``runs`` ((name, L, prior_mix, fusion), as
+    ``_filter_runs`` lists them), all advanced in one pass over the states X
+    and measurements Y.
 
-    The covariances are data-independent, so each step first advances every
-    node's predicted information P^{-1} and posterior covariance P+, whose
-    inverse is sum_j prior_mix_ij P_j^{-1} + sum_j fusion_ij C_j' R_j^{-1} C_j,
-    then corrects all trials together. The theory holds for nodes that
-    keep their own prior (prior_mix = I): the fused measurement noise then
-    adds P+ (sum_j fusion_ij^2 C_j' R_j^{-1} C_j) P+ to the error covariance.
-    An identity ``prior_mix`` (CKF, CMDF) is skipped, not multiplied. A
-    trial whose estimate has an entry above DIVERGENCE_NORM or NaN at any
-    step has its rows set to NaN.
+    The rows of every run form one stack, ordered so that the runs keeping
+    their own prior (prior_mix = I, skipped rather than multiplied) come
+    first and the mixing runs form one block after them. The covariances are
+    data-independent, so each step first advances every row's predicted
+    information P^{-1} and posterior covariance P+, whose inverse is
+    sum_j prior_mix_ij P_j^{-1} + sum_j fusion_ij C_j' R_j^{-1} C_j, and
+    then the estimates of every row and trial, (rows, n, trials). The squared
+    one-step-ahead errors are reduced as they come: per step to their mean
+    and standard error over the trials, per trial to their mean over the
+    steady window, the last plant period. With ``theory`` the own-prior rows
+    also iterate their exact predicted-error covariance, which the fused
+    measurement noise grows by P+ (sum_j fusion_ij^2 C_j' R_j^{-1} C_j) P+.
+    A trial whose estimate in a run has an entry above DIVERGENCE_NORM or NaN
+    at any step is listed in that run's ``diverged`` and still counted in
+    its statistics.
     """
     h, K, n = X.shape[0], X.shape[1] - 1, plant.n
-    rows, T = fusion.shape[0], plant.period
-    own_prior = np.array_equal(prior_mix, np.eye(rows))
-    info = gap_mod._fused_information(fusion, own)
-    info_sq = gap_mod._fused_information(fusion**2, own)
-    owner = np.repeat(np.arange(plant.N), plant.sensor_dims)
-    # fused[t, i] maps the stacked measurement to node i's fused information.
-    fused = fusion[:, owner][None, :, :, None] * gain[:, None, :, :]
+    N, T = plant.N, plant.period
+    own_prior = [np.array_equal(pm, np.eye(len(pm))) for _, _, pm, _ in runs]
+    order = sorted(range(len(runs)), key=lambda r: not own_prior[r])
+    fusion = np.concatenate([runs[r][3] for r in order])
+    bounds = np.cumsum([0] + [len(runs[r][3]) for r in order])
+    exact = int(bounds[sum(own_prior)])
+    # The mixing runs are CIDF's, each mixing N nodes with its own W^L.
+    mixing = [runs[r][2] for r in order if not own_prior[r]]
+    mix = np.stack(mixing) if mixing else None
+    block = (len(mixing), N, -1)
+
+    exact_sq = fusion[:exact] ** 2
+    # sensor_info[t] maps the stacked measurement to every sensor's C_j' R_j^{-1} y_j.
+    sensor_info = np.zeros((T, N, n, plant.m))
+    for j, sl in enumerate(plant.observation_slices()):
+        sensor_info[:, j, :, sl] = gain[:, sl].swapaxes(1, 2)
+    sensor_info = sensor_info.reshape(T, N * n, plant.m)
+    rows = len(fusion)
     post = np.broadcast_to(np.eye(n), (rows, n, n))
     # Estimates start at zero; the simulator starts every trial at x0.
     x0 = X[0, 0]
-    E = np.broadcast_to(np.outer(x0, x0), (rows, n, n))
-    traces = np.empty((rows, K)) if theory else None
-    xhat = np.zeros((rows, h, n))
-    peak = np.zeros((rows, h, n))
-    sq = np.empty((rows, h, K))
+    E = np.broadcast_to(np.outer(x0, x0), (exact, n, n))
+    traces = np.empty((exact, K)) if theory else None
+    mse, spread = np.empty((rows, K)), np.empty((rows, K))
+    # Two estimate buffers and three (rows, trials) ones serve every step.
+    xhat, work = np.zeros((rows, n, h)), np.empty((rows, n, h))
+    sq, steady = np.empty((rows, h)), np.zeros((rows, h))
+    bad = np.zeros((rows, h), dtype=bool)
     for k in range(1, K + 1):
         A, Q = plant.A.at(k - 1), plant.Q.at(k - 1)
         km = k % T
         Pinv = spd_inverse(A @ post @ A.T + Q, what="predicted covariance")
-        prior = Pinv if own_prior else np.tensordot(prior_mix, Pinv, axes=(1, 0))
-        post = spd_inverse(prior + info[km], what="posterior information")
+        prior = Pinv
+        if mix is not None:
+            prior = Pinv.copy()
+            prior[exact:] = (mix @ Pinv[exact:].reshape(block)).reshape(-1, n, n)
+        info = gap_mod._fused_information(fusion, own[km])
+        post = spd_inverse(prior + info, what="posterior information")
         if theory:
-            M = post @ Pinv
+            M = post[:exact] @ Pinv[:exact]
             Ep = sym(A @ E @ A.T + Q)
             traces[:, k - 1] = np.trace(Ep, axis1=1, axis2=2)
-            E = sym(M @ Ep @ M.swapaxes(1, 2) + post @ info_sq[km] @ post)
-        xhat = xhat @ A.T
-        err = xhat - X[:, k]
-        sq[:, :, k - 1] = np.einsum("ihn,ihn->ih", err, err)
-        q = xhat @ Pinv
-        if not own_prior:
-            q = np.tensordot(prior_mix, q, axes=(1, 0))
-        xhat = (q + Y[:, k] @ fused[km]) @ post
-        np.maximum(peak, np.abs(xhat), out=peak)
-    # NaN fails the comparison too, so non-finite estimates count as diverged.
-    sq[:, ~(peak.max(axis=(0, 2)) <= DIVERGENCE_NORM)] = np.nan
-    return sq, traces
-
-
-def _reduce(sq, window):
-    """Per-step and steady-window means with standard errors, masking
-    diverged trials (rows of NaN)."""
-    nodes, h, K = sq.shape
-    bad = ~np.isfinite(sq).all(axis=(0, 2))
-    valid = ~bad
-    nv = int(valid.sum())
-    if nv == 0:
-        raise NumericalError("every trial diverged")
-    good = sq if nv == h else sq[:, valid, :]
-    mse_step = good.mean(axis=1)
-    step_se = good.std(axis=1, ddof=1) / math.sqrt(nv) if nv > 1 else np.zeros((nodes, K))
-    per_trial = good[:, :, K - window :].mean(axis=2)
+            noise = gap_mod._fused_information(exact_sq, own[km])
+            E = sym(M @ Ep @ M.swapaxes(1, 2) + post[:exact] @ noise @ post[:exact])
+        pred = np.matmul(A, xhat, out=work)
+        q = np.matmul(Pinv, pred, out=xhat)
+        err = np.subtract(pred, X[:, k].T.copy(), out=pred)
+        np.einsum("inh,inh->ih", err, err, out=sq)
+        mse[:, k - 1] = sq.mean(axis=1)
+        if k > K - T:
+            steady += sq
+        dev = np.subtract(sq, mse[:, k - 1, None], out=sq)
+        spread[:, k - 1] = np.einsum("ih,ih->i", dev, dev)
+        if mix is not None:
+            np.matmul(mix, q[exact:].reshape(block), out=work[exact:].reshape(block))
+            q[exact:] = work[exact:]
+        fused = np.matmul(
+            fusion,
+            (sensor_info[km] @ Y[:, k].T).reshape(N, n * h),
+            out=work.reshape(rows, n * h),
+        )
+        q += fused.reshape(rows, n, h)
+        xhat, work = np.matmul(post, q, out=work), q
+        # NaN fails the comparisons too, so non-finite estimates count as
+        # diverged; the per-trial test runs only when the extremes call for it.
+        if not (xhat.max() <= DIVERGENCE_NORM and xhat.min() >= -DIVERGENCE_NORM):
+            bad |= ~(np.abs(xhat, out=work).max(axis=1, out=sq) <= DIVERGENCE_NORM)
+    per_trial = np.divide(steady, T, out=steady)
     mse_steady = per_trial.mean(axis=1)
-    steady_se = (
-        per_trial.std(axis=1, ddof=1) / math.sqrt(nv) if nv > 1 else np.zeros(nodes)
-    )
-    return mse_step, step_se, mse_steady, steady_se, tuple(np.nonzero(bad)[0].tolist())
+    dev = np.subtract(per_trial, mse_steady[:, None], out=sq)
+    # Sums of squared deviations over h trials to squared standard errors.
+    se2 = 1.0 / max(h * (h - 1), 1)
+    step_se = np.sqrt(np.multiply(spread, se2, out=spread), out=spread)
+    steady_se = np.sqrt(np.einsum("ih,ih->i", dev, dev) * se2)
+    out = [None] * len(runs)
+    for r, lo, hi in zip(order, bounds[:-1], bounds[1:]):
+        name, L = runs[r][:2]
+        out[r] = FilterRun(
+            name=name,
+            fusion_steps=L,
+            mse_per_step=mse[lo:hi],
+            step_se=step_se[lo:hi],
+            mse_steady=mse_steady[lo:hi],
+            steady_se=steady_se[lo:hi],
+            theory_per_step=traces[lo:hi] if theory and hi <= exact else None,
+            diverged=tuple(np.flatnonzero(bad[lo:hi].any(axis=0)).tolist()),
+        )
+    return out
 
 
 def run_monte_carlo(
@@ -260,31 +303,22 @@ def run_monte_carlo(
     X, Y = simulate_trials(plant, K, children)
 
     gain, own = gap_mod._sensor_information(plant)
-    runs = []
-    for name, L, prior_mix, fusion in _filter_runs(scenario):
-        # The information baseline mixes priors, so it has no exact theory.
-        sq, theory = _run_filter(
-            plant, prior_mix, fusion, gain, own, X, Y, theory=with_theory and name != "cidf"
-        )
-        stats = _reduce(sq, plant.period)
-        # Release this run's errors before the next run fills its own.
-        del sq
-        run = FilterRun(
-            name=name,
-            fusion_steps=L,
-            mse_per_step=stats[0],
-            step_se=stats[1],
-            mse_steady=stats[2],
-            steady_se=stats[3],
-            theory_per_step=theory,
-            diverged=stats[4],
-        )
+    specs = _filter_runs(scenario)
+    runs = _run_filters(plant, specs, gain, own, X, Y, with_theory)
+    for r, run in enumerate(runs):
+        if not run.diverged:
+            continue
         if len(run.diverged) > 0.01 * h:
             raise NumericalError(
                 f"{run.label}: {len(run.diverged)} of {h} trials diverged "
                 f"(ids {list(run.diverged)[:10]}...)"
             )
-        runs.append(run)
+        # Trials are independent, so this run over the other trials gives
+        # its statistics without the diverged ones.
+        ok = np.ones(h, dtype=bool)
+        ok[list(run.diverged)] = False
+        (runs[r],) = _run_filters(plant, [specs[r]], gain, own, X[ok], Y[ok], with_theory)
+        runs[r].diverged = run.diverged
 
     report = central_avg = None
     if with_theory:
@@ -498,12 +532,7 @@ def read_config(path) -> dict:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(data, dict):
-        raise ValidationError(f"{path}: config must be a JSON object, not {type(data).__name__}")
-    unknown = sorted(set(data) - set(SCENARIO_KEYS))
-    if unknown:
-        raise ValidationError(f"{path}: unknown config keys {unknown}; known: {SCENARIO_KEYS}")
-    return data
+    return config_object(data, SCENARIO_KEYS, str(path))
 
 
 def load_scenario(path) -> Scenario:

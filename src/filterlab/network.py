@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._artifacts import write_csv
-from .errors import ValidationError, config_integer, config_section
+from .errors import ValidationError, config_integer, config_object, config_section
 
 # Entries of weight-matrix powers at or below this are treated as structural
 # zeros (no information path of that length).
@@ -69,6 +69,7 @@ class SensorGraph:
     @classmethod
     def from_dict(cls, data: dict) -> "SensorGraph":
         with config_section("graph"):
+            config_object(data, ("N", "edges", "positions"), "graph")
             return cls(
                 n_nodes=config_integer(data["N"], "N"),
                 edges=frozenset(

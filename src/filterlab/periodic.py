@@ -9,7 +9,13 @@ import math
 import numpy as np
 
 from ._linalg import sym
-from .errors import NumericalError, ValidationError, config_integer, config_section
+from .errors import (
+    NumericalError,
+    ValidationError,
+    config_integer,
+    config_object,
+    config_section,
+)
 
 # Smallest admissible eigenvalue of a noise covariance matrix, and its largest
 # asymmetry, each relative to the matrix's own scale.
@@ -209,7 +215,8 @@ class PlantModel:
     @classmethod
     def from_dict(cls, data: dict) -> "PlantModel":
         with config_section("plant"):
-            if "builtin" in data:
+            if isinstance(data, dict) and "builtin" in data:
+                config_object(data, ("builtin",), "plant")
                 try:
                     factory = BUILTIN_PLANTS[data["builtin"]]
                 except KeyError:
@@ -218,7 +225,11 @@ class PlantModel:
                         f"known: {sorted(BUILTIN_PLANTS)}"
                     ) from None
                 return factory()
-            sensors = data["sensors"]
+            config_object(data, ("A", "Q", "sensors", "period"), "plant")
+            sensors = [
+                config_object(s, ("C", "R"), f"plant sensors[{i}]")
+                for i, s in enumerate(data["sensors"])
+            ]
             model = cls(
                 A=data["A"],
                 Q=data["Q"],

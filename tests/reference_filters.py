@@ -1,10 +1,10 @@
 """Per-trial reference for the batched filter engine.
 
-``harness._run_filter`` advances every node and every trial of a run at
-once. This module keeps the plain step-wise filters, one trial and one time
-step at a time: the centralized Kalman filter (CKF), consensus-on-measurement
-distributed filtering (CMDF) and the consensus-on-information baseline
-(CIDF). Each forms its own C' R^{-1} C with ``np.linalg.solve`` and never
+``harness._run_filters`` advances every node of every run and every trial
+of a scenario at once. This module keeps the plain step-wise filters, one
+trial and one time step at a time: the centralized Kalman filter (CKF),
+consensus-on-measurement distributed filtering (CMDF) and the
+consensus-on-information baseline (CIDF). Each forms its own C' R^{-1} C with ``np.linalg.solve`` and never
 calls the engine's information tables, so the tests can pin the engine to an
 independent recursion.
 

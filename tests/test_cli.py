@@ -228,6 +228,37 @@ class TestErrorPaths:
         assert "unknown config keys ['weight']" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "command, section, key, named",
+        [
+            ("simulate", "plant", "perod", "plant: unknown config keys ['perod']"),
+            ("simulate", "sensor", "Rr", "plant sensors[0]: unknown config keys ['Rr']"),
+            ("simulate", "graph", "position", "graph: unknown config keys ['position']"),
+            ("simulate", "builtin", "A", "plant: unknown config keys ['A']"),
+            ("solve-dpre", "sensor", "Rr", "plant sensors[0]: unknown config keys ['Rr']"),
+            ("observability", "graph", "position", "graph: unknown config keys ['position']"),
+        ],
+    )
+    def test_unknown_section_key_named(
+        self, tiny_scenario, tmp_path, monkeypatch, capsys, command, section, key, named
+    ):
+        with open(tiny_scenario) as fh:
+            cfg = json.load(fh)
+        if section == "builtin":
+            # Inline matrices next to a builtin plant would be silently dropped.
+            cfg["plant"] = {"builtin": "paper_sec5", key: cfg["plant"]["A"]}
+        else:
+            sections = {
+                "plant": cfg["plant"],
+                "sensor": cfg["plant"]["sensors"][0],
+                "graph": cfg["graph"],
+            }
+            sections[section][key] = 7
+        path = write_json(tmp_path / "typo.json", cfg)
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--scenario", path]) == 1
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["gap", "--trials", "5"],

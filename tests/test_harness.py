@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,9 +127,15 @@ class TestRunMonteCarlo:
         plant = scn.plant
         X, Y = simulate_trials(plant, scn.horizon, range(scn.trials), noise_scale=0.0)
         gain, own = _sensor_information(plant)
-        for name, L, prior_mix, fusion in harness._filter_runs(scn):
-            sq, _ = harness._run_filter(plant, prior_mix, fusion, gain, own, X, Y, theory=False)
-            assert np.allclose(sq, 0.0, atol=1e-22)
+        runs = harness._run_filters(
+            plant, harness._filter_runs(scn), gain, own, X, Y, theory=False
+        )
+        assert [r.label for r in runs] == ["ckf", "cmdf_L1", "cmdf_L2"]
+        for run in runs:
+            # Squared errors are non-negative, so a zero mean is zero in every trial.
+            assert np.allclose(run.mse_per_step, 0.0, atol=1e-22)
+            assert np.allclose(run.mse_steady, 0.0, atol=1e-22)
+            assert run.diverged == ()
 
     def test_single_node_cmdf_equals_ckf_trial_by_trial(self):
         plant = scalar_plant(a=0.9, c=1.0, q=0.4, r=0.8)
@@ -271,20 +278,19 @@ class TestRunMonteCarlo:
         # cross the divergence norm and others do not. Trial 0 also gets one
         # spiked measurement: its estimate crosses the norm at k = 5 and is
         # back below it at k = 44, so it must be flagged all the same. The
-        # filter must flag exactly the trials whose reference estimate
-        # crosses at some step and leave the others' errors untouched.
+        # pass must flag exactly the trials whose reference estimate crosses
+        # at some step, and reproduce every other trial's errors alone.
         plant = PlantModel(A=[[1.6]], Q=[[1.0]], C=[[[1.0]], [[0.0]]], R=[[[1.0]], [[1.0]]])
         weights = metropolis_weights(two_node_graph())
         h, K = 40, 44
         X, Y = simulate_trials(plant, K, np.random.SeedSequence(1).spawn(h))
         Y[0, 5, 0] = 1e12
         gain, own = _sensor_information(plant)
+        spec = [("cmdf", 1, np.eye(2), 2 * weights.matrix)]
         ref = np.empty((plant.N, h, K))
         peak, final = np.zeros(h), np.zeros(h)
         with np.errstate(over="ignore", invalid="ignore"):
-            sq, traces = harness._run_filter(
-                plant, np.eye(2), 2 * weights.matrix, gain, own, X, Y, theory=False
-            )
+            (run,) = harness._run_filters(plant, spec, gain, own, X, Y, theory=False)
             for l in range(h):
                 states = default_states(plant)
                 for k in range(1, K + 1):
@@ -294,13 +300,96 @@ class TestRunMonteCarlo:
                     states = cmdf_step(plant, weights, 1, states, np.split(Y[l, k], 2), k)
                     final[l] = max(np.abs(s.estimate).max() for s in states)
                     peak[l] = max(peak[l], final[l])
-        assert traces is None
-        flagged = ~np.isfinite(sq).all(axis=(0, 2))
+        assert run.theory_per_step is None
+        flagged = np.zeros(h, dtype=bool)
+        flagged[list(run.diverged)] = True
         assert np.array_equal(flagged, peak > harness.DIVERGENCE_NORM)
         assert flagged[0] and final[0] < harness.DIVERGENCE_NORM
         assert 0 < flagged.sum() < h
-        assert np.isnan(sq[:, flagged]).all()
-        np.testing.assert_allclose(sq[:, ~flagged], ref[:, ~flagged], rtol=1e-12)
+        for l in np.flatnonzero(~flagged):
+            (alone,) = harness._run_filters(
+                plant, spec, gain, own, X[l : l + 1], Y[l : l + 1], theory=False
+            )
+            assert alone.diverged == ()
+            np.testing.assert_allclose(alone.mse_per_step, ref[:, l], rtol=1e-12)
+        # The same pass over the trials that did not diverge averages them only.
+        ok = ~flagged
+        (kept,) = harness._run_filters(plant, spec, gain, own, X[ok], Y[ok], theory=False)
+        assert kept.diverged == ()
+        np.testing.assert_allclose(kept.mse_per_step, ref[:, ok].mean(axis=1), rtol=1e-12)
+
+    def test_few_diverged_trials_are_dropped_from_the_averages(self, monkeypatch):
+        # One spiked measurement blows trial 0 up in every run: 1 of 200
+        # trials is under the 1% budget, so each run reports it and
+        # averages the other 199.
+        inputs = []
+
+        def spiked(*args, **kwargs):
+            X, Y = simulate_trials(*args, **kwargs)
+            Y[0, 4, 0] = 1e12
+            inputs.append((X, Y))
+            return X, Y
+
+        monkeypatch.setattr(harness, "simulate_trials", spiked)
+        scn = triangle_scenario(trials=200)
+        results = run_monte_carlo(scn, with_theory=False)
+        (X, Y), plant = inputs[0], scn.plant
+        gain, own = _sensor_information(plant)
+        specs = harness._filter_runs(scn)
+        kept = harness._run_filters(plant, specs, gain, own, X[1:], Y[1:], theory=False)
+        assert [r.label for r in results.runs] == [r.label for r in kept]
+        for run, want in zip(results.runs, kept):
+            assert run.diverged == (0,)
+            for curve in ("mse_per_step", "step_se", "mse_steady", "steady_se"):
+                np.testing.assert_allclose(
+                    getattr(run, curve), getattr(want, curve), rtol=1e-12, atol=0
+                )
+
+    @pytest.mark.parametrize("trials", [1, 6])
+    def test_a_run_does_not_depend_on_the_runs_beside_it(self, trials):
+        # The mixed scenario puts the mixing (CIDF) runs first in run order.
+        alone = run_monte_carlo(triangle_scenario(trials=trials, filters=("cmdf",)))
+        mixed = run_monte_carlo(
+            triangle_scenario(trials=trials, filters=("cidf", "ckf", "cmdf"))
+        )
+        for L in (1, 2):
+            a, b = alone.run("cmdf", L), mixed.run("cmdf", L)
+            for curve in ("mse_per_step", "mse_steady"):
+                np.testing.assert_allclose(
+                    getattr(b, curve), getattr(a, curve), rtol=1e-12, atol=0
+                )
+            assert np.array_equal(b.theory_per_step, a.theory_per_step)
+            assert np.array_equal(b.theory_steady, a.theory_steady)
+            if trials == 1:
+                assert not a.step_se.any() and not a.steady_se.any()
+                assert not b.step_se.any() and not b.steady_se.any()
+        assert mixed.run("cidf", 1).theory_per_step is None
+
+    def test_working_set_does_not_grow_with_the_horizon(self, monkeypatch):
+        # The simulated trials grow with the horizon by design; what the
+        # engine allocates beyond them must not. The trace's peak is reset
+        # once the trials exist, and their bytes are taken off it.
+        inputs = []
+
+        def simulated(*args, **kwargs):
+            X, Y = simulate_trials(*args, **kwargs)
+            inputs.append(X.nbytes + Y.nbytes)
+            tracemalloc.reset_peak()
+            return X, Y
+
+        monkeypatch.setattr(harness, "simulate_trials", simulated)
+
+        def working_set(horizon):
+            scn = benchmark_scenario(trials=300, horizon=horizon)
+            tracemalloc.start()
+            try:
+                run_monte_carlo(scn, with_theory=False)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - inputs[-1]
+
+        assert working_set(400) <= 1.25 * working_set(100)
 
 
 class TestCompareCidf:
@@ -370,26 +459,30 @@ class TestCompareCidf:
         blocks = plant.observation_slices()
         Y_moved = np.concatenate([Y[:, :, blocks[j]] for j in perm], axis=2)
 
-        def filter_runs(scn, Y):
+        def filter_runs(scn, X, Y):
             gain, own = _sensor_information(scn.plant)
-            return {
-                (name, L): harness._run_filter(
-                    scn.plant, prior_mix, fusion, gain, own, X, Y, theory=name != "cidf"
-                )
-                for name, L, prior_mix, fusion in harness._filter_runs(scn)
-            }
+            runs = harness._run_filters(
+                scn.plant, harness._filter_runs(scn), gain, own, X, Y, theory=True
+            )
+            return {(r.name, r.fusion_steps): r for r in runs}
 
         def close(a, b):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
 
-        runs, runs_moved = filter_runs(base_scn, Y), filter_runs(moved_scn, Y_moved)
-        for (name, L), (sq, traces) in runs.items():
-            rows = [0] if name == "ckf" else perm
-            sq_moved, traces_moved = runs_moved[name, L]
-            close(sq_moved, sq[rows])
-            if traces is not None:
-                close(traces_moved, traces[rows])
-        assert set(runs) == {("ckf", None), ("cmdf", 2), ("cidf", 2)}
+        # Each trial alone pins its squared errors row by row, and all four
+        # together the standard errors.
+        for trials in [slice(l, l + 1) for l in range(4)] + [slice(None)]:
+            runs = filter_runs(base_scn, X[trials], Y[trials])
+            runs_moved = filter_runs(moved_scn, X[trials], Y_moved[trials])
+            assert set(runs) == {("ckf", None), ("cmdf", 2), ("cidf", 2)}
+            for key, run in runs.items():
+                rows = [0] if run.name == "ckf" else perm
+                moved_run = runs_moved[key]
+                for curve in ("mse_per_step", "step_se", "mse_steady", "steady_se"):
+                    close(getattr(moved_run, curve), getattr(run, curve)[rows])
+                if run.theory_per_step is not None:
+                    close(moved_run.theory_per_step, run.theory_per_step[rows])
+            assert runs["cidf", 2].theory_per_step is None
 
         base, moved = run_monte_carlo(base_scn), run_monte_carlo(moved_scn)
         close(moved.run("ckf").theory_per_step, base.run("ckf").theory_per_step)
