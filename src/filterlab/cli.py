@@ -20,6 +20,7 @@ import datetime
 import math
 import os
 import sys
+import time
 
 from . import gap as gap_mod
 from . import harness
@@ -121,6 +122,7 @@ def _cmd_simulate(args) -> dict:
     out = args.out
     write_json(os.path.join(out, "scenario.json"), harness.scenario_to_dict(scenario))
     results = harness.run_monte_carlo(scenario, tol=args.tol)
+    start = time.perf_counter()
     written = ["scenario.json", "results_{per_step,steady}.csv", "results.json"]
     harness.export_results(results, out)
     report = results.gap_report
@@ -132,6 +134,7 @@ def _cmd_simulate(args) -> dict:
     if {"cmdf", "cidf"} <= set(scenario.filters):
         _write_comparison(harness.CidfComparison.from_results(results), out)
         written += ["cidf_comparison.csv", "cidf_crossover.json"]
+    export_s = time.perf_counter() - start
     print(
         f"simulated {results.trials} trials x {results.horizon} steps "
         f"({len(results.runs)} filter runs; N={scenario.plant.N}, "
@@ -139,7 +142,7 @@ def _cmd_simulate(args) -> dict:
         f"in {results.runtime_seconds:.1f}s"
     )
     print(f"wrote {', '.join(written)} to {out}")
-    return {"runtime_s": results.runtime_seconds}
+    return {"runtime_s": results.runtime_seconds, "export_s": export_s}
 
 
 def _cmd_gap(args) -> dict:

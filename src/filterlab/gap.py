@@ -306,12 +306,13 @@ class GapReport:
     def to_csv(self, path) -> None:
         """One row per cell: its fields, then sigma2."""
         header = ["sensor", "L", "gap_ric", "gap_cov", "avg_perf", "rate", "sigma2"]
-        write_csv(path, header, (astuple(c) + (self.sigma2,) for c in self.cells))
+        rows = [astuple(c) + (self.sigma2,) for c in self.cells]
+        write_csv(path, header, [zip(*rows)])
 
     def rates_to_csv(self, path) -> None:
         """The decay-rate table: one row per cell, blank where the rate is NaN."""
-        rows = ((c.sensor, c.L, c.rate, self.sigma2) for c in self.cells)
-        write_csv(path, ["sensor", "L", "rate_q", "sigma2"], rows)
+        rows = [(c.sensor, c.L, c.rate, self.sigma2) for c in self.cells]
+        write_csv(path, ["sensor", "L", "rate_q", "sigma2"], [zip(*rows)])
 
     def to_json(self, path) -> None:
         data = {

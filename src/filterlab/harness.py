@@ -392,7 +392,7 @@ class CidfComparison:
         return cls(rows=rows, crossover=crossover)
 
     def to_csv(self, path) -> None:
-        write_csv(path, ["sensor", "L", "mse_cmdf", "mse_cidf"], self.rows)
+        write_csv(path, ["sensor", "L", "mse_cmdf", "mse_cidf"], [zip(*self.rows)])
 
     def crossover_to_json(self, path) -> None:
         write_json(path, {str(k): v for k, v in self.crossover.items()})
@@ -405,18 +405,20 @@ def compare_cidf(scenario: Scenario) -> CidfComparison:
     return CidfComparison.from_results(run_monte_carlo(scenario, with_theory=False))
 
 
-def _per_step_rows(results: TrialResults):
+def _per_step_blocks(results: TrialResults):
+    """One block per node of each run: its K steps, straight from the curves."""
+    K = results.horizon
+    steps, blank = range(1, K + 1), [None] * K
     for r in results.runs:
-        label, K = r.label, results.horizon
-        for i, mse in enumerate(r.mse_per_step.tolist()):
-            sensor = -1 if r.name == "ckf" else i
-            theory = [None] * K if r.theory_per_step is None else r.theory_per_step[i].tolist()
-            for k, (a, b) in enumerate(zip(mse, theory), start=1):
-                yield label, sensor, k, a, b
+        for i, mse in enumerate(r.mse_per_step):
+            theory = blank if r.theory_per_step is None else r.theory_per_step[i]
+            yield [r.label] * K, [-1 if r.name == "ckf" else i] * K, steps, mse, theory
 
 
-def _steady_rows(results: TrialResults):
+def _steady_block(results: TrialResults):
+    """The steady table as one block of columns."""
     report = results.gap_report
+    rows = []
     for r in results.runs:
         for i, mse in enumerate(r.mse_steady.tolist()):
             theory = None if r.theory_steady is None else r.theory_steady[i]
@@ -424,23 +426,24 @@ def _steady_rows(results: TrialResults):
             if r.name == "cmdf" and report is not None:
                 rate = report.cell(i, r.fusion_steps).rate
             sensor = -1 if r.name == "ckf" else i
-            yield r.label, sensor, r.fusion_steps, mse, theory, rate, results.sigma2
+            rows.append((r.label, sensor, r.fusion_steps, mse, theory, rate, results.sigma2))
+    return zip(*rows)
 
 
 def export_results(results: TrialResults, out_dir, stem: str = "results") -> list[str]:
     """Write per-step and steady CSVs plus a JSON mirror; returns the paths.
 
-    Column order is fixed and ``write_csv`` writes every number with 17
-    significant digits, so identical runs produce byte-identical files.
+    Column order is fixed and every float is written so that it reads back
+    bit for bit, so identical runs produce byte-identical files.
     """
     os.makedirs(out_dir, exist_ok=True)
     per_step = os.path.join(out_dir, f"{stem}_per_step.csv")
     steady = os.path.join(out_dir, f"{stem}_steady.csv")
     mirror = os.path.join(out_dir, f"{stem}.json")
     header = ["filter", "sensor", "k", "mse_empirical", "mse_theory"]
-    write_csv(per_step, header, _per_step_rows(results))
+    write_csv(per_step, header, _per_step_blocks(results))
     header = ["filter", "sensor", "L", "mse_i", "theory_avg", "rate_q", "sigma2"]
-    write_csv(steady, header, _steady_rows(results))
+    write_csv(steady, header, [_steady_block(results)])
 
     payload = {
         "horizon": results.horizon,

@@ -262,4 +262,4 @@ def spectral_diagnostics(
 
 def weights_to_csv(weights: ConsensusWeights, path) -> None:
     """Row-major CSV dump with a header row of node ids."""
-    write_csv(path, range(weights.n_nodes), weights.matrix.tolist())
+    write_csv(path, range(weights.n_nodes), [weights.matrix.T])

@@ -59,8 +59,9 @@ class SppsSolution:
 
     def to_csv(self, path) -> None:
         """One row per (k, i, j, value)."""
-        rows = ((k, i, j, M[i, j]) for k, M in enumerate(self.P) for i, j in np.ndindex(M.shape))
-        write_csv(path, ["k", "i", "j", "value"], rows)
+        P = np.stack(self.P)
+        k, i, j = np.indices(P.shape).reshape(3, -1)
+        write_csv(path, ["k", "i", "j", "value"], [(k, i, j, P.ravel())])
 
 
 @dataclass(frozen=True)

@@ -315,7 +315,10 @@ class TestPipelines:
         assert (out / "results_per_step.csv").exists()
         assert (out / "results_steady.csv").exists()
         assert (out / "results.json").exists()
-        assert (out / "run_info.json").exists()
+        info = json.loads((out / "run_info.json").read_text())
+        # The export stage is timed apart from the Monte Carlo run.
+        for key in ("runtime_s", "export_s"):
+            assert isinstance(info[key], float) and info[key] >= 0, key
 
     def test_simulate_honors_overrides(self, tiny_scenario, tmp_path, capsys):
         out = tmp_path / "sim2"
@@ -438,6 +441,10 @@ class TestPaperPipeline:
             scn = json.load(fh)
         assert scn["trials"] == 10
         assert scn["horizon"] == 100
+        with open(out / "run_info.json") as fh:
+            info = json.load(fh)
+        assert info["command"] == "paper"
+        assert isinstance(info["export_s"], float) and info["export_s"] >= 0
         # One theory solve per cell: one stacked call carrying L = 4, 5 and
         # the rate's 6, with the 20 sensors of each.
         assert calls == [[4, 5, 6]]
