@@ -19,6 +19,15 @@ def sym_spectral_norm(M: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.eigvalsh(M)).max(axis=-1)
 
 
+def frobenius_norm(M: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix in a (..., n, n) stack, summed over the
+    matrix scaled to its largest absolute entry so that no square under- or
+    overflows."""
+    big = np.abs(M).max(axis=(-2, -1))
+    unit = M / np.where(big > 0, big, 1.0)[..., None, None]
+    return big * np.sqrt(np.einsum("...ij,...ij->...", unit, unit))
+
+
 def spectral_radius(M: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(M))))
 

@@ -142,7 +142,8 @@ def _cmd_simulate(args) -> dict:
         f"in {results.runtime_seconds:.1f}s"
     )
     print(f"wrote {', '.join(written)} to {out}")
-    return {"runtime_s": results.runtime_seconds, "export_s": export_s}
+    info = {"runtime_s": results.runtime_seconds, "export_s": export_s}
+    return info if report is None else {**info, "solver": report.solver}
 
 
 def _cmd_gap(args) -> dict:
@@ -164,7 +165,7 @@ def _cmd_gap(args) -> dict:
         f"{len(report.cells)} cells, {len(finite)} finite rates, "
         f"sigma2 {report.sigma2:.4f}; wrote {written} to {args.out}"
     )
-    return {}
+    return {"solver": report.solver}
 
 
 def _cmd_compare_cidf(args) -> dict:

@@ -6,7 +6,7 @@ import hashlib
 import json
 import logging
 import math
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,7 +63,8 @@ def _fused_information(fusion: np.ndarray, own: np.ndarray) -> np.ndarray:
 def centralized_dpre(model: PlantModel, tol: float = DEFAULT_TOL) -> SppsSolution:
     """Steady covariance of the centralized filter over the whole network:
     the information-form Riccati equation of the fusion row 1', which fuses
-    every sensor's C_j' R_j^{-1} C_j."""
+    every sensor's C_j' R_j^{-1} C_j. A gap report solves the same cell as
+    the last of its Riccati stack (``_fused_solve``)."""
     S = _fused_information(np.ones((1, model.N)), _sensor_information(model)[1])
     return _cell_solution(_information_riccati(model.A, model.Q, S, tol, None))
 
@@ -108,30 +109,42 @@ def _fusion_matrix(model, weights, L, verdicts):
     return np.where(mask, model.N * power, 0.0)
 
 
-def _fused_solve(model, weights, L_values, tol):
+def _fused_solve(model, weights, L_values, tol, reduce):
     """Steady parameter and true error covariances of all N nodes at every
-    fusion depth in ``L_values``: yields (L, riccati, lyapunov) per depth, in
-    order, each the ``_iterate_to_period`` result of that depth's N cells.
+    fusion depth in ``L_values``, and of the centralized filter.
 
-    The Riccati recursions of all depths iterate as one stack of
-    len(L_values) * N cells, each cell stopping on its own sweep. The closed
-    loops and the Lyapunov recursion are formed one depth at a time, so only
-    the Riccati slots and the fused information S are held at full stack
-    size.
+    The Riccati recursions iterate as one stack of len(L_values) * N + 1
+    cells: the nodes depth by depth, then the centralized filter as the
+    fusion row 1'. Each cell stops on its own sweep. ``reduce`` takes that
+    ``_iterate_to_period`` result and returns what the caller keeps of it,
+    holding no view of its slots, whose memory is then reused. The closed
+    loops and their noise are formed one depth at a time into the memory of
+    the fused information S and of the Riccati slots, and the Lyapunov
+    recursions of all node cells iterate as one stack. So at most three
+    arrays are held at full stack size: S and the Riccati slots, then the
+    loops, the noise and the Lyapunov slots.
+
+    Returns (reduce(riccati), lyapunov), lyapunov the ``_iterate_to_period``
+    result of the len(L_values) * N node cells.
     """
     verdicts = {}
     fusions = [_fusion_matrix(model, weights, L, verdicts) for L in L_values]
     own, N = _sensor_information(model)[1], model.N
-    S = np.empty((model.period, len(fusions) * N) + own.shape[2:])
+    nodes = len(fusions) * N
+    S = np.empty((model.period, nodes + 1) + own.shape[2:])
     for d, fusion in enumerate(fusions):
         S[:, d * N : (d + 1) * N] = _fused_information(fusion, own)
-    slots, sweeps, residual = _information_riccati(model.A, model.Q, S, tol, None)
-    for d, (L, fusion) in enumerate(zip(L_values, fusions)):
+    S[:, nodes:] = _fused_information(np.ones((1, N)), own)
+    riccati = _information_riccati(model.A, model.Q, S, tol, None)
+    kept, P = reduce(riccati), riccati[0]
+    for d, fusion in enumerate(fusions):
         cells = slice(d * N, (d + 1) * N)
         S2 = _fused_information(fusion**2, own)
-        _, loops, noise = _closed_loops(model.A, model.Q, slots[:, cells], S[:, cells], S2)
-        lyapunov = _lyapunov_stack(loops, noise, tol, None)
-        yield L, (slots[:, cells], sweeps[cells], residual[cells]), lyapunov
+        # The loops and noise take the place of the S and P they come from.
+        _, S[:, cells], P[:, cells] = _closed_loops(
+            model.A, model.Q, P[:, cells], S[:, cells], S2
+        )
+    return kept, _lyapunov_stack(S[:, :nodes], P[:, :nodes], tol, None)
 
 
 def cmdf_spps(
@@ -149,8 +162,11 @@ def cmdf_spps(
     of P's closed loop, driven by the noise the node's fusion weights inject,
     and is the node's true steady error covariance.
     """
-    [(_, P, X)] = _fused_solve(model, weights, [L], tol)
-    return [(_cell_solution(P, i), _cell_solution(X, i)) for i in range(model.N)]
+    nodes = range(model.N)
+    P, X = _fused_solve(
+        model, weights, [L], tol, lambda riccati: [_cell_solution(riccati, i) for i in nodes]
+    )
+    return [(P[i], _cell_solution(X, i)) for i in nodes]
 
 
 @dataclass(frozen=True)
@@ -290,23 +306,28 @@ class GapCell:
 
 @dataclass
 class GapReport:
-    """Gap summaries for a sweep of sensors and fusion depths."""
+    """Gap summaries for a sweep of sensors and fusion depths.
+
+    ``solver`` holds the diagnostics of the solves behind the report; no
+    data file holds it.
+    """
 
     cells: list[GapCell]
     sigma2: float
     centralized_avg: float
     metadata: dict = field(default_factory=dict)
+    solver: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self._index = {(c.sensor, c.L): c for c in self.cells}
 
     def cell(self, sensor: int, L: int) -> GapCell:
-        for c in self.cells:
-            if c.sensor == sensor and c.L == L:
-                return c
-        raise KeyError((sensor, L))
+        return self._index[sensor, L]
 
     def to_csv(self, path) -> None:
         """One row per cell: its fields, then sigma2."""
         header = ["sensor", "L", "gap_ric", "gap_cov", "avg_perf", "rate", "sigma2"]
-        rows = [astuple(c) + (self.sigma2,) for c in self.cells]
+        rows = [(*vars(c).values(), self.sigma2) for c in self.cells]
         write_csv(path, header, [zip(*rows)])
 
     def rates_to_csv(self, path) -> None:
@@ -320,7 +341,7 @@ class GapReport:
             "centralized_avg": self.centralized_avg,
             "metadata": self.metadata,
             "cells": [
-                {**asdict(c), "rate": None if math.isnan(c.rate) else c.rate}
+                {**vars(c), "rate": None if math.isnan(c.rate) else c.rate}
                 for c in self.cells
             ],
         }
@@ -346,26 +367,52 @@ def build_gap_report(
     """Solve every (sensor, L) cell and assemble the report.
 
     Each swept L also solves L + 1, the numerator of its decay rate. The
-    Riccati recursions of every needed L are solved in information form as
-    one stack, the Lyapunov recursion one L at a time (``_fused_solve``), and
-    each L's covariances are reduced to its cells' numbers as they arrive.
-    Observability is decided once per distinct support mask.
+    Riccati recursions of every needed L and of the centralized filter are
+    solved in information form as one stack, and the Lyapunov recursions of
+    every needed L as another (``_fused_solve``); the Riccati slots are
+    reduced to the cells' numbers before the Lyapunov slots take their
+    memory. Observability is decided once per distinct support mask. The
+    report's ``solver`` holds the worst sweep count and relative residual of
+    each needed L's Riccati and Lyapunov cells, and the centralized cell's.
     """
     L_values = sorted(check_fusion_steps(L_values))
     if not L_values:
         raise ValidationError("the gap report needs at least one L value")
-    central = centralized_dpre(model, tol=tol)
-    central_avg = average_performance(central)
-    central_P = np.stack(central.P)[:, None]
     needed_L = sorted(set(L_values) | {L + 1 for L in L_values})
 
-    solved = {}
-    for L, (P, *_), (X, *_) in _fused_solve(model, weights, needed_L, tol):
-        solved[L] = (
-            sym_spectral_norm(P - central_P).max(axis=0),
-            sym_spectral_norm(X - central_P).max(axis=0),
-            np.trace(X, axis1=2, axis2=3).mean(axis=0),
-        )
+    def reduce(riccati):
+        P, sweeps, residual = riccati
+        gaps = sym_spectral_norm(P[:, :-1] - P[:, -1:]).max(axis=0)
+        return _cell_solution(riccati, -1), gaps, sweeps[:-1], residual[:-1]
+
+    (central, ric_gaps, *ric_stats), (X, *X_stats) = _fused_solve(
+        model, weights, needed_L, tol, reduce
+    )
+    central_avg = average_performance(central)
+    cov_gaps = sym_spectral_norm(X - np.stack(central.P)[:, None]).max(axis=0)
+    perfs = np.trace(X, axis1=2, axis2=3).mean(axis=0)
+
+    def by_L(values):
+        """Per needed L, its N cells' values."""
+        return values.reshape(len(needed_L), model.N)
+
+    solved = dict(zip(needed_L, zip(*map(by_L, (ric_gaps, cov_gaps, perfs)))))
+    solver = {
+        "centralized": {
+            "riccati_sweeps": central.iterations,
+            "riccati_residual": central.residual,
+        },
+        "L": [
+            {
+                "L": L,
+                "riccati_sweeps": int(rs.max()),
+                "riccati_residual": float(rr.max()),
+                "lyapunov_sweeps": int(ls.max()),
+                "lyapunov_residual": float(lr.max()),
+            }
+            for L, rs, rr, ls, lr in zip(needed_L, *map(by_L, ric_stats + X_stats))
+        ],
+    }
 
     cells = []
     for i in range(model.N):
@@ -397,4 +444,5 @@ def build_gap_report(
         sigma2=second_largest_eigenvalue(weights),
         centralized_avg=central_avg,
         metadata=metadata,
+        solver=solver,
     )

@@ -6,6 +6,11 @@ period stops changing, which converges whenever the standard uniform
 observability (Riccati) or monodromy stability (Lyapunov) hypotheses hold.
 Solutions are the symmetric periodic positive semidefinite (SPPS) family
 P_0..P_{T-1} with P_{k+T} = P_k.
+
+A slot's change between sweeps is measured by its spectral norm, relative
+to its size. The stop test bounds that norm by the change's Frobenius norm
+F, between F / sqrt(n) and F, and takes an eigen-solve only for the slots
+whose bound leaves the stop undecided (``_iterate_to_period``).
 """
 
 import math
@@ -15,7 +20,8 @@ import numpy as np
 
 from ._artifacts import write_csv, write_json
 from ._linalg import (
-    min_eig_sym, spd_inverse, spectral_norm, spectral_radius, sym, sym_spectral_norm,
+    frobenius_norm, min_eig_sym, spd_inverse, spectral_norm, spectral_radius, sym,
+    sym_spectral_norm,
 )
 from .errors import ConvergenceError, NumericalError, ValidationError
 from .periodic import PeriodicSequence, as_periodic, normalize_period
@@ -93,6 +99,16 @@ def _iterate_to_period(step, period, P0, tol, max_sweeps, label):
     entry, so the stop does not depend on the scale of the problem. Each
     cell stops, keeping its values, at the first sweep after the first in
     which its own largest slot change is below ``tol``.
+
+    The spectral norm is an eigen-solve, taken only where it can decide the
+    stop: the Frobenius norm F of an n x n change bounds its spectral norm
+    between F / sqrt(n) and F. A cell with a slot whose F / sqrt(n) is at
+    least ``tol`` keeps running, so the rest of its sweep is not measured,
+    and a slot whose F is below the cell's largest change so far cannot
+    raise it. The last allowed sweep is measured in full. So the stop
+    sweeps, residuals and ConvergenceError are those of measuring every
+    slot.
+
     Returns (slots, sweeps, residual): slots[s, c] approximates cell c's SPPS
     solution at time slot s; sweeps and residual are per cell.
     ``max_sweeps=None`` budgets about MAX_STEP_BUDGET time steps; a budget
@@ -108,8 +124,12 @@ def _iterate_to_period(step, period, P0, tol, max_sweeps, label):
     sweeps = np.zeros(P.shape[0], dtype=int)
     residual = np.zeros(P.shape[0])
     cells = np.arange(P.shape[0])
+    running_at = math.sqrt(P.shape[-1]) * tol
     for sweep in range(max_sweeps):
         change = np.zeros(cells.size)
+        # Cells whose change this sweep is certainly at least tol.
+        running = np.zeros(cells.size, dtype=bool)
+        last = sweep == max_sweeps - 1
         for k in range(period):
             P = step(k, P, cells)
             if not np.all(np.isfinite(P)):
@@ -118,13 +138,20 @@ def _iterate_to_period(step, period, P0, tol, max_sweeps, label):
                     "the recursion is divergent"
                 )
             s = (k + 1) % period
-            if sweep > 0:
+            if sweep > 0 and not running.all():
+                delta = P - slots[s, cells]
                 scale = np.maximum(np.abs(P).max(axis=(1, 2)), np.finfo(float).tiny)
-                delta = sym_spectral_norm(P - slots[s, cells])
-                change = np.maximum(change, delta / scale)
+                bound = frobenius_norm(delta) / scale
+                if not last:
+                    # The margins cover the rounding of both norms.
+                    running |= bound * (1.0 - 1e-6) >= running_at
+                measure = ~running & (bound * (1.0 + 1e-12) >= change)
+                if measure.any():
+                    exact = sym_spectral_norm(delta[measure]) / scale[measure]
+                    change[measure] = np.maximum(change[measure], exact)
             slots[s, cells] = P
         if sweep > 0:
-            done = change < tol
+            done = ~running & (change < tol)
             sweeps[cells[done]] = sweep + 1
             residual[cells[done]] = change[done]
             cells, P, change = cells[~done], P[~done], change[~done]
@@ -139,11 +166,12 @@ def _iterate_to_period(step, period, P0, tol, max_sweeps, label):
 
 
 def _cell_solution(run, cell: int = 0) -> SppsSolution:
-    """Cell ``cell`` of an ``_iterate_to_period`` result as an SppsSolution."""
+    """Cell ``cell`` of an ``_iterate_to_period`` result as an SppsSolution,
+    holding a copy of its slots."""
     slots, sweeps, residual = run
     return SppsSolution(
         period=slots.shape[0],
-        P=tuple(slots[:, cell]),
+        P=tuple(slots[:, cell].copy()),
         iterations=int(sweeps[cell]),
         residual=float(residual[cell]),
     )

@@ -361,29 +361,62 @@ class TestPipelines:
         assert "at least one L value" in capsys.readouterr().err
 
     def test_simulate_theory_uses_tol(self, tiny_scenario, tmp_path, monkeypatch):
-        tols = set()
-        riccati = filterlab.gap._information_riccati
+        stacks = []
+        riccati, lyapunov = filterlab.gap._information_riccati, filterlab.gap._lyapunov_stack
 
-        def recording(A, Q, S, tol, max_sweeps):
-            # The centralized solve is the one-row stack of the fusion row 1'.
-            if S.shape[1] == 1:
-                tols.add(tol)
+        def recording_riccati(A, Q, S, tol, max_sweeps):
+            stacks.append(("riccati", S.shape[1], tol))
             return riccati(A, Q, S, tol, max_sweeps)
 
-        monkeypatch.setattr(filterlab.gap, "_information_riccati", recording)
+        def recording_lyapunov(loops, noise, tol, max_sweeps):
+            stacks.append(("lyapunov", loops.shape[1], tol))
+            return lyapunov(loops, noise, tol, max_sweeps)
+
+        monkeypatch.setattr(filterlab.gap, "_information_riccati", recording_riccati)
+        monkeypatch.setattr(filterlab.gap, "_lyapunov_stack", recording_lyapunov)
         node_calls = []
         fused_solve = filterlab.gap._fused_solve
 
-        def recording_fused(model, weights, L_values, tol):
+        def recording_fused(model, weights, L_values, tol, reduce):
             node_calls.append((list(L_values), tol))
-            return fused_solve(model, weights, L_values, tol)
+            return fused_solve(model, weights, L_values, tol, reduce)
 
         monkeypatch.setattr(filterlab.gap, "_fused_solve", recording_fused)
         argv = ["simulate", "--scenario", tiny_scenario, "--out", str(tmp_path)]
         assert main(argv + ["--tol", "1e-7"]) == 0
-        assert tols == {1e-7}
-        # The node theory: one stacked solve carrying L = 1, 2 and the rate's 3.
+        # One stacked solve carrying L = 1, 2 and the rate's 3: the Riccati
+        # of the 3 nodes per depth plus the centralized cell, then the
+        # Lyapunov of the node cells.
         assert node_calls == [([1, 2, 3], 1e-7)]
+        assert stacks == [("riccati", 3 * 3 + 1, 1e-7), ("lyapunov", 3 * 3, 1e-7)]
+
+    def test_run_info_records_solver(self, tiny_scenario, tmp_path, capsys):
+        # Per solved L (the sweep and each rate's L + 1), the worst sweep
+        # count and relative residual of both stacks; and the centralized
+        # cell's. The data files do not carry them.
+        for command in ("gap", "rates", "simulate"):
+            out = tmp_path / command
+            argv = [command, "--scenario", tiny_scenario, "--out", str(out)]
+            assert main(argv + ["--fusion-steps", "1,3", "--tol", "1e-9"]) == 0
+            solver = json.loads((out / "run_info.json").read_text())["solver"]
+            assert sorted(solver) == ["L", "centralized"]
+            central = solver["centralized"]
+            assert sorted(central) == ["riccati_residual", "riccati_sweeps"]
+            assert central["riccati_sweeps"] >= 2
+            assert 0 <= central["riccati_residual"] < 1e-9
+            assert [row["L"] for row in solver["L"]] == [1, 2, 3, 4]
+            for row in solver["L"]:
+                assert sorted(row) == [
+                    "L", "lyapunov_residual", "lyapunov_sweeps",
+                    "riccati_residual", "riccati_sweeps",
+                ]
+                for stack in ("riccati", "lyapunov"):
+                    assert isinstance(row[f"{stack}_sweeps"], int)
+                    assert row[f"{stack}_sweeps"] >= 2
+                    assert 0 <= row[f"{stack}_residual"] < 1e-9
+        for path in tmp_path.glob("*/*"):
+            if path.name != "run_info.json":
+                assert "sweeps" not in path.read_text(), path
 
     def test_compare_cidf(self, tiny_scenario, tmp_path, capsys):
         out = tmp_path / "cmp"
@@ -408,11 +441,16 @@ class TestPaperPipeline:
         calls, rows = [], []
         solver = filterlab.gap._fused_solve
 
-        def counting(model, weights, L_values, *args, **kwargs):
+        def counting(model, weights, L_values, tol, reduce):
             calls.append(list(L_values))
-            for L, riccati, lyapunov in solver(model, weights, L_values, *args, **kwargs):
-                rows.append((L, riccati[0].shape[1]))
-                yield L, riccati, lyapunov
+
+            def reducing(riccati):
+                rows.append(("riccati", riccati[0].shape[:2]))
+                return reduce(riccati)
+
+            kept, lyapunov = solver(model, weights, L_values, tol, reducing)
+            rows.append(("lyapunov", lyapunov[0].shape[:2]))
+            return kept, lyapunov
 
         monkeypatch.setattr(filterlab.gap, "_fused_solve", counting)
         # Small trial count and a short sweep keep the smoke test brisk.
@@ -446,9 +484,11 @@ class TestPaperPipeline:
         assert info["command"] == "paper"
         assert isinstance(info["export_s"], float) and info["export_s"] >= 0
         # One theory solve per cell: one stacked call carrying L = 4, 5 and
-        # the rate's 6, with the 20 sensors of each.
+        # the rate's 6, with the 20 sensors of each over the 30-step period;
+        # the Riccati stack adds the centralized cell.
         assert calls == [[4, 5, 6]]
-        assert rows == [(4, 20), (5, 20), (6, 20)]
+        assert rows == [("riccati", (30, 61)), ("lyapunov", (30, 60))]
+        assert [row["L"] for row in info["solver"]["L"]] == [4, 5, 6]
 
         def column(name, key, field):
             with open(out / name) as fh:

@@ -265,6 +265,9 @@ class TestGapReport:
         report, model, _ = small_report
         assert len(report.cells) == model.N * 3
         assert report.sigma2 == pytest.approx(0.4, abs=1e-12)
+        assert [report.cell(c.sensor, c.L) for c in report.cells] == report.cells
+        with pytest.raises(KeyError):
+            report.cell(0, 4)
 
     def test_distributed_never_beats_centralized(self, small_report):
         report, _, _ = small_report
@@ -448,10 +451,46 @@ class TestStackedSolve:
                     atol=0,
                 )
 
+    def test_one_riccati_and_one_lyapunov_stack(
+        self, bench_plant, bench_graph, bench_weights, monkeypatch
+    ):
+        # Every needed depth and the centralized filter, the fusion row 1' as
+        # the Riccati stack's last cell, solve in one call per equation; the
+        # centralized cell is the one-cell solve bit for bit.
+        import filterlab.gap as gap
+        from filterlab import diameter
+
+        stacks = []
+        riccati, lyapunov = gap._information_riccati, gap._lyapunov_stack
+
+        def recording_riccati(A, Q, S, tol, max_sweeps):
+            stacks.append(("riccati", S.shape[1]))
+            own = gap._sensor_information(bench_plant)[1]
+            central = gap._fused_information(np.ones((1, bench_plant.N)), own)
+            assert np.array_equal(S[:, -1:], central)
+            return riccati(A, Q, S, tol, max_sweeps)
+
+        def recording_lyapunov(loops, noise, tol, max_sweeps):
+            stacks.append(("lyapunov", loops.shape[1]))
+            return lyapunov(loops, noise, tol, max_sweeps)
+
+        monkeypatch.setattr(gap, "_information_riccati", recording_riccati)
+        monkeypatch.setattr(gap, "_lyapunov_stack", recording_lyapunov)
+        d = diameter(bench_graph)
+        report = build_gap_report(bench_plant, bench_weights, [2, d, d + 1])
+        assert stacks == [("riccati", 5 * 20 + 1), ("lyapunov", 5 * 20)]
+        central = centralized_dpre(bench_plant)
+        assert report.centralized_avg == average_performance(central)
+        assert report.solver["centralized"] == {
+            "riccati_sweeps": central.iterations,
+            "riccati_residual": central.residual,
+        }
+
     def test_stack_memory_stays_bounded(self, bench_plant, bench_graph, bench_weights):
-        # Only the Riccati slots and the fused information are held at the full
-        # size of the 10-depth stack; the closed loops and the Lyapunov
-        # recursion are formed one depth at a time.
+        # At most three arrays of the 10-depth stack's full size are held:
+        # the Riccati slots and the fused information, into which the closed
+        # loops and their noise are formed one depth at a time, and the
+        # Lyapunov slots.
         import tracemalloc
 
         from filterlab import diameter

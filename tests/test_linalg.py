@@ -7,7 +7,7 @@ import pytest
 
 import filterlab
 from filterlab import NumericalError
-from filterlab._linalg import spd_inverse, sym
+from filterlab._linalg import frobenius_norm, spd_inverse, sym
 
 
 def random_spd_stack(k, n, seed):
@@ -31,6 +31,14 @@ class TestStackedHelpers:
             np.testing.assert_allclose(s, spd_inverse(m), rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(s @ m, np.eye(4), atol=1e-9)
             assert np.array_equal(s, s.T)
+
+    def test_frobenius_norm_at_any_scale(self):
+        # Summed over the scaled matrix: no square underflows or overflows.
+        M = np.random.default_rng(4).standard_normal((5, 3, 3))
+        want = np.linalg.norm(M, "fro", axis=(1, 2))
+        for scale in (1e-200, 1.0, 1e200):
+            np.testing.assert_allclose(frobenius_norm(M * scale), want * scale, rtol=1e-14)
+        assert np.array_equal(frobenius_norm(np.zeros((2, 3, 3))), [0.0, 0.0])
 
     def test_indefinite_slice_raises_with_its_label(self):
         M = random_spd_stack(4, 3, seed=3)

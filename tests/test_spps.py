@@ -11,6 +11,7 @@ from filterlab import (
     PeriodicSequence,
     PlantModel,
     ValidationError,
+    build_gap_report,
     centralized_dpre,
     dple_spps,
     dpre_spps,
@@ -28,6 +29,7 @@ from filterlab.spps import (
     transition_product,
 )
 import filterlab.spps as spps
+import reference_spps
 from measurement_form import closed_loop, closed_loop_sequence, stacked_observation
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -237,6 +239,107 @@ class TestIterateToPeriod:
             assert sweeps[c] == alone[1][0]
             np.testing.assert_allclose(slots[:, c], alone[0][:, 0], rtol=1e-12, atol=0)
             np.testing.assert_allclose(residual[c], alone[2][0], rtol=1e-12, atol=0)
+
+
+def _stop_outcome(iterate, *args):
+    """A stop test's result, or the ConvergenceError it raised."""
+    try:
+        return iterate(*args)
+    except ConvergenceError as exc:
+        return exc
+
+
+def _assert_same_stop(got, want):
+    """Bit-equal slots, sweeps and residuals, or the same ConvergenceError."""
+    if isinstance(want, ConvergenceError):
+        assert isinstance(got, ConvergenceError)
+        assert (str(got), got.residual) == (str(want), want.residual)
+    else:
+        assert not isinstance(got, ConvergenceError)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+def _both_stops(step, period, P0, tol, max_sweeps):
+    args = (step, period, P0, tol, max_sweeps, "test")
+    got = _stop_outcome(_iterate_to_period, *args)
+    want = _stop_outcome(reference_spps.iterate_to_period, *args)
+    _assert_same_stop(got, want)
+    return want
+
+
+def _scalar_cells(gains, shapes, period=3):
+    """A step over 3 x 3 cells P = x U_c + F_{c,k} whose scalar x follows
+    x' = a_c x + b_k, with its start.
+
+    U_c is either the identity, with F = 0, or the rank-1 [[1, 1, 0],
+    [1, 1, 0], [0, 0, 0]] with F = diag(0, 0, f). Every change between
+    sweeps is x's change times U_c exactly, so its Frobenius norm is sqrt(3)
+    times its spectral norm or equal to it: the two ends of the stop test's
+    bound. x's change shrinks by |a_c| from one step to the next; f, which
+    sets a rank-1 cell's scale, shrinks by |a_c| (1 - 1e-13), so each slot's
+    relative change is within rounding of the one before it.
+    """
+    rank1 = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    U = np.stack([rank1 if s == "rank1" else np.eye(3) for s in shapes])
+    F = np.zeros((period, len(shapes), 3, 3))
+    for c, (a, shape) in enumerate(zip(gains, shapes)):
+        if shape == "rank1":
+            shrink = abs(a) * (1 - 1e-13)
+            F[:, c, 2, 2] = np.roll(1e3 * shrink ** np.arange(period), 1)
+    gains, b = np.asarray(gains, dtype=float), np.linspace(1.0, 1.7, period)
+
+    def step(k, P, cells):
+        x = gains[cells] * P[:, 0, 0] + b[k]
+        return x[:, None, None] * U[cells] + F[(k + 1) % period, cells]
+
+    return step, np.zeros((len(shapes), 3, 3))
+
+
+class TestStopMatchesReference:
+    """The stop test takes an eigen-solve only where its Frobenius bound
+    leaves the stop undecided; ``reference_spps`` measures every slot. The
+    two must agree bit for bit: slots, sweeps, residuals and errors."""
+
+    GAINS = [0.3, -0.8, 0.95, 0.0, 0.3, -0.8, 0.95]
+    SHAPES = ["rank1"] * 3 + ["identity"] * 4
+
+    def test_changes_landing_at_the_tolerance(self):
+        # Cells contracting at different rates, each stopped exactly at,
+        # just above and within 1e-12 of its own final change.
+        step, P0 = _scalar_cells(self.GAINS, self.SHAPES)
+        residual = reference_spps.iterate_to_period(step, 3, P0, 1e-9, 1000, "test")[2]
+        for r in residual[residual > 0]:
+            for tol in (r, np.nextafter(r, np.inf), r * (1 + 1e-12), r * (1 - 1e-12)):
+                sweeps = _both_stops(step, 3, P0, tol, 1000)[1]
+                assert len(set(sweeps)) > 2
+
+    @pytest.mark.parametrize("max_sweeps", [2, 3, 8])
+    def test_exhausted_budget(self, max_sweeps):
+        step, P0 = _scalar_cells(self.GAINS, self.SHAPES)
+        assert isinstance(_both_stops(step, 3, P0, 1e-9, max_sweeps), ConvergenceError)
+        # Cells that stop within two sweeps return.
+        step, P0 = _scalar_cells([0.0, 0.0], ["rank1", "identity"])
+        assert _both_stops(step, 3, P0, 1e-9, 2)[1].tolist() == [2, 2]
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-12, 1e-13])
+    def test_benchmark_stacks(self, tol, monkeypatch, bench_plant, bench_weights):
+        # The report's Riccati stack (depths 2, 3, 5, 6 and the centralized
+        # cell) and its Lyapunov stack, each run through both stop tests.
+        fast, stacks = spps._iterate_to_period, []
+
+        def both(step, period, P0, stop_tol, max_sweeps, label):
+            args = (step, period, P0, stop_tol, max_sweeps, label)
+            want = _stop_outcome(reference_spps.iterate_to_period, *args)
+            _assert_same_stop(_stop_outcome(fast, *args), want)
+            stacks.append((label, len(P0)))
+            return want
+
+        monkeypatch.setattr(spps, "_iterate_to_period", both)
+        build_gap_report(bench_plant, bench_weights, [2, 5], tol=tol)
+        assert stacks == [
+            ("periodic Riccati recursion", 81), ("periodic Lyapunov recursion", 80),
+        ]
 
 
 class TestClosedLoop:
