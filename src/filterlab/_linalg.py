@@ -19,6 +19,28 @@ def sym_spectral_norm(M: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.eigvalsh(M)).max(axis=-1)
 
 
+def max_sym_spectral_norm(D: np.ndarray) -> np.ndarray:
+    """``sym_spectral_norm(D).max(axis=0)`` of a (slots, cells, n, n) stack of
+    symmetric matrices, bit for bit, eigen-solving only the slots that can
+    hold a cell's maximum.
+
+    A slot's Frobenius norm F bounds its spectral norm from above. Each
+    cell's largest-F slot is solved first; then only the cell's other slots
+    whose F exceeds that slot's spectral norm.
+    """
+    # Slot by slot, so no temporary of the stack's full size is held.
+    F = np.stack([frobenius_norm(slot) for slot in D])
+    cells = np.arange(D.shape[1])
+    top = F.argmax(axis=0)
+    best = sym_spectral_norm(D[top, cells])
+    # The margin covers the rounding of both norms.
+    can_exceed = F * (1.0 + 1e-12) > best
+    can_exceed[top, cells] = False
+    slot, cell = np.nonzero(can_exceed)
+    np.maximum.at(best, cell, sym_spectral_norm(D[slot, cell]))
+    return best
+
+
 def frobenius_norm(M: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix in a (..., n, n) stack, summed over the
     matrix scaled to its largest absolute entry so that no square under- or
@@ -37,16 +59,44 @@ def min_eig_sym(M: np.ndarray) -> float:
 
 
 def spd_inverse(M: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """Inverse of a symmetric positive-definite matrix or (..., n, n) stack.
+    """Inverse of the symmetric part of a positive-definite matrix or of each
+    matrix in a (..., n, n) stack.
 
-    One batched Cholesky factors the whole stack. A slice that is not
-    positive definite raises NumericalError instead of falling back to a
-    pseudo-inverse: loss of positive definiteness signals a broken model
-    invariant upstream.
+    A Gauss-Jordan sweep on the matrix axes moved first, so each of the n
+    pivot steps is a few whole-stack operations and a matrix's result does
+    not depend on the stack around it. Each matrix is first scaled by the
+    power of two of its largest diagonal entry and its inverse scaled back,
+    both exactly: the result is the same bits at any power-of-two scale of
+    the input, and the sweep's products do not over- or underflow whatever
+    that scale. The update of each step is formed as r_i r_j / d, so the
+    result is exactly symmetric.
+
+    A slice that is not finite or not positive definite (a pivot <= 0)
+    raises NumericalError instead of falling back to a pseudo-inverse: loss
+    of positive definiteness signals a broken model invariant upstream.
     """
-    try:
-        factor = np.linalg.cholesky(sym(M))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"{what} is not positive definite") from exc
-    inv_factor = np.linalg.inv(factor)
-    return sym(inv_factor.swapaxes(-1, -2) @ inv_factor)
+    M = np.asarray(M, dtype=float)
+    n, ndim = M.shape[-1], M.ndim
+    T = M.transpose(ndim - 2, ndim - 1, *range(ndim - 2))
+    # Twice the symmetric part; the halving folds into the exact scaling.
+    A = np.add(T, T.swapaxes(0, 1), out=np.empty(T.shape))
+    pivots = np.empty((n,) + A.shape[2:])
+    with np.errstate(all="ignore"):
+        exponent = np.frexp(A.diagonal(axis1=0, axis2=1).max(axis=-1))[1]
+        np.ldexp(A, -exponent, out=A)
+        for k in range(n):
+            # Row k is column k. With it zeroed and its own entry taken as
+            # -1, one update leaves it at r / d and the pivot entry at -1 / d.
+            r = A[k].copy()
+            pivots[k] = r[k]
+            r[k] = -1.0
+            A[k] = 0.0
+            A[:, k] = 0.0
+            A -= r[:, None] * r / pivots[k]
+        # A non-finite entry leaves its own or a later pivot non-finite or
+        # negative, so this also rejects input that is not finite.
+        if not ((pivots > 0) & (pivots < np.inf)).all():
+            raise NumericalError(f"{what} is not positive definite")
+        A = np.ldexp(A, 1 - exponent)
+    # The sweep leaves minus the inverse.
+    return np.negative(A.transpose(*range(2, ndim), 0, 1), out=np.empty(M.shape))

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._artifacts import write_csv, write_json
-from ._linalg import spectral_norm, sym, sym_spectral_norm
+from ._linalg import max_sym_spectral_norm, spectral_norm, sym, sym_spectral_norm
 from .errors import NumericalError, ValidationError
 from .network import ConsensusWeights, SensorGraph, second_largest_eigenvalue, weight_power
 from .network import check_fusion_steps
@@ -371,9 +371,11 @@ def build_gap_report(
     solved in information form as one stack, and the Lyapunov recursions of
     every needed L as another (``_fused_solve``); the Riccati slots are
     reduced to the cells' numbers before the Lyapunov slots take their
-    memory. Observability is decided once per distinct support mask. The
-    report's ``solver`` holds the worst sweep count and relative residual of
-    each needed L's Riccati and Lyapunov cells, and the centralized cell's.
+    memory. A gap's maximum over the period eigen-solves only the slots
+    that can hold it (``max_sym_spectral_norm``). Observability is decided
+    once per distinct support mask. The report's ``solver`` holds the worst
+    sweep count and relative residual of each needed L's Riccati and
+    Lyapunov cells, and the centralized cell's.
     """
     L_values = sorted(check_fusion_steps(L_values))
     if not L_values:
@@ -382,14 +384,14 @@ def build_gap_report(
 
     def reduce(riccati):
         P, sweeps, residual = riccati
-        gaps = sym_spectral_norm(P[:, :-1] - P[:, -1:]).max(axis=0)
+        gaps = max_sym_spectral_norm(P[:, :-1] - P[:, -1:])
         return _cell_solution(riccati, -1), gaps, sweeps[:-1], residual[:-1]
 
     (central, ric_gaps, *ric_stats), (X, *X_stats) = _fused_solve(
         model, weights, needed_L, tol, reduce
     )
     central_avg = average_performance(central)
-    cov_gaps = sym_spectral_norm(X - np.stack(central.P)[:, None]).max(axis=0)
+    cov_gaps = max_sym_spectral_norm(X - np.stack(central.P)[:, None])
     perfs = np.trace(X, axis1=2, axis2=3).mean(axis=0)
 
     def by_L(values):

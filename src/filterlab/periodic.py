@@ -35,24 +35,30 @@ class PeriodicSequence:
         if isinstance(items, PeriodicSequence):
             self.stack = items.stack
             return
-        if isinstance(items, np.ndarray) and items.ndim == 3:
-            mats = [items[i] for i in range(items.shape[0])]
-        elif isinstance(items, (list, tuple)):
-            mats = list(items)
+        if isinstance(items, (list, tuple)) or (isinstance(items, np.ndarray) and items.ndim == 3):
+            mats = items
         else:
             mats = [items]
-        if not mats:
+        try:
+            # One copy of the whole period, so the caller's array stays writable.
+            stack = np.array(mats, dtype=float)
+        except ValueError:
+            stack = None
+        if stack is None or stack.ndim != 3:
+            # Items that are not all matrices of one shape: each is read as
+            # a matrix on its own, and the first that is not one is named.
+            arrays = [np.atleast_2d(np.asarray(m, dtype=float)) for m in mats]
+            for idx, a in enumerate(arrays):
+                if a.ndim != 2:
+                    raise ValidationError(f"item {idx} is not a matrix")
+                if a.shape != arrays[0].shape:
+                    raise ValidationError(
+                        f"item {idx} has shape {a.shape}, expected {arrays[0].shape}"
+                    )
+            stack = np.stack(arrays) if arrays else np.empty((0, 0, 0))
+        if len(stack) == 0:
             raise ValidationError("a periodic sequence needs at least one matrix")
-        arrays = [np.atleast_2d(np.asarray(m, dtype=float)) for m in mats]
-        shape = arrays[0].shape
-        for idx, a in enumerate(arrays):
-            if a.ndim != 2:
-                raise ValidationError(f"item {idx} is not a matrix")
-            if a.shape != shape:
-                raise ValidationError(
-                    f"item {idx} has shape {a.shape}, expected {shape}"
-                )
-        self.stack = np.stack(arrays)
+        self.stack = stack
         self.stack.setflags(write=False)
 
     @property

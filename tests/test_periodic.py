@@ -35,6 +35,27 @@ class TestPeriodicSequence:
         with pytest.raises(ValueError):
             seq.at(0)[0, 0] = 5.0
 
+    def test_whole_stack_read_as_its_matrices(self):
+        # A 3-D array, or a list of equally shaped matrices, is read in one
+        # copy: the same stack as reading each matrix, the caller's array
+        # left writable.
+        stack = np.random.default_rng(1).standard_normal((5, 3, 2))
+        for items in (stack, list(stack), [m.tolist() for m in stack], stack.tolist()):
+            seq = PeriodicSequence(items)
+            assert np.array_equal(seq.stack, stack) and seq.stack.dtype == float
+        PeriodicSequence(stack)
+        stack[0, 0, 0] = 1.0
+        assert seq.stack[0, 0, 0] != 1.0
+        # Items that are not all matrices of one shape are read one by one.
+        assert PeriodicSequence([1.0, 2.0]).stack.shape == (2, 1, 1)
+        assert PeriodicSequence([[1.0, 2.0], [3.0, 4.0]]).stack.shape == (2, 1, 2)
+        with pytest.raises(ValidationError, match="item 1 has shape"):
+            PeriodicSequence([[[1.0]], [[1.0, 2.0]]])
+        with pytest.raises(ValidationError, match="item 0 is not a matrix"):
+            PeriodicSequence([np.zeros((2, 2, 2))])
+        with pytest.raises(ValidationError, match="at least one matrix"):
+            PeriodicSequence(np.zeros((0, 2, 2)))
+
 
 class TestNormalizePeriod:
     def test_benchmark_periods_combine_to_thirty(self):
