@@ -3,7 +3,7 @@
 The package ties together four layers: periodic plant models and batched
 trajectory simulation (`periodic`), sensor graphs and doubly stochastic
 consensus weights (`network`), steady-state periodic Riccati/Lyapunov
-solvers and their spectral analysis (`spps`), and the gap theory plus the
+solvers and the observability test (`spps`), and the gap theory plus the
 Monte Carlo harness, whose batched engine is the one filter implementation
 (`gap`, `harness`).
 """
@@ -25,18 +25,12 @@ from .network import (
     metropolis_weights,
     random_geometric_graph,
     second_largest_eigenvalue,
-    spectral_diagnostics,
     weight_power,
 )
 from .spps import (
-    MonodromyReport,
     SppsSolution,
     dple_spps,
     dpre_spps,
-    dpre_monotonicity_probe,
-    monodromy,
-    monodromy_bounds,
-    power_norm_bound,
     uniform_observability,
 )
 from .gap import (

@@ -50,14 +50,6 @@ def frobenius_norm(M: np.ndarray) -> np.ndarray:
     return big * np.sqrt(np.einsum("...ij,...ij->...", unit, unit))
 
 
-def spectral_radius(M: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(M))))
-
-
-def min_eig_sym(M: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(sym(M))[0])
-
-
 def spd_inverse(M: np.ndarray, what: str = "matrix") -> np.ndarray:
     """Inverse of the symmetric part of a positive-definite matrix or of each
     matrix in a (..., n, n) stack.

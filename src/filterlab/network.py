@@ -1,11 +1,9 @@
-"""Sensor communication graphs, doubly stochastic consensus weights, and
-their spectral/convergence diagnostics."""
+"""Sensor communication graphs and doubly stochastic consensus weights."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._artifacts import write_csv
 from .errors import ValidationError, config_integer, config_object, config_section
 
 # Entries of weight-matrix powers at or below this are treated as structural
@@ -34,6 +32,8 @@ class SensorGraph:
             raise ValidationError("graph needs at least one node")
         normalized = set()
         for e in self.edges:
+            if len(e) != 2:
+                raise ValidationError(f"edge {list(e)} is not a pair of node ids")
             i, j = int(e[0]), int(e[1])
             if i == j:
                 raise ValidationError(f"self-edge ({i},{i}) is not allowed")
@@ -91,6 +91,8 @@ class ConsensusWeights:
         W = np.asarray(self.matrix, dtype=float)
         if W.ndim != 2 or W.shape[0] != W.shape[1]:
             raise ValidationError("weight matrix must be square")
+        if not np.isfinite(W).all():
+            raise ValidationError("weight matrix has non-finite entries")
         if W.min() < -STOCHASTIC_TOL:
             raise ValidationError("weight matrix has negative entries")
         rows = np.abs(W.sum(axis=1) - 1.0).max()
@@ -209,57 +211,7 @@ def check_fusion_steps(L_values) -> tuple[int, ...]:
     return L_values
 
 
-def _support_connected(W: np.ndarray) -> bool:
-    return bool((_hops(W > STRUCTURAL_ZERO_TOL) >= 0).all())
-
-
 def second_largest_eigenvalue(weights: ConsensusWeights) -> float:
     """Modulus of the second-largest eigenvalue of the weight matrix."""
     mods = np.sort(np.abs(np.linalg.eigvals(weights.matrix)))
     return float(mods[-2]) if len(mods) > 1 else 0.0
-
-
-def spectral_diagnostics(
-    weights: ConsensusWeights, k_max: int = 60
-) -> tuple[float, tuple[float, float]]:
-    """Spectral gap and a fitted exponential consensus envelope.
-
-    Returns (sigma2, (M, q)) where sigma2 is the modulus of the second
-    largest eigenvalue and ||W^k - (1/N) 1 1^T||_2 <= M q^k holds for
-    k = 0..k_max, with q minimal over a grid subject to a bounded prefactor.
-    """
-    W = weights.matrix
-    if not _support_connected(W):
-        raise ValidationError(
-            "consensus limit does not exist: weight support is disconnected"
-        )
-    n = W.shape[0]
-    sigma2 = second_largest_eigenvalue(weights)
-    J = np.full((n, n), 1.0 / n)
-    norms = []
-    P = np.eye(n)
-    for _ in range(k_max + 1):
-        norms.append(np.linalg.norm(P - J, 2))
-        P = W @ P
-    norms = np.array(norms)
-    # Norms at rounding level are exact zeros for fitting purposes.
-    active = norms > 1e-13
-    if not active.any():
-        return sigma2, (1.0, 1e-6)
-    ks = np.nonzero(active)[0]
-    log_vals = np.log(norms[active])
-    log_cap = np.log(10.0 * max(1.0, norms[active][0]))
-    grid = np.geomspace(1e-6, 0.9999, 600)
-    for q in grid:
-        # log M(q) = max_k (log ||W^k - J|| - k log q), evaluated in log
-        # space so tiny q and large k cannot underflow.
-        log_M = float(np.max(log_vals - ks * np.log(q)))
-        if log_M <= log_cap:
-            return sigma2, (float(np.exp(log_M)), float(q))
-    # q = 1 always admits M = max norm.
-    return sigma2, (float(np.exp(log_vals.max())), 1.0)
-
-
-def weights_to_csv(weights: ConsensusWeights, path) -> None:
-    """Row-major CSV dump with a header row of node ids."""
-    write_csv(path, range(weights.n_nodes), [weights.matrix.T])

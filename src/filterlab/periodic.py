@@ -109,6 +109,13 @@ def normalize_period(sequences: list) -> list[PeriodicSequence]:
     return [s.with_period(common) for s in seqs]
 
 
+def _check_finite_sequence(seq: PeriodicSequence, name: str) -> None:
+    """ValidationError naming the first slot with a non-finite entry."""
+    bad = np.flatnonzero(~np.isfinite(seq.stack).all(axis=(1, 2)))
+    if bad.size:
+        raise ValidationError(f"{name}[{bad[0]}] has non-finite entries")
+
+
 def _check_spd_sequence(seq: PeriodicSequence, name: str) -> None:
     """ValidationError naming the first slot that is not finite, symmetric
     and positive definite, with its first failed check; all slots are
@@ -159,6 +166,7 @@ class PlantModel:
         n = self.A.shape[0]
         if self.A.shape != (n, n):
             raise ValidationError(f"A must be square, got {self.A.shape}")
+        _check_finite_sequence(self.A, "A")
         if self.Q.shape != (n, n):
             raise ValidationError(f"Q must be {n}x{n}, got {self.Q.shape}")
         for i, (Ci, Ri) in enumerate(zip(self.C, self.R)):
@@ -167,6 +175,7 @@ class PlantModel:
                 raise ValidationError(f"C[{i}] must have {n} columns")
             if Ri.shape != (ni, ni):
                 raise ValidationError(f"R[{i}] must be {ni}x{ni} to match C[{i}]")
+            _check_finite_sequence(Ci, f"C[{i}]")
         _check_spd_sequence(self.Q, "Q")
         for i, Ri in enumerate(self.R):
             _check_spd_sequence(Ri, f"R[{i}]")

@@ -19,12 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._artifacts import write_csv, write_json
-from ._linalg import (
-    frobenius_norm, min_eig_sym, spd_inverse, spectral_norm, spectral_radius, sym,
-    sym_spectral_norm,
-)
+from ._linalg import frobenius_norm, spd_inverse, sym, sym_spectral_norm
 from .errors import ConvergenceError, NumericalError, ValidationError
-from .periodic import PeriodicSequence, as_periodic, normalize_period
+from .periodic import normalize_period
 
 DEFAULT_TOL = 1e-10
 # Sweep budget defaults to ~1e5 individual time steps regardless of period.
@@ -68,25 +65,6 @@ class SppsSolution:
         P = np.stack(self.P)
         k, i, j = np.indices(P.shape).reshape(3, -1)
         write_csv(path, ["k", "i", "j", "value"], [(k, i, j, P.ravel())])
-
-
-@dataclass(frozen=True)
-class MonodromyReport:
-    """A one-period closed-loop transition product and its spectral data."""
-
-    phi: np.ndarray
-    spectral_radius: float
-    norm2: float
-
-
-def transition_product(seq, start: int, stop: int) -> np.ndarray:
-    """Time-ordered product M_{stop-1} ... M_{start} (empty product = I)."""
-    seq = as_periodic(seq)
-    n = seq.shape[0]
-    out = np.eye(n)
-    for t in range(start, stop):
-        out = seq.at(t) @ out
-    return out
 
 
 def _iterate_to_period(step, period, P0, tol, max_sweeps, label):
@@ -202,13 +180,6 @@ def _information_riccati(A, Q, S, tol, max_sweeps):
     )
 
 
-def _measurement_information(C, R, period: int) -> np.ndarray:
-    """C_k' R_k^{-1} C_k per slot as a one-cell (T, 1, n, n) stack."""
-    Rinv = spd_inverse(R.with_period(period).stack, what="measurement noise covariance")
-    C = C.with_period(period).stack
-    return sym(C.swapaxes(1, 2) @ Rinv @ C)[:, None]
-
-
 def _closed_loops(A, Q, P, S, S2):
     """Per slot and cell, for Riccati solutions P, (T, cells, n, n): the gain
     A P+ with the posterior P+ = (P^{-1} + S)^{-1}, the closed loop
@@ -239,7 +210,8 @@ def dpre_spps(
     ConvergenceError.
     """
     A, C, Q, R = normalize_period([A, C, Q, R])
-    S = _measurement_information(C, R, A.period)
+    Rinv = spd_inverse(R.stack, what="measurement noise covariance")
+    S = sym(C.stack.swapaxes(1, 2) @ Rinv @ C.stack)[:, None]
     return _cell_solution(_information_riccati(A, Q, S, tol, max_sweeps))
 
 
@@ -288,76 +260,6 @@ def dple_spps(
     return _cell_solution(_lyapunov_stack(A.stack[:, None], Q.stack[:, None], tol, max_sweeps))
 
 
-def monodromy(A_cl, anchor: int = 0) -> MonodromyReport:
-    """Product of one period of closed-loop matrices starting after ``anchor``.
-
-    The spectrum of the product is anchor-invariant (cyclic products are
-    similar); the norm is not.
-    """
-    seq = as_periodic(A_cl)
-    phi = transition_product(seq, anchor + 1, anchor + 1 + seq.period)
-    return MonodromyReport(
-        phi=phi,
-        spectral_radius=spectral_radius(phi),
-        norm2=spectral_norm(phi),
-    )
-
-
-def monodromy_bounds(solution: SppsSolution, Q) -> tuple[float, float]:
-    """Spectral bounds on the closed-loop monodromy implied by a Riccati solution.
-
-    Returns (rho_bound, norm_bound) with
-        rho_bound  = sqrt(1 - min_k lambda_min(Q_k) / max_k lambda_max(P_k)),
-        norm_bound = sqrt(max_k lambda_max(P_k) / min_k lambda_min(Q_k)).
-    """
-    Q = as_periodic(Q)
-    lam_min_q = min(np.linalg.eigvalsh(sym(Qk))[0] for Qk in Q)
-    if lam_min_q <= 0:
-        raise ValidationError("Q must be positive definite for monodromy bounds")
-    lam_max_p = max(np.linalg.eigvalsh(sym(Pk))[-1] for Pk in solution.P)
-    rho_bound = math.sqrt(max(0.0, 1.0 - lam_min_q / lam_max_p))
-    norm_bound = math.sqrt(lam_max_p / lam_min_q)
-    return rho_bound, norm_bound
-
-
-def _solution_loops(A, C, Q, R, solution: SppsSolution) -> PeriodicSequence:
-    """The closed loops A_k P+_k P_k^{-1} along a Riccati solution."""
-    A, C, Q, R = normalize_period([A, C, Q, R])
-    if A.period != solution.period:
-        raise ValidationError("solution period does not match the sequences")
-    S = _measurement_information(C, R, A.period)
-    loops = _closed_loops(A, Q, np.stack(solution.P)[:, None], S, S)[1]
-    return PeriodicSequence(list(loops[:, 0]))
-
-
-def solution_monodromy(A, C, Q, R, solution: SppsSolution, anchor: int = 0) -> MonodromyReport:
-    """Monodromy report of the closed loops along a solved Riccati system;
-    ``monodromy_bounds`` bounds its spectral radius and norm."""
-    return monodromy(_solution_loops(A, C, Q, R, solution), anchor)
-
-
-def power_norm_bound(A: np.ndarray, k: int) -> float:
-    """Combinatorial upper bound on ||A^k||_2 from ||A||_2 and rho(A).
-
-    Evaluates sqrt(n) * sum_{j=0}^{n-1} C(n-1, j) C(k, j) ||A||^j rho(A)^(k-j)
-    with C(k, j) = 0 for j > k.
-    """
-    if k < 0:
-        raise ValidationError("exponent k must be >= 0")
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    n = A.shape[0]
-    norm = spectral_norm(A)
-    rho = spectral_radius(A)
-    total = 0.0
-    for j in range(n):
-        if j > k:
-            continue
-        exponent = k - j
-        rho_pow = 1.0 if exponent == 0 else rho**exponent
-        total += math.comb(n - 1, j) * math.comb(k, j) * norm**j * rho_pow
-    return math.sqrt(n) * total
-
-
 def uniform_observability(A, C) -> bool:
     """Observability of a periodic pair via full-rank window Gramians.
 
@@ -389,37 +291,3 @@ def uniform_observability(A, C) -> bool:
         if np.any(ranks < n):
             return False
     return True
-
-
-def dpre_monotonicity_probe(A, C, Q, R1, R2, tol: float = DEFAULT_TOL) -> bool:
-    """Check that the Riccati solution does not shrink when noise grows.
-
-    Requires R1_k >= R2_k > 0 for all k; returns True iff the solution with
-    R1 dominates the solution with R2 (difference PSD within -1e-8) at every
-    time slot.
-    """
-    R1 = as_periodic(R1)
-    R2 = as_periodic(R2)
-    common = max(R1.period, R2.period)
-    for k in range(common):
-        if min_eig_sym(R1.at(k) - R2.at(k)) < -1e-12:
-            raise ValidationError("R1 must dominate R2 (R1_k >= R2_k)")
-    P1 = dpre_spps(A, C, Q, R1, tol=tol)
-    P2 = dpre_spps(A, C, Q, R2, tol=tol)
-    return all(
-        min_eig_sym(P1.at(k) - P2.at(k)) >= -1e-8 for k in range(P1.period)
-    )
-
-
-def fixed_point_defect(solution: SppsSolution, A, C, Q, R) -> float:
-    """Largest one-step defect when substituting a solution into its Riccati
-    map, each slot's defect relative to that slot's largest absolute entry
-    (the measure the solver's stop uses)."""
-    A, C, Q, R = normalize_period([A, C, Q, R])
-    S = _measurement_information(C, R, solution.period)
-    worst = 0.0
-    for k in range(solution.period):
-        P_next = _information_step(A.at(k), Q.at(k), solution.at(k), S[k, 0])
-        target = solution.at(k + 1)
-        worst = max(worst, sym_spectral_norm(P_next - target) / np.abs(target).max())
-    return worst

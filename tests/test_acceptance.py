@@ -28,22 +28,24 @@ from filterlab import (
     cmdf_spps,
     diameter,
     dpre_spps,
-    dpre_monotonicity_probe,
     gap_series_cov,
     gap_series_ric,
     is_strongly_connected,
     metropolis_weights,
-    monodromy,
-    monodromy_bounds,
-    power_norm_bound,
     random_geometric_graph,
     run_monte_carlo,
     second_largest_eigenvalue,
-    spectral_diagnostics,
     uniform_observability,
 )
-from filterlab.spps import solution_monodromy
 from reference_filters import ckf_step, cmdf_step, default_states, simulate_trajectory
+from theory_checks import (
+    dpre_monotonicity_probe,
+    monodromy,
+    monodromy_bounds,
+    power_norm_bound,
+    solution_monodromy,
+    spectral_diagnostics,
+)
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 

@@ -167,6 +167,10 @@ class TestObservability:
         assert "error:" in captured.err
 
 
+# Doubly stochastic on the tiny scenario's triangle but for one NaN entry.
+NAN_WEIGHTS = [[float("nan"), 0.5, 0.5], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5]]
+
+
 class TestErrorPaths:
     @pytest.mark.parametrize(
         "command, change, flags",
@@ -197,6 +201,19 @@ class TestErrorPaths:
             ("simulate", {"L_values": [1, 1]}, []),
             ("simulate", {"filter": ["ckf"]}, []),
             ("simulate", {"noise_scale": 2.0}, []),
+            ("simulate", {"plant.A.0.0.0": float("nan")}, []),
+            ("gap", {"plant.A.0.0.0": float("nan")}, []),
+            ("solve-dpre", {"plant.A.0.0.0": float("nan")}, []),
+            ("observability", {"plant.A.0.0.0": float("nan")}, []),
+            ("gap", {"plant.A.0.1.1": float("inf")}, []),
+            ("simulate", {"plant.sensors.1.C.0.0.1": float("nan")}, []),
+            ("observability", {"plant.sensors.1.C.0.0.1": float("nan")}, []),
+            ("simulate", {"weights": NAN_WEIGHTS}, ["--filters", "ckf", "--fusion-steps", ","]),
+            ("observability", {"weights": NAN_WEIGHTS}, []),
+            ("simulate", {"graph.edges": [[0], [1, 2], [0, 2]]}, []),
+            ("observability", {"graph.edges": [[0], [1, 2], [0, 2]]}, []),
+            ("simulate", {"graph.edges": [[0, 1, 7], [1, 2], [0, 2]]}, []),
+            ("gap", {"graph.edges": [[0, 1, 7], [1, 2], [0, 2]]}, []),
         ],
     )
     def test_malformed_scenario_values_rejected(
@@ -205,13 +222,18 @@ class TestErrorPaths:
         with open(tiny_scenario) as fh:
             cfg = json.load(fh)
         # None stands for a config that is a JSON list instead of an object;
-        # a dotted key replaces a value inside a section.
+        # a dotted key replaces a value inside a section, list items by index.
         for key, value in (change or {}).items():
-            *section, name = key.split(".")
-            (cfg[section[0]] if section else cfg)[name] = value
+            *path, name = key.split(".")
+            target = cfg
+            for part in path:
+                target = target[int(part) if isinstance(target, list) else part]
+            target[int(name) if isinstance(target, list) else name] = value
         cfg = [cfg] if change is None else cfg
         path = write_json(tmp_path / "malformed.json", cfg)
-        argv = [command, "--scenario", path, "--out", str(tmp_path / "out")]
+        argv = [command, "--scenario", path]
+        if command != "observability":  # the one command without --out
+            argv += ["--out", str(tmp_path / "out")]
         assert main(argv + flags) == 1
         assert "error:" in capsys.readouterr().err
 

@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 
@@ -13,10 +11,9 @@ from filterlab import (
     is_strongly_connected,
     metropolis_weights,
     random_geometric_graph,
-    spectral_diagnostics,
     weight_power,
 )
-from filterlab.network import weights_to_csv
+from theory_checks import spectral_diagnostics
 
 
 def path_graph(n: int) -> SensorGraph:
@@ -265,14 +262,3 @@ class TestSpectralDiagnostics:
             assert cur <= prev + 1e-12
             prev = cur
 
-
-class TestWeightsCsv:
-    def test_header_and_shape(self, tmp_path):
-        W = metropolis_weights(path_graph(3))
-        path = tmp_path / "weights.csv"
-        weights_to_csv(W, path)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["0", "1", "2"]
-        parsed = np.array([[float(v) for v in row] for row in rows[1:]])
-        assert np.array_equal(parsed, W.matrix)

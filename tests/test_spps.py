@@ -15,22 +15,21 @@ from filterlab import (
     centralized_dpre,
     dple_spps,
     dpre_spps,
-    dpre_monotonicity_probe,
-    monodromy,
-    monodromy_bounds,
-    power_norm_bound,
     uniform_observability,
 )
-from filterlab.spps import (
-    OBSERVABILITY_REL_TOL,
-    _iterate_to_period,
-    fixed_point_defect,
-    solution_monodromy,
-    transition_product,
-)
+from filterlab.spps import OBSERVABILITY_REL_TOL, _iterate_to_period
 import filterlab.spps as spps
 import reference_spps
 from measurement_form import closed_loop, closed_loop_sequence, stacked_observation
+from theory_checks import (
+    dpre_monotonicity_probe,
+    fixed_point_defect,
+    monodromy,
+    monodromy_bounds,
+    power_norm_bound,
+    solution_monodromy,
+    transition_product,
+)
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
