@@ -142,7 +142,12 @@ def _cmd_simulate(args) -> dict:
         f"in {results.runtime_seconds:.1f}s"
     )
     print(f"wrote {', '.join(written)} to {out}")
-    info = {"runtime_s": results.runtime_seconds, "export_s": export_s}
+    info = {
+        "runtime_s": results.runtime_seconds,
+        "filter_threads": results.filter_threads,
+        "blas_pinned": results.blas_pinned,
+        "export_s": export_s,
+    }
     return info if report is None else {**info, "solver": report.solver}
 
 

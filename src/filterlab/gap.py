@@ -436,7 +436,8 @@ def build_gap_report(
                 )
             )
 
-    metadata = {"tol": tol}
+    # Gaps are printed to 17 digits but resolved only to this.
+    metadata = {"tol": tol, "resolution": _resolution(central_avg, tol)}
     if seed is not None:
         metadata["seed"] = seed
     if graph is not None:

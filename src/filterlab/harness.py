@@ -15,14 +15,22 @@ Node i corrects to x_i = P+_i q_i with
 The covariances are data-independent, so one loop over the steps serves
 every run of a scenario: each step advances the covariances of the nodes of
 all runs as one stack, then the estimates of all runs and trials together,
-and reduces their squared errors on the spot.
+and reduces their squared errors on the spot. From SPLIT_MIN_TRIALS trials
+on, with two usable CPUs and numpy's OpenBLAS found, the runs split into two
+groups of whole runs that advance on two threads. Numpy's OpenBLAS is
+pinned to one thread while any pass runs. No step mixes rows of different
+runs, so the results do not depend on the thread count.
 Empirical MSE is computed on the one-step-ahead (predicted) estimates,
 matching the error covariance recursions the theory curves iterate.
 """
 
+import contextlib
+import contextvars
 import dataclasses
+import functools
 import json
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -54,6 +62,11 @@ from .spps import DEFAULT_TOL
 
 KNOWN_FILTERS = ("ckf", "cmdf", "cidf")
 DIVERGENCE_NORM = 1e9
+# A filter pass with at least this many trials runs on two threads. Below it
+# the threads' contention for the interpreter outweighs the second core: on
+# a 2-core VM 24 trials of 300 steps took about three times as long split,
+# and at 100 steps the split broke even at about 64 trials.
+SPLIT_MIN_TRIALS = 128
 DEFAULT_SEED = 7
 DEFAULT_GRAPH_SEED = 12
 # The top-level keys of a config file; any other key is an error.
@@ -143,6 +156,8 @@ class TrialResults:
     runs: list = field(default_factory=list)
     runtime_seconds: float = 0.0
     gap_report: gap_mod.GapReport | None = None
+    filter_threads: int = 1
+    blas_pinned: bool = False
 
     def run(self, name: str, L: int | None = None) -> FilterRun:
         for r in self.runs:
@@ -169,10 +184,137 @@ def _filter_runs(scenario: Scenario) -> list[tuple]:
     return runs
 
 
-def _run_filters(plant, runs, gain, own, X, Y, theory):
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform can tell
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _openblas():
+    """(get, set) of the thread count of the OpenBLAS bundled with numpy, or
+    None when numpy bundles none; looked up by the first filter pass, so
+    importing the package does not pay for it."""
+    import ctypes
+    import glob
+
+    here = os.path.dirname(np.__file__)
+    libs = (os.path.join(here, os.pardir, "numpy.libs"), os.path.join(here, ".dylibs"))
+    for path in sorted(p for d in libs for p in glob.glob(os.path.join(d, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            get, put = (getattr(lib, name.format(op), None) for op in ("get", "set"))
+            if get and put:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def _filter_threads(trials: int, run_count: int) -> int:
+    """Threads for a filter pass over ``run_count`` runs: two from
+    SPLIT_MIN_TRIALS trials on, when two CPUs are usable and numpy's OpenBLAS
+    can be pinned to one thread; else one."""
+    if trials < SPLIT_MIN_TRIALS or run_count < 2 or _usable_cpus() < 2:
+        return 1
+    return 2 if _openblas() else 1
+
+
+# The filter passes holding numpy's OpenBLAS at one thread, and the count
+# the last of them restores; process-wide, as the BLAS thread count is.
+_BLAS_LOCK = threading.Lock()
+_pins = 0
+_saved_threads = None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Numpy's OpenBLAS, when found, at one thread while any filter pass
+    runs: a split pass's threads then do not oversubscribe the cores, and no
+    step wakes BLAS threads for a small product. The first pass in saves the
+    count and the last one out restores it; the lock keeps concurrent passes
+    from interleaving the two."""
+    global _pins, _saved_threads
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    with _BLAS_LOCK:
+        if not _pins:
+            _saved_threads = get()
+            put(1)
+        _pins += 1
+    try:
+        yield
+    finally:
+        with _BLAS_LOCK:
+            _pins -= 1
+            if not _pins:
+                put(_saved_threads)
+
+
+def _flag_diverged(xhat, bad, work, sq) -> None:
+    """Set ``bad`` (rows, trials) where the estimate stack ``xhat`` (rows, n,
+    trials) has an entry above DIVERGENCE_NORM in magnitude or NaN; ``work``
+    and ``sq`` are scratch of their shapes.
+
+    One dot product screens the whole stack: a sum of non-negative terms
+    does not decrease under rounding, so a computed sum of squares within
+    DIVERGENCE_NORM**2 / 2 clears every entry. NaN and overflow fail the
+    screen, and only then does the per-trial test run.
+    """
+    flat = xhat.reshape(-1)
+    with np.errstate(over="ignore"):
+        clear = np.dot(flat, flat) <= DIVERGENCE_NORM**2 / 2
+    if not clear:
+        bad |= ~(np.abs(xhat, out=work).max(axis=1, out=sq) <= DIVERGENCE_NORM)
+
+
+def _run_filters(plant, runs, gain, own, X, Y, theory, threads=1):
     """One FilterRun per entry of ``runs`` ((name, L, prior_mix, fusion), as
-    ``_filter_runs`` lists them), all advanced in one pass over the states X
-    and measurements Y.
+    ``_filter_runs`` lists them), all advanced over the states X and
+    measurements Y.
+
+    With ``threads`` = 2 the runs split into two groups of consecutive runs
+    balanced by row count, and each group's pass advances on its own thread
+    (one of them the caller's) in a copy of the caller's context, so
+    ``np.errstate`` holds there too. Either way numpy's OpenBLAS is pinned
+    to one thread while the pass runs (``_one_blas_thread``). Nothing in a
+    pass mixes rows of different runs, so a run's numbers do not depend on
+    the group it is in.
+    """
+    groups = [runs]
+    if threads > 1 and len(runs) > 1:
+        sizes = np.cumsum([len(fusion) for *_, fusion in runs])
+        ends = sizes[:-1]
+        cut = 1 + int(np.argmin(np.maximum(ends, sizes[-1] - ends)))
+        groups = [runs[:cut], runs[cut:]]
+    # Every buffer is allocated here, in the calling thread: glibc gives each
+    # thread its own heap, and a worker's would add its peak to the process's.
+    passes = [_prepare_pass(plant, group, gain, own, X, Y, theory) for group in groups]
+    with _one_blas_thread():
+        if len(passes) == 1:
+            return passes[0]()
+        # Imported here: it would add about 10 ms to importing the package.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(len(passes) - 1) as pool:
+            futures = [pool.submit(contextvars.copy_context().run, p) for p in passes[1:]]
+            out = passes[0]()
+            for future in futures:
+                out += future.result()
+    return out
+
+
+def _prepare_pass(plant, runs, gain, own, X, Y, theory):
+    """The pass of ``_run_filters`` over ``runs``, set up: returns the
+    callable that advances it and returns one FilterRun per run.
 
     The rows of every run form one stack, ordered so that the runs keeping
     their own prior (prior_mix = I, skipped rather than multiplied) come
@@ -183,12 +325,12 @@ def _run_filters(plant, runs, gain, own, X, Y, theory):
     then the estimates of every row and trial, (rows, n, trials). The squared
     one-step-ahead errors are reduced as they come: per step to their mean
     and standard error over the trials, per trial to their mean over the
-    steady window, the last plant period. With ``theory`` the own-prior rows
-    also iterate their exact predicted-error covariance, which the fused
-    measurement noise grows by P+ (sum_j fusion_ij^2 C_j' R_j^{-1} C_j) P+.
-    A trial whose estimate in a run has an entry above DIVERGENCE_NORM or NaN
-    at any step is listed in that run's ``diverged`` and still counted in
-    its statistics.
+    steady window, the last plant period; with one trial the standard errors
+    are NaN. With ``theory`` the own-prior rows also iterate their exact
+    predicted-error covariance, which the fused measurement noise grows by
+    P+ (sum_j fusion_ij^2 C_j' R_j^{-1} C_j) P+. A trial whose estimate in a
+    run has an entry above DIVERGENCE_NORM or NaN at any step is listed in
+    that run's ``diverged`` and still counted in its statistics.
     """
     h, K, n = X.shape[0], X.shape[1] - 1, plant.n
     N, T = plant.N, plant.period
@@ -209,76 +351,78 @@ def _run_filters(plant, runs, gain, own, X, Y, theory):
         sensor_info[:, j, :, sl] = gain[:, sl].swapaxes(1, 2)
     sensor_info = sensor_info.reshape(T, N * n, plant.m)
     rows = len(fusion)
-    post = np.broadcast_to(np.eye(n), (rows, n, n))
     # Estimates start at zero; the simulator starts every trial at x0.
     x0 = X[0, 0]
-    E = np.broadcast_to(np.outer(x0, x0), (exact, n, n))
     traces = np.empty((exact, K)) if theory else None
     mse, spread = np.empty((rows, K)), np.empty((rows, K))
     # Two estimate buffers and three (rows, trials) ones serve every step.
-    xhat, work = np.zeros((rows, n, h)), np.empty((rows, n, h))
+    estimates = np.zeros((rows, n, h)), np.empty((rows, n, h))
     sq, steady = np.empty((rows, h)), np.zeros((rows, h))
     bad = np.zeros((rows, h), dtype=bool)
-    for k in range(1, K + 1):
-        A, Q = plant.A.at(k - 1), plant.Q.at(k - 1)
-        km = k % T
-        Pinv = spd_inverse(A @ post @ A.T + Q, what="predicted covariance")
-        prior = Pinv
-        if mix is not None:
-            prior = Pinv.copy()
-            prior[exact:] = (mix @ Pinv[exact:].reshape(block)).reshape(-1, n, n)
-        info = gap_mod._fused_information(fusion, own[km])
-        post = spd_inverse(prior + info, what="posterior information")
-        if theory:
-            M = post[:exact] @ Pinv[:exact]
-            Ep = sym(A @ E @ A.T + Q)
-            traces[:, k - 1] = np.trace(Ep, axis1=1, axis2=2)
-            noise = gap_mod._fused_information(exact_sq, own[km])
-            E = sym(M @ Ep @ M.swapaxes(1, 2) + post[:exact] @ noise @ post[:exact])
-        pred = np.matmul(A, xhat, out=work)
-        q = np.matmul(Pinv, pred, out=xhat)
-        err = np.subtract(pred, X[:, k].T.copy(), out=pred)
-        np.einsum("inh,inh->ih", err, err, out=sq)
-        mse[:, k - 1] = sq.mean(axis=1)
-        if k > K - T:
-            steady += sq
-        dev = np.subtract(sq, mse[:, k - 1, None], out=sq)
-        spread[:, k - 1] = np.einsum("ih,ih->i", dev, dev)
-        if mix is not None:
-            np.matmul(mix, q[exact:].reshape(block), out=work[exact:].reshape(block))
-            q[exact:] = work[exact:]
-        fused = np.matmul(
-            fusion,
-            (sensor_info[km] @ Y[:, k].T).reshape(N, n * h),
-            out=work.reshape(rows, n * h),
-        )
-        q += fused.reshape(rows, n, h)
-        xhat, work = np.matmul(post, q, out=work), q
-        # NaN fails the comparisons too, so non-finite estimates count as
-        # diverged; the per-trial test runs only when the extremes call for it.
-        if not (xhat.max() <= DIVERGENCE_NORM and xhat.min() >= -DIVERGENCE_NORM):
-            bad |= ~(np.abs(xhat, out=work).max(axis=1, out=sq) <= DIVERGENCE_NORM)
-    per_trial = np.divide(steady, T, out=steady)
-    mse_steady = per_trial.mean(axis=1)
-    dev = np.subtract(per_trial, mse_steady[:, None], out=sq)
-    # Sums of squared deviations over h trials to squared standard errors.
-    se2 = 1.0 / max(h * (h - 1), 1)
-    step_se = np.sqrt(np.multiply(spread, se2, out=spread), out=spread)
-    steady_se = np.sqrt(np.einsum("ih,ih->i", dev, dev) * se2)
-    out = [None] * len(runs)
-    for r, lo, hi in zip(order, bounds[:-1], bounds[1:]):
-        name, L = runs[r][:2]
-        out[r] = FilterRun(
-            name=name,
-            fusion_steps=L,
-            mse_per_step=mse[lo:hi],
-            step_se=step_se[lo:hi],
-            mse_steady=mse_steady[lo:hi],
-            steady_se=steady_se[lo:hi],
-            theory_per_step=traces[lo:hi] if theory and hi <= exact else None,
-            diverged=tuple(np.flatnonzero(bad[lo:hi].any(axis=0)).tolist()),
-        )
-    return out
+
+    def advance():
+        xhat, work = estimates
+        post = np.broadcast_to(np.eye(n), (rows, n, n))
+        E = np.broadcast_to(np.outer(x0, x0), (exact, n, n))
+        for k in range(1, K + 1):
+            A, Q = plant.A.at(k - 1), plant.Q.at(k - 1)
+            km = k % T
+            Pinv = spd_inverse(A @ post @ A.T + Q, what="predicted covariance")
+            prior = Pinv
+            if mix is not None:
+                prior = Pinv.copy()
+                prior[exact:] = (mix @ Pinv[exact:].reshape(block)).reshape(-1, n, n)
+            info = gap_mod._fused_information(fusion, own[km])
+            post = spd_inverse(prior + info, what="posterior information")
+            if theory:
+                M = post[:exact] @ Pinv[:exact]
+                Ep = sym(A @ E @ A.T + Q)
+                traces[:, k - 1] = np.trace(Ep, axis1=1, axis2=2)
+                noise = gap_mod._fused_information(exact_sq, own[km])
+                E = sym(M @ Ep @ M.swapaxes(1, 2) + post[:exact] @ noise @ post[:exact])
+            pred = np.matmul(A, xhat, out=work)
+            q = np.matmul(Pinv, pred, out=xhat)
+            err = np.subtract(pred, X[:, k].T.copy(), out=pred)
+            np.einsum("inh,inh->ih", err, err, out=sq)
+            mse[:, k - 1] = sq.mean(axis=1)
+            if k > K - T:
+                np.add(steady, sq, out=steady)
+            dev = np.subtract(sq, mse[:, k - 1, None], out=sq)
+            spread[:, k - 1] = np.einsum("ih,ih->i", dev, dev)
+            if mix is not None:
+                np.matmul(mix, q[exact:].reshape(block), out=work[exact:].reshape(block))
+                q[exact:] = work[exact:]
+            fused = np.matmul(
+                fusion,
+                (sensor_info[km] @ Y[:, k].T).reshape(N, n * h),
+                out=work.reshape(rows, n * h),
+            )
+            q += fused.reshape(rows, n, h)
+            xhat, work = np.matmul(post, q, out=work), q
+            _flag_diverged(xhat, bad, work, sq)
+        per_trial = np.divide(steady, T, out=steady)
+        mse_steady = per_trial.mean(axis=1)
+        dev = np.subtract(per_trial, mse_steady[:, None], out=sq)
+        # Sums of squared deviations over h trials to squared standard errors.
+        se2 = 1.0 / (h * (h - 1)) if h > 1 else np.nan
+        step_se = np.sqrt(np.multiply(spread, se2, out=spread), out=spread)
+        steady_se = np.sqrt(np.einsum("ih,ih->i", dev, dev) * se2)
+        out = [None] * len(runs)
+        for r, lo, hi in zip(order, bounds[:-1], bounds[1:]):
+            name, L = runs[r][:2]
+            out[r] = FilterRun(
+                name=name,
+                fusion_steps=L,
+                mse_per_step=mse[lo:hi],
+                step_se=step_se[lo:hi],
+                mse_steady=mse_steady[lo:hi],
+                steady_se=steady_se[lo:hi],
+                theory_per_step=traces[lo:hi] if theory and hi <= exact else None,
+                diverged=tuple(np.flatnonzero(bad[lo:hi].any(axis=0)).tolist()),
+            )
+        return out
+
+    return advance
 
 
 def run_monte_carlo(
@@ -304,7 +448,8 @@ def run_monte_carlo(
 
     gain, own = gap_mod._sensor_information(plant)
     specs = _filter_runs(scenario)
-    runs = _run_filters(plant, specs, gain, own, X, Y, with_theory)
+    threads = _filter_threads(h, len(specs))
+    runs = _run_filters(plant, specs, gain, own, X, Y, with_theory, threads)
     for r, run in enumerate(runs):
         if not run.diverged:
             continue
@@ -354,6 +499,8 @@ def run_monte_carlo(
         runs=runs,
         runtime_seconds=time.perf_counter() - start,
         gap_report=report,
+        filter_threads=threads,
+        blas_pinned=_openblas() is not None,
     )
 
 
@@ -459,7 +606,8 @@ def export_results(results: TrialResults, out_dir, stem: str = "results") -> lis
                 "fusion_steps": r.fusion_steps,
                 "mse_per_step": r.mse_per_step.tolist(),
                 "mse_steady": r.mse_steady.tolist(),
-                "steady_se": r.steady_se.tolist(),
+                # NaN (one trial) is no JSON number.
+                "steady_se": [se if se == se else None for se in r.steady_se.tolist()],
                 "theory_per_step": (
                     r.theory_per_step.tolist() if r.theory_per_step is not None else None
                 ),

@@ -13,8 +13,22 @@ from filterlab import (
     random_geometric_graph,
     uniform_observability,
 )
+from filterlab import harness
 
 BENCH_GRAPH_SEED = 12
+
+
+@pytest.fixture(autouse=True)
+def blas_threads_unchanged():
+    """Fail a test that leaves numpy's OpenBLAS thread count changed; the
+    filter pass pins it while it runs and must restore it."""
+    blas = harness._openblas()
+    if blas is None:
+        yield
+        return
+    before = blas[0]()
+    yield
+    assert blas[0]() == before, "the BLAS thread count was left changed"
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import filterlab.gap
+from filterlab import harness
 from filterlab.cli import main
 from filterlab.harness import load_scenario, scenario_to_dict
 
@@ -341,6 +342,29 @@ class TestPipelines:
         # The export stage is timed apart from the Monte Carlo run.
         for key in ("runtime_s", "export_s"):
             assert isinstance(info[key], float) and info[key] >= 0, key
+        # Five trials are below the split threshold.
+        assert info["filter_threads"] == 1
+        assert info["blas_pinned"] is (harness._openblas() is not None)
+
+    def test_run_info_records_a_split_pass(self, tiny_scenario, tmp_path, monkeypatch):
+        if harness._openblas() is None:
+            pytest.skip("numpy bundles no OpenBLAS whose threads can be pinned")
+        monkeypatch.setattr(harness, "SPLIT_MIN_TRIALS", 1)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        out = tmp_path / "split"
+        assert main(["simulate", "--scenario", tiny_scenario, "--out", str(out)]) == 0
+        info = json.loads((out / "run_info.json").read_text())
+        assert info["filter_threads"] == 2 and info["blas_pinned"] is True
+
+    def test_one_trial_writes_no_standard_error(self, tiny_scenario, tmp_path, capsys):
+        out = tmp_path / "one"
+        argv = ["simulate", "--scenario", tiny_scenario, "--out", str(out), "--trials", "1"]
+        assert main(argv) == 0
+        # NaN is no JSON number: any non-finite constant fails the test.
+        text = (out / "results.json").read_text()
+        runs = json.loads(text, parse_constant=pytest.fail)["runs"]
+        for run in runs:
+            assert run["steady_se"] == [None] * len(run["mse_steady"])
 
     def test_simulate_honors_overrides(self, tiny_scenario, tmp_path, capsys):
         out = tmp_path / "sim2"

@@ -26,6 +26,7 @@ from filterlab import (
     metropolis_weights,
     weight_power,
 )
+from filterlab.gap import _resolution
 from filterlab.spps import SppsSolution
 
 
@@ -305,6 +306,9 @@ class TestGapReport:
         with open(jpath) as fh:
             data = json.load(fh)
         assert data["metadata"]["seed"] == 99
+        # Gaps are printed to 17 digits; the report says what they resolve.
+        tol = data["metadata"]["tol"]
+        assert data["metadata"]["resolution"] == _resolution(report.centralized_avg, tol)
         assert "graph_hash" in data["metadata"]
         assert len(data["cells"]) == len(report.cells)
 

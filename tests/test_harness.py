@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -361,8 +364,9 @@ class TestRunMonteCarlo:
             assert np.array_equal(b.theory_per_step, a.theory_per_step)
             assert np.array_equal(b.theory_steady, a.theory_steady)
             if trials == 1:
-                assert not a.step_se.any() and not a.steady_se.any()
-                assert not b.step_se.any() and not b.steady_se.any()
+                # One trial has no standard error.
+                for run in (a, b):
+                    assert np.isnan(run.step_se).all() and np.isnan(run.steady_se).all()
         assert mixed.run("cidf", 1).theory_per_step is None
 
     def test_working_set_does_not_grow_with_the_horizon(self, monkeypatch):
@@ -588,3 +592,182 @@ class TestBenchmarkScenario:
 
         d = diameter(scn.graph)
         assert scn.L_values[0] == d
+
+
+class TestDivergenceScreen:
+    def flagged(self, xhat):
+        bad = np.zeros((xhat.shape[0], xhat.shape[2]), dtype=bool)
+        harness._flag_diverged(xhat, bad, np.empty_like(xhat), np.empty(bad.shape))
+        return bad
+
+    def test_entries_at_the_norm_are_not_flagged(self):
+        # Their sum of squares fails the screen, so the per-trial test decides.
+        xhat = np.full((2, 4, 3), harness.DIVERGENCE_NORM)
+        xhat[1, 2, 0] = -harness.DIVERGENCE_NORM
+        assert xhat.ravel() @ xhat.ravel() > harness.DIVERGENCE_NORM**2 / 2
+        assert not self.flagged(xhat).any()
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_an_entry_just_above_the_norm_is_flagged(self, sign):
+        xhat = np.zeros((2, 4, 3))
+        xhat[1, 3, 2] = sign * np.nextafter(harness.DIVERGENCE_NORM, np.inf)
+        expected = np.zeros((2, 3), dtype=bool)
+        expected[1, 2] = True
+        assert np.array_equal(self.flagged(xhat), expected)
+
+    def test_nan_is_flagged(self):
+        xhat = np.ones((2, 4, 3))
+        xhat[0, 1, 1] = np.nan
+        expected = np.zeros((2, 3), dtype=bool)
+        expected[0, 1] = True
+        assert np.array_equal(self.flagged(xhat), expected)
+
+
+@pytest.fixture
+def blas():
+    found = harness._openblas()
+    if found is None:
+        pytest.skip("numpy bundles no OpenBLAS whose threads can be pinned")
+    return found
+
+
+def assert_same_runs(got, want):
+    assert [r.label for r in got] == [r.label for r in want]
+    for a, b in zip(got, want):
+        assert a.diverged == b.diverged
+        for curve in ("mse_per_step", "step_se", "mse_steady", "steady_se"):
+            assert getattr(a, curve).tobytes() == getattr(b, curve).tobytes(), curve
+        if b.theory_per_step is None:
+            assert a.theory_per_step is None
+        else:
+            assert a.theory_per_step.tobytes() == b.theory_per_step.tobytes()
+
+
+class TestTwoThreadPass:
+    def benchmark_pass(self, threads, trials=12, horizon=40):
+        scn = benchmark_scenario(trials=trials)
+        X, Y = simulate_trials(scn.plant, horizon, range(trials))
+        gain, own = _sensor_information(scn.plant)
+        specs = harness._filter_runs(scn)
+        return harness._run_filters(scn.plant, specs, gain, own, X, Y, True, threads)
+
+    def test_split_pass_is_bit_identical_on_the_benchmark(self, blas):
+        assert_same_runs(self.benchmark_pass(2), self.benchmark_pass(1))
+
+    def test_benchmark_groups_are_balanced_whole_runs(self, blas, monkeypatch):
+        # CKF and the nine CMDF depths (181 rows) on one thread, the nine
+        # CIDF depths (180 rows) on the other.
+        groups = []
+        prepare = harness._prepare_pass
+
+        def recorded(plant, runs, *args):
+            groups.append([(name, L) for name, L, *_ in runs])
+            return prepare(plant, runs, *args)
+
+        monkeypatch.setattr(harness, "_prepare_pass", recorded)
+        self.benchmark_pass(2, trials=2, horizon=8)
+        assert [{name for name, _ in g} for g in groups] == [{"ckf", "cmdf"}, {"cidf"}]
+        assert [len(g) for g in groups] == [10, 9]
+
+    def test_split_run_with_diverged_trials_is_bit_identical(self, blas, monkeypatch):
+        # One spiked measurement diverges trial 0 in every run; the split
+        # passes, the first and the rerun without trial 0, match the inline.
+        def spiked(*args, **kwargs):
+            X, Y = simulate_trials(*args, **kwargs)
+            Y[0, 4, 0] = 1e12
+            return X, Y
+
+        monkeypatch.setattr(harness, "simulate_trials", spiked)
+        scn = triangle_scenario(trials=200)
+        monkeypatch.setattr(harness, "SPLIT_MIN_TRIALS", 10**9)
+        inline = run_monte_carlo(scn, with_theory=False)
+        monkeypatch.setattr(harness, "SPLIT_MIN_TRIALS", 1)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        split = run_monte_carlo(scn, with_theory=False)
+        assert (inline.filter_threads, split.filter_threads) == (1, 2)
+        assert all(r.diverged == (0,) for r in split.runs)
+        assert_same_runs(split.runs, inline.runs)
+
+    def test_few_trials_run_inline(self, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        trials = harness.SPLIT_MIN_TRIALS - 1
+        assert harness._filter_threads(trials, 19) == 1
+        assert harness._filter_threads(trials + 1, 1) == 1
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_blas_is_pinned_in_the_pass_and_restored_after(self, blas, monkeypatch, threads):
+        get, _ = blas
+        before = get()
+        seen = []
+        inverse = harness.spd_inverse
+
+        def watched(*args, **kwargs):
+            seen.append(get())
+            return inverse(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "spd_inverse", watched)
+        self.benchmark_pass(threads, trials=2, horizon=4)
+        assert seen and set(seen) == {1}
+        assert get() == before
+
+    def test_concurrent_pins_hold_one_thread_and_restore_the_count(self, blas):
+        # More threads than cores pin and unpin at a short switch interval. A
+        # lost update of the pin count would restore the count under another
+        # thread's pin, or leave it pinned after the last.
+        get, _ = blas
+        before = get()
+        seen = []
+
+        def pin_often():
+            for _ in range(200):
+                with harness._one_blas_thread():
+                    seen.append(get())
+
+        workers = [threading.Thread(target=pin_often) for _ in range(2 * os.cpu_count() + 2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert len(seen) == 200 * len(workers) and set(seen) == {1}
+        assert get() == before
+
+    def test_blas_is_restored_when_a_worker_raises(self, blas, monkeypatch):
+        from filterlab import NumericalError
+
+        get, _ = blas
+        before = get()
+        inverse = harness.spd_inverse
+
+        def failing(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise NumericalError("predicted covariance is not positive definite")
+            return inverse(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "spd_inverse", failing)
+        with pytest.raises(NumericalError):
+            self.benchmark_pass(2, trials=2, horizon=4)
+        assert get() == before
+
+    def overflowing_pass(self, threads):
+        # A huge measurement at k = 3 overflows the squared errors.
+        scn = triangle_scenario(trials=4, filters=("ckf", "cmdf"))
+        X, Y = simulate_trials(scn.plant, scn.horizon, range(4))
+        Y[:, 3] = 1e200
+        gain, own = _sensor_information(scn.plant)
+        specs = harness._filter_runs(scn)
+        return harness._run_filters(scn.plant, specs, gain, own, X, Y, False, threads)
+
+    def test_split_pass_keeps_the_callers_errstate(self, blas):
+        for threads in (1, 2):
+            with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+                self.overflowing_pass(threads)
+        with np.errstate(all="ignore"):
+            split, inline = self.overflowing_pass(2), self.overflowing_pass(1)
+        assert all(r.diverged == (0, 1, 2, 3) for r in inline)
+        assert_same_runs(split, inline)
