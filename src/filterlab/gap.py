@@ -51,6 +51,13 @@ def _sensor_information(plant: PlantModel) -> tuple[np.ndarray, np.ndarray]:
     return gain, own
 
 
+def _active_sensors(plant: PlantModel) -> np.ndarray:
+    """(T, N): whether sensor j measures at period slot t, its C_j nonzero
+    there. A sensor that does not adds nothing to any fused information or
+    fused measurement at that slot; a slot where none does is silent."""
+    return np.stack([C.stack.any(axis=(1, 2)) for C in plant.C], axis=1)
+
+
 def _fused_information(fusion: np.ndarray, own: np.ndarray) -> np.ndarray:
     """Per slot and fusing node i, (T, rows, n, n), the fused information
     S_i = sum_j fusion_ij C_j' R_j^{-1} C_j; ``own`` is the second table of
@@ -128,13 +135,16 @@ def _fused_solve(model, weights, L_values, tol, reduce):
     result of the len(L_values) * N node cells.
     """
     verdicts = {}
-    fusions = [_fusion_matrix(model, weights, L, verdicts) for L in L_values]
-    own, N = _sensor_information(model)[1], model.N
+    N = model.N
+    # Sensors that measure in no slot add nothing to any fused information.
+    sensors = _active_sensors(model).any(axis=0)
+    fusions = [_fusion_matrix(model, weights, L, verdicts)[:, sensors] for L in L_values]
+    own = _sensor_information(model)[1][:, sensors]
     nodes = len(fusions) * N
     S = np.empty((model.period, nodes + 1) + own.shape[2:])
     for d, fusion in enumerate(fusions):
         S[:, d * N : (d + 1) * N] = _fused_information(fusion, own)
-    S[:, nodes:] = _fused_information(np.ones((1, N)), own)
+    S[:, nodes:] = _fused_information(np.ones((1, own.shape[1])), own)
     riccati = _information_riccati(model.A, model.Q, S, tol, None)
     kept, P = reduce(riccati), riccati[0]
     for d, fusion in enumerate(fusions):
@@ -375,7 +385,9 @@ def build_gap_report(
     that can hold it (``max_sym_spectral_norm``). Observability is decided
     once per distinct support mask. The report's ``solver`` holds the worst
     sweep count and relative residual of each needed L's Riccati and
-    Lyapunov cells, and the centralized cell's.
+    Lyapunov cells, the centralized cell's, and ``silent_slots``: the number
+    of period slots where no sensor measures, which the Riccati stack takes
+    as pure prediction steps and whose closed loops are the plant's own.
     """
     L_values = sorted(check_fusion_steps(L_values))
     if not L_values:
@@ -400,6 +412,7 @@ def build_gap_report(
 
     solved = dict(zip(needed_L, zip(*map(by_L, (ric_gaps, cov_gaps, perfs)))))
     solver = {
+        "silent_slots": int(np.count_nonzero(~_active_sensors(model).any(axis=1))),
         "centralized": {
             "riccati_sweeps": central.iterations,
             "riccati_residual": central.residual,

@@ -12,6 +12,13 @@ Node i corrects to x_i = P+_i q_i with
 
     q_i = sum_j prior_mix_ij P_j^{-1} x_j + sum_j fusion_ij C_j' R_j^{-1} y_j.
 
+A slot without information is a prediction step. A sensor that does not
+measure at a period slot (its C_j is zero there, as for the benchmark's
+relays and its off-schedule slots) is left out of that slot's fused
+information and fused measurement, and at a silent slot, where no sensor
+measures, the fuse is skipped and the corrected information is the
+predicted one. Only exact zeros are left out, so no number changes.
+
 The covariances are data-independent, so one loop over the steps serves
 every run of a scenario: each step advances the covariances of the nodes of
 all runs as one stack, then the estimates of all runs and trials together,
@@ -276,6 +283,15 @@ def _flag_diverged(xhat, bad, work, sq) -> None:
         bad |= ~(np.abs(xhat, out=work).max(axis=1, out=sq) <= DIVERGENCE_NORM)
 
 
+def _report_overflow(sums, x) -> None:
+    """einsum squares and sums without telling ``np.errstate`` of an
+    overflow. Where ``sums``, its sums of the squares of ``x`` over axis 1
+    or their means, hold an inf, take them again by ufuncs, which report
+    it; finite sums, and NaN, which no overflow makes, cost nothing more."""
+    if np.isinf(sums).any():
+        np.multiply(x, x).sum(axis=1)
+
+
 def _run_filters(plant, runs, gain, own, X, Y, theory, threads=1):
     """One FilterRun per entry of ``runs`` ((name, L, prior_mix, fusion), as
     ``_filter_runs`` lists them), all advanced over the states X and
@@ -322,15 +338,20 @@ def _prepare_pass(plant, runs, gain, own, X, Y, theory):
     data-independent, so each step first advances every row's predicted
     information P^{-1} and posterior covariance P+, whose inverse is
     sum_j prior_mix_ij P_j^{-1} + sum_j fusion_ij C_j' R_j^{-1} C_j, and
-    then the estimates of every row and trial, (rows, n, trials). The squared
-    one-step-ahead errors are reduced as they come: per step to their mean
-    and standard error over the trials, per trial to their mean over the
-    steady window, the last plant period; with one trial the standard errors
-    are NaN. With ``theory`` the own-prior rows also iterate their exact
-    predicted-error covariance, which the fused measurement noise grows by
+    then the estimates of every row and trial, (rows, n, trials). Each slot
+    fuses only its active sensors (``gap._active_sensors``), through one
+    restricted copy of the fusion weights per distinct active set, and a
+    silent slot skips the fuse. The squared one-step-ahead errors are
+    reduced as they come: per step to their mean and standard error over the
+    trials, per trial to their mean over the steady window, the last plant
+    period; with one trial the standard errors are NaN. With ``theory`` the
+    own-prior rows also iterate their exact predicted-error covariance,
+    which the fused measurement noise grows by
     P+ (sum_j fusion_ij^2 C_j' R_j^{-1} C_j) P+. A trial whose estimate in a
     run has an entry above DIVERGENCE_NORM or NaN at any step is listed in
-    that run's ``diverged`` and still counted in its statistics.
+    that run's ``diverged`` and still counted in its statistics. An overflow
+    of a squared error or deviation reaches ``np.errstate``
+    (``_report_overflow``).
     """
     h, K, n = X.shape[0], X.shape[1] - 1, plant.n
     N, T = plant.N, plant.period
@@ -345,11 +366,20 @@ def _prepare_pass(plant, runs, gain, own, X, Y, theory):
     block = (len(mixing), N, -1)
 
     exact_sq = fusion[:exact] ** 2
-    # sensor_info[t] maps the stacked measurement to every sensor's C_j' R_j^{-1} y_j.
+    # sensor_info[t, j] maps the stacked measurement to C_j' R_j^{-1} y_j.
+    # Each slot keeps the rows of its active sensors; the restricted fusion
+    # weights are shared by the slots of one active set.
     sensor_info = np.zeros((T, N, n, plant.m))
     for j, sl in enumerate(plant.observation_slices()):
         sensor_info[:, j, :, sl] = gain[:, sl].swapaxes(1, 2)
-    sensor_info = sensor_info.reshape(T, N * n, plant.m)
+    restricted, slots = {}, []
+    for t, active in enumerate(gap_mod._active_sensors(plant)):
+        sensors = np.flatnonzero(active)
+        key = sensors.tobytes()
+        if key not in restricted:
+            restricted[key] = fusion[:, sensors], exact_sq[:, sensors]
+        to_info = sensor_info[t, sensors].reshape(-1, plant.m)
+        slots.append((sensors.size, *restricted[key], own[t, sensors], to_info))
     rows = len(fusion)
     # Estimates start at zero; the simulator starts every trial at x0.
     x0 = X[0, 0]
@@ -366,38 +396,41 @@ def _prepare_pass(plant, runs, gain, own, X, Y, theory):
         E = np.broadcast_to(np.outer(x0, x0), (exact, n, n))
         for k in range(1, K + 1):
             A, Q = plant.A.at(k - 1), plant.Q.at(k - 1)
-            km = k % T
+            active, fuse, fuse_sq, own_k, to_info = slots[k % T]
             Pinv = spd_inverse(A @ post @ A.T + Q, what="predicted covariance")
             prior = Pinv
             if mix is not None:
                 prior = Pinv.copy()
                 prior[exact:] = (mix @ Pinv[exact:].reshape(block)).reshape(-1, n, n)
-            info = gap_mod._fused_information(fusion, own[km])
+            info = gap_mod._fused_information(fuse, own_k)
             post = spd_inverse(prior + info, what="posterior information")
             if theory:
                 M = post[:exact] @ Pinv[:exact]
                 Ep = sym(A @ E @ A.T + Q)
                 traces[:, k - 1] = np.trace(Ep, axis1=1, axis2=2)
-                noise = gap_mod._fused_information(exact_sq, own[km])
+                noise = gap_mod._fused_information(fuse_sq, own_k)
                 E = sym(M @ Ep @ M.swapaxes(1, 2) + post[:exact] @ noise @ post[:exact])
             pred = np.matmul(A, xhat, out=work)
             q = np.matmul(Pinv, pred, out=xhat)
             err = np.subtract(pred, X[:, k].T.copy(), out=pred)
             np.einsum("inh,inh->ih", err, err, out=sq)
             mse[:, k - 1] = sq.mean(axis=1)
+            _report_overflow(mse[:, k - 1], err)
             if k > K - T:
                 np.add(steady, sq, out=steady)
             dev = np.subtract(sq, mse[:, k - 1, None], out=sq)
             spread[:, k - 1] = np.einsum("ih,ih->i", dev, dev)
+            _report_overflow(spread[:, k - 1], dev)
             if mix is not None:
                 np.matmul(mix, q[exact:].reshape(block), out=work[exact:].reshape(block))
                 q[exact:] = work[exact:]
-            fused = np.matmul(
-                fusion,
-                (sensor_info[km] @ Y[:, k].T).reshape(N, n * h),
-                out=work.reshape(rows, n * h),
-            )
-            q += fused.reshape(rows, n, h)
+            if active:
+                fused = np.matmul(
+                    fuse,
+                    (to_info @ Y[:, k].T).reshape(active, n * h),
+                    out=work.reshape(rows, n * h),
+                )
+                q += fused.reshape(rows, n, h)
             xhat, work = np.matmul(post, q, out=work), q
             _flag_diverged(xhat, bad, work, sq)
         per_trial = np.divide(steady, T, out=steady)
@@ -406,6 +439,8 @@ def _prepare_pass(plant, runs, gain, own, X, Y, theory):
         # Sums of squared deviations over h trials to squared standard errors.
         se2 = 1.0 / (h * (h - 1)) if h > 1 else np.nan
         step_se = np.sqrt(np.multiply(spread, se2, out=spread), out=spread)
+        # A deviation of a trial's steady mean is at most its largest step
+        # deviation in the window, whose overflow the step reported.
         steady_se = np.sqrt(np.einsum("ih,ih->i", dev, dev) * se2)
         out = [None] * len(runs)
         for r, lo, hi in zip(order, bounds[:-1], bounds[1:]):

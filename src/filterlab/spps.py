@@ -7,6 +7,13 @@ observability (Riccati) or monodromy stability (Lyapunov) hypotheses hold.
 Solutions are the symmetric periodic positive semidefinite (SPPS) family
 P_0..P_{T-1} with P_{k+T} = P_k.
 
+A slot without information is a prediction step. Where no cell of a stack
+has any measurement information S_k (every sensor's C_k is zero there, as
+on the slots where a scheduled network measures nothing), the update
+(P^{-1} + S_k)^{-1} is the identity, so the Riccati step is the prediction
+P_{k+1} = A_k P_k A_k' + Q_k and takes no inverse, and the slot's closed
+loop is A_k with noise Q_k (``_silent``).
+
 A slot's change between sweeps is measured by its spectral norm, relative
 to its size. The stop test bounds that norm by the change's Frobenius norm
 F, between F / sqrt(n) and F, and takes an eigen-solve only for the slots
@@ -155,6 +162,12 @@ def _cell_solution(run, cell: int = 0) -> SppsSolution:
     )
 
 
+def _silent(S: np.ndarray) -> np.ndarray:
+    """Per slot of a (T, cells, n, n) information stack, whether no cell has
+    any information there, so that its update is the identity."""
+    return ~S.reshape(S.shape[0], -1).any(axis=1)
+
+
 def _information_step(Ak, Qk, P, S):
     """One information-form Riccati step A_k (P^{-1} + S)^{-1} A_k' + Q_k of
     a (cells, n, n) stack P with measurement information S."""
@@ -167,12 +180,18 @@ def _information_riccati(A, Q, S, tol, max_sweeps):
     """Stacked Riccati recursion in information form,
     P_{k+1} = A_k (P_k^{-1} + S_k)^{-1} A_k' + Q_k from P_0 = I, for the
     measurement information S_k of each cell given as a (T, cells, n, n)
-    stack. Returns the ``_iterate_to_period`` result.
+    stack. A slot where no cell has information is the prediction
+    A_k P_k A_k' + Q_k; a slot where any cell has some takes the full step
+    for every cell. Returns the ``_iterate_to_period`` result.
     """
     period, count, n = S.shape[:3]
+    silent = _silent(S)
 
     def step(k: int, P: np.ndarray, cells) -> np.ndarray:
-        return _information_step(A.at(k), Q.at(k), P, S[k, cells])
+        Ak, Qk = A.at(k), Q.at(k)
+        if silent[k]:
+            return sym(Ak @ P @ Ak.T + Qk)
+        return _information_step(Ak, Qk, P, S[k, cells])
 
     return _iterate_to_period(
         step, period, np.broadcast_to(np.eye(n), (count, n, n)), tol, max_sweeps,
@@ -184,12 +203,23 @@ def _closed_loops(A, Q, P, S, S2):
     """Per slot and cell, for Riccati solutions P, (T, cells, n, n): the gain
     A P+ with the posterior P+ = (P^{-1} + S)^{-1}, the closed loop
     A P+ P^{-1}, and the noise Q + A P+ S2 P+ A' that drives the true error
-    covariance through that loop."""
+    covariance through that loop. A slot where neither S nor S2 holds any
+    information keeps its prior: gain A P, loop A and noise Q; only the
+    other slots are inverted."""
     T = P.shape[0]
     A, Q = A.with_period(T).stack[:, None], Q.with_period(T).stack[:, None]
-    prior = spd_inverse(P, what="predicted covariance")
-    gain = A @ spd_inverse(prior + S, what="posterior information")
-    return gain, gain @ prior, sym(Q + gain @ S2 @ gain.swapaxes(2, 3))
+    silent = _silent(S) & _silent(S2)
+    gain, loops, noise = np.empty(P.shape), np.empty(P.shape), np.empty(P.shape)
+    gain[silent] = A[silent] @ P[silent]
+    loops[silent] = A[silent]
+    noise[silent] = sym(Q[silent])
+    live = ~silent
+    A, Q, S2 = A[live], Q[live], S2[live]
+    prior = spd_inverse(P[live], what="predicted covariance")
+    post_gain = A @ spd_inverse(prior + S[live], what="posterior information")
+    gain[live], loops[live] = post_gain, post_gain @ prior
+    noise[live] = sym(Q + post_gain @ S2 @ post_gain.swapaxes(2, 3))
+    return gain, loops, noise
 
 
 def dpre_spps(
@@ -263,6 +293,9 @@ def dple_spps(
 def uniform_observability(A, C) -> bool:
     """Observability of a periodic pair via full-rank window Gramians.
 
+    A C row that is zero in every slot adds nothing to any Gramian and is
+    dropped first; a C that is zero throughout is not observable.
+
     For every anchor k in one period, the Gramian
     sum_{j=0}^{nT-1} Phi(k+j, k)' C_{k+j}' C_{k+j} Phi(k+j, k) must have rank
     n, with rank decided by Gramian eigenvalues above OBSERVABILITY_REL_TOL
@@ -273,7 +306,10 @@ def uniform_observability(A, C) -> bool:
     OBSERVABILITY_BLOCK entries.
     """
     A, C = normalize_period([A, C])
-    n, period, rows = A.shape[0], A.period, C.shape[0]
+    C = C.stack[:, C.stack.any(axis=(0, 2))]
+    n, period, rows = A.shape[0], A.period, C.shape[1]
+    if rows == 0:
+        return False
     window = n * period
     block = max(1, OBSERVABILITY_BLOCK // (window * rows * n))
     for first in range(0, period, block):
@@ -282,7 +318,7 @@ def uniform_observability(A, C) -> bool:
         Phi = np.broadcast_to(np.eye(n), (anchors.size, n, n))
         for j in range(window):
             t = (anchors + j) % period
-            factor[:, j * rows : (j + 1) * rows] = C.stack[t] @ Phi
+            factor[:, j * rows : (j + 1) * rows] = C[t] @ Phi
             Phi = A.stack[t] @ Phi
         sv = np.linalg.svd(factor, compute_uv=False)
         if not np.all(sv[:, 0] > 0.0):

@@ -438,14 +438,17 @@ class TestPipelines:
 
     def test_run_info_records_solver(self, tiny_scenario, tmp_path, capsys):
         # Per solved L (the sweep and each rate's L + 1), the worst sweep
-        # count and relative residual of both stacks; and the centralized
-        # cell's. The data files do not carry them.
+        # count and relative residual of both stacks; the centralized cell's;
+        # and the slots solved as pure prediction, none for this plant of
+        # period 1 with two measuring sensors. The data files do not carry
+        # them.
         for command in ("gap", "rates", "simulate"):
             out = tmp_path / command
             argv = [command, "--scenario", tiny_scenario, "--out", str(out)]
             assert main(argv + ["--fusion-steps", "1,3", "--tol", "1e-9"]) == 0
             solver = json.loads((out / "run_info.json").read_text())["solver"]
-            assert sorted(solver) == ["L", "centralized"]
+            assert sorted(solver) == ["L", "centralized", "silent_slots"]
+            assert solver["silent_slots"] == 0
             central = solver["centralized"]
             assert sorted(central) == ["riccati_residual", "riccati_sweeps"]
             assert central["riccati_sweeps"] >= 2
@@ -535,6 +538,8 @@ class TestPaperPipeline:
         assert calls == [[4, 5, 6]]
         assert rows == [("riccati", (30, 61)), ("lyapunov", (30, 60))]
         assert [row["L"] for row in info["solver"]["L"]] == [4, 5, 6]
+        # No sensor measures on the period's 15 even slots.
+        assert info["solver"]["silent_slots"] == 15
 
         def column(name, key, field):
             with open(out / name) as fh:

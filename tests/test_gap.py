@@ -455,6 +455,25 @@ class TestStackedSolve:
                     atol=0,
                 )
 
+    def test_fusing_only_measuring_sensors_changes_no_bit(
+        self, bench_plant, bench_weights, monkeypatch
+    ):
+        # The 14 relays measure in no slot, so the stack leaves them out of
+        # its fused information; that drops exact zeros only. With every
+        # sensor counted as measuring, no slot counts as silent either.
+        import filterlab.gap as gap
+
+        report = build_gap_report(bench_plant, bench_weights, [2, 4])
+        monkeypatch.setattr(
+            gap, "_active_sensors", lambda plant: np.ones((plant.period, plant.N), dtype=bool)
+        )
+        every = build_gap_report(bench_plant, bench_weights, [2, 4])
+        assert every.solver.pop("silent_slots") == 0
+        assert report.solver.pop("silent_slots") == 15
+        assert every.solver == report.solver
+        assert every.cells == report.cells
+        assert every.centralized_avg == report.centralized_avg
+
     def test_one_riccati_and_one_lyapunov_stack(
         self, bench_plant, bench_graph, bench_weights, monkeypatch
     ):

@@ -22,7 +22,7 @@ from filterlab import (
     run_monte_carlo,
     simulate_trials,
 )
-from filterlab import harness
+from filterlab import gap, harness
 from filterlab.gap import _sensor_information
 from filterlab.harness import (
     CidfComparison,
@@ -764,10 +764,84 @@ class TestTwoThreadPass:
         return harness._run_filters(scn.plant, specs, gain, own, X, Y, False, threads)
 
     def test_split_pass_keeps_the_callers_errstate(self, blas):
+        # The overflow is reported as the overflow, not as the inf - inf of
+        # the deviation that follows it.
         for threads in (1, 2):
-            with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            with np.errstate(all="raise"), pytest.raises(FloatingPointError, match="overflow"):
                 self.overflowing_pass(threads)
         with np.errstate(all="ignore"):
             split, inline = self.overflowing_pass(2), self.overflowing_pass(1)
         assert all(r.diverged == (0, 1, 2, 3) for r in inline)
         assert_same_runs(split, inline)
+
+    def test_overflowing_deviations_are_reported(self):
+        # Errors near 1e80 square to finite values, but their deviations
+        # from the step's mean square beyond the largest float.
+        scn = triangle_scenario(trials=4, filters=("ckf",))
+        X, Y = simulate_trials(scn.plant, scn.horizon, range(4))
+        Y[:, 3] = np.array([[1e80], [-1e80], [1e80], [2e80]])
+        gain, own = _sensor_information(scn.plant)
+        specs = harness._filter_runs(scn)
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            harness._run_filters(scn.plant, specs, gain, own, X, Y, False)
+        with np.errstate(over="ignore"):
+            (run,) = harness._run_filters(scn.plant, specs, gain, own, X, Y, False)
+        assert np.isfinite(run.mse_per_step).all()
+        assert np.isinf(run.step_se[0, 3:]).any()
+
+
+def every_sensor_active(plant):
+    return np.ones((plant.period, plant.N), dtype=bool)
+
+
+class TestActiveSensors:
+    """A sensor that does not measure at a slot is left out of that slot's
+    fuse and fused information, and a slot where none measures fuses
+    nothing; what is left out is exact zeros, so no bit moves."""
+
+    def test_benchmark_relays_and_silent_slots(self, bench_plant):
+        active = gap._active_sensors(bench_plant)
+        assert active.shape == (30, 20)
+        assert not active[0::2].any()
+        assert (active[1::2] == (np.arange(20) < 6)).all()
+
+    def filter_pass(self, scn, trials=6, horizon=64):
+        X, Y = simulate_trials(scn.plant, horizon, range(trials))
+        gain, own = _sensor_information(scn.plant)
+        specs = harness._filter_runs(scn)
+        return harness._run_filters(scn.plant, specs, gain, own, X, Y, True)
+
+    @pytest.mark.parametrize("graph_seed", [12, 5, 2])
+    def test_benchmark_pass_is_bit_identical_to_fusing_every_sensor(
+        self, graph_seed, monkeypatch
+    ):
+        scn = benchmark_scenario(trials=6, graph_seed=graph_seed, L_values=(1, 3, 6))
+        skipped = self.filter_pass(scn)
+        monkeypatch.setattr(gap, "_active_sensors", every_sensor_active)
+        assert_same_runs(skipped, self.filter_pass(scn))
+
+    def test_pass_without_silent_slots_is_bit_identical(self, monkeypatch):
+        # Each slot of the triangle's plant has a measuring sensor and two
+        # that do not.
+        scn = triangle_scenario()
+        assert gap._active_sensors(scn.plant).sum(axis=1).tolist() == [1, 1]
+        skipped = self.filter_pass(scn, horizon=12)
+        monkeypatch.setattr(gap, "_active_sensors", every_sensor_active)
+        assert_same_runs(skipped, self.filter_pass(scn, horizon=12))
+
+    def test_silent_slots_skip_the_fuse(self, monkeypatch):
+        # The fuse is the one product of the (rows, sensors) weights with
+        # the (sensors, n * trials) measurement information: 15 of the 30
+        # slots of the benchmark skip it, and the others fuse 6 sensors.
+        scn = benchmark_scenario(trials=3, L_values=(4,))
+        fuses = []
+        matmul = np.matmul
+
+        def recorded(a, b, *args, **kwargs):
+            if b.ndim == 2 and b.shape[1] == scn.plant.n * 3:
+                fuses.append(b.shape[0])
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(harness.np, "matmul", recorded)
+        self.filter_pass(scn, trials=3, horizon=60)
+        assert fuses == [6] * 30

@@ -237,12 +237,30 @@ class TestMaxSymSpectralNorm:
         assert solved[1] < 600 and solved[3] < 600
 
 
-def test_import_loads_no_scipy():
-    # numpy is the only runtime dependency; scipy serves the tests alone.
-    code = "import sys, filterlab; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def _run_python(*args):
+    """A fresh interpreter that imports filterlab from this checkout."""
     src = os.path.dirname(os.path.dirname(filterlab.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
     )
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests alone.
+    # Importing the package does not run the command either.
+    code = (
+        "import sys, filterlab; print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'scipy' or m == 'filterlab.__main__'))"
+    )
+    out = _run_python("-c", code)
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_python_m_filterlab_runs_the_command():
+    out = _run_python("-m", "filterlab", "--help")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("usage: filterlab")
+    # A config error keeps the command's own exit code.
+    assert _run_python("-m", "filterlab", "gap").returncode == 1

@@ -17,7 +17,9 @@ from filterlab import (
     dpre_spps,
     uniform_observability,
 )
-from filterlab.spps import OBSERVABILITY_REL_TOL, _iterate_to_period
+from filterlab.spps import DEFAULT_TOL, OBSERVABILITY_REL_TOL, _iterate_to_period
+from filterlab.network import weight_power
+import filterlab.gap as gap
 import filterlab.spps as spps
 import reference_spps
 from measurement_form import closed_loop, closed_loop_sequence, stacked_observation
@@ -511,11 +513,135 @@ class TestUniformObservability:
         assert not uniform_observability(A, C)
         assert uniform_observability(A, np.ones((2, 1, 1)))
 
+    def test_zero_rows_never_change_the_verdict(self):
+        # Sensor rows that are zero in every slot, inserted anywhere, leave
+        # the verdict of every pair as it was, observable or not; a third of
+        # the transitions lose rank.
+        rng = np.random.default_rng(3)
+        verdicts = []
+        for _ in range(200):
+            n, T, p = (int(v) for v in rng.integers(1, [5, 6, 3]))
+            A = rng.normal(size=(T, n, n))
+            for k in np.flatnonzero(rng.random(T) < 1 / 3):
+                r = int(rng.integers(0, n))
+                A[k] = rng.normal(size=(n, r)) @ rng.normal(size=(r, n))
+            C = np.where(rng.random((T, p, n)) < 0.5, 0.0, rng.normal(size=(T, p, n)))
+            verdicts.append(uniform_observability(A, C))
+            assert verdicts[-1] == per_anchor_observability(A, C)
+            zeros = int(rng.integers(1, 4))
+            rows = np.sort(rng.choice(p + zeros, size=p, replace=False))
+            padded = np.zeros((T, p + zeros, n))
+            padded[:, rows] = C
+            assert uniform_observability(A, padded) == verdicts[-1]
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    @pytest.mark.parametrize("A", [np.eye(2), np.zeros((2, 2)), [np.eye(2), 2 * np.eye(2)]])
+    def test_all_zero_c_is_not_observable(self, A):
+        assert not uniform_observability(A, np.zeros((1, 3, 2)))
+        assert not uniform_observability(A, np.zeros((2, 1, 2)))
+
     def test_benchmark_network_pair(self, bench_plant):
         C_full = PeriodicSequence(
             [stacked_observation(bench_plant, k)[0] for k in range(30)]
         )
         assert uniform_observability(bench_plant.A, C_full)
+
+
+def all_slots_live(S):
+    return np.zeros(S.shape[0], dtype=bool)
+
+
+def relative_change(got, want):
+    """The largest change of any matrix of a stack, relative to its largest
+    absolute entry."""
+    scale = np.abs(want).max(axis=(-2, -1))
+    return float((np.abs(got - want).max(axis=(-2, -1)) / scale).max())
+
+
+def benchmark_information(plant, weights, L):
+    """S and S2 of the benchmark's nodes at depth L and of the centralized
+    filter, (30, 21, 4, 4) each."""
+    own = gap._sensor_information(plant)[1]
+    power, mask = weight_power(weights, L)
+    fusion = np.vstack([np.where(mask, plant.N * power, 0.0), np.ones(plant.N)])
+    return gap._fused_information(fusion, own), gap._fused_information(fusion**2, own)
+
+
+def blind_slot_system(seed):
+    """A random uniformly observable periodic system of period >= 2 whose C
+    is zero at one slot, and its information stack (T, 1, n, n)."""
+    for attempt in range(seed, seed + 100):
+        A, C, Q, R, rng = random_periodic_system(attempt)
+        if A.period < 2:
+            continue
+        stack = C.stack.copy()
+        stack[int(rng.integers(0, A.period))] = 0.0
+        if uniform_observability(A, stack):
+            C = PeriodicSequence(stack)
+            Rinv = np.linalg.inv(R.stack)
+            S = spps.sym(C.stack.swapaxes(1, 2) @ Rinv @ C.stack)[:, None]
+            return A, Q, S
+    raise AssertionError(f"no blind-slot system found from seed {seed}")
+
+
+class TestSilentSlots:
+    """A slot where no cell has information is a prediction step: the
+    shortcut agrees with the full information step to rounding and stops
+    on the same sweeps."""
+
+    def assert_shortcut_matches_full_step(self, A, Q, S, S2, monkeypatch):
+        assert spps._silent(S).any()
+        slots, sweeps, _ = spps._information_riccati(A, Q, S, DEFAULT_TOL, None)
+        loops = spps._closed_loops(A, Q, slots, S, S2)
+        with monkeypatch.context() as patch:
+            patch.setattr(spps, "_silent", all_slots_live)
+            full, full_sweeps, _ = spps._information_riccati(A, Q, S, DEFAULT_TOL, None)
+            full_loops = spps._closed_loops(A, Q, slots, S, S2)
+        assert sweeps.tolist() == full_sweeps.tolist()
+        assert relative_change(slots, full) < 1e-12
+        for got, want in zip(loops, full_loops):
+            assert relative_change(got, want) < 1e-12
+
+    def test_benchmark_stack(self, bench_plant, bench_weights, monkeypatch):
+        S, S2 = benchmark_information(bench_plant, bench_weights, 4)
+        assert spps._silent(S).tolist() == [True, False] * 15
+        self.assert_shortcut_matches_full_step(bench_plant.A, bench_plant.Q, S, S2, monkeypatch)
+
+    @pytest.mark.parametrize("seed", [0, 10, 20])
+    def test_random_plant_with_a_blind_slot(self, seed, monkeypatch):
+        A, Q, S = blind_slot_system(seed)
+        self.assert_shortcut_matches_full_step(A, Q, S, 0.5 * S, monkeypatch)
+
+    def count_inverses(self, monkeypatch):
+        shapes = []
+        inverse = spps.spd_inverse
+
+        def counted(M, what="matrix"):
+            shapes.append(M.shape)
+            return inverse(M, what)
+
+        monkeypatch.setattr(spps, "spd_inverse", counted)
+        return shapes
+
+    def test_benchmark_inverts_only_live_slots(self, bench_plant, bench_weights, monkeypatch):
+        S, S2 = benchmark_information(bench_plant, bench_weights, 4)
+        A, Q = bench_plant.A, bench_plant.Q
+        shapes = self.count_inverses(monkeypatch)
+        P, sweeps, _ = spps._information_riccati(A, Q, S, DEFAULT_TOL, None)
+        # Two inverses per live slot of every sweep, none on the 15 silent.
+        assert len(shapes) == 2 * 15 * sweeps.max()
+        shapes.clear()
+        spps._closed_loops(A, Q, P, S, S2)
+        assert shapes == [(15, 21, 4, 4)] * 2
+
+    def test_partly_silent_slot_takes_the_full_step(self, monkeypatch):
+        # Cell 1 has no information at the blind slot, cell 0 has some.
+        A, Q, S = blind_slot_system(0)
+        S = np.concatenate([S + np.eye(S.shape[-1]), S], axis=1)
+        assert not spps._silent(S).any()
+        shapes = self.count_inverses(monkeypatch)
+        _, sweeps, _ = spps._information_riccati(A, Q, S, DEFAULT_TOL, None)
+        assert len(shapes) == 2 * A.period * sweeps.max()
 
 
 class TestMonotonicityProbe:
