@@ -20,7 +20,6 @@ import datetime
 import math
 import os
 import sys
-import time
 
 from . import gap as gap_mod
 from . import harness
@@ -122,19 +121,19 @@ def _cmd_simulate(args) -> dict:
     out = args.out
     write_json(os.path.join(out, "scenario.json"), harness.scenario_to_dict(scenario))
     results = harness.run_monte_carlo(scenario, tol=args.tol)
-    start = time.perf_counter()
+    stages = results.stages
     written = ["scenario.json", "results_{per_step,steady}.csv", "results.json"]
-    harness.export_results(results, out)
-    report = results.gap_report
-    if report is not None:
-        report.to_csv(os.path.join(out, "gap_report.csv"))
-        report.to_json(os.path.join(out, "gap_report.json"))
-        report.rates_to_csv(os.path.join(out, "rates.csv"))
-        written += ["gap_report.{csv,json}", "rates.csv"]
-    if {"cmdf", "cidf"} <= set(scenario.filters):
-        _write_comparison(harness.CidfComparison.from_results(results), out)
-        written += ["cidf_comparison.csv", "cidf_crossover.json"]
-    export_s = time.perf_counter() - start
+    with harness.timed(stages, "export"):
+        harness.export_results(results, out)
+        report = results.gap_report
+        if report is not None:
+            report.to_csv(os.path.join(out, "gap_report.csv"))
+            report.to_json(os.path.join(out, "gap_report.json"))
+            report.rates_to_csv(os.path.join(out, "rates.csv"))
+            written += ["gap_report.{csv,json}", "rates.csv"]
+        if {"cmdf", "cidf"} <= set(scenario.filters):
+            _write_comparison(harness.CidfComparison.from_results(results), out)
+            written += ["cidf_comparison.csv", "cidf_crossover.json"]
     print(
         f"simulated {results.trials} trials x {results.horizon} steps "
         f"({len(results.runs)} filter runs; N={scenario.plant.N}, "
@@ -146,9 +145,25 @@ def _cmd_simulate(args) -> dict:
         "runtime_s": results.runtime_seconds,
         "filter_threads": results.filter_threads,
         "blas_pinned": results.blas_pinned,
-        "export_s": export_s,
+        "stages": stages,
+        "diverged": {r.label: list(r.diverged) for r in results.runs},
     }
-    return info if report is None else {**info, "solver": report.solver}
+    peak = _peak_rss_mb()
+    if peak is not None:
+        info["peak_rss_mb"] = peak
+    return info if results.solver is None else {**info, "solver": results.solver}
+
+
+def _peak_rss_mb() -> float | None:
+    """This process's peak resident set size in MB, or None where the
+    ``resource`` module is missing."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss counts bytes on macOS and kilobytes elsewhere.
+    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
 
 
 def _cmd_gap(args) -> dict:

@@ -76,6 +76,19 @@ def centralized_dpre(model: PlantModel, tol: float = DEFAULT_TOL) -> SppsSolutio
     return _cell_solution(_information_riccati(model.A, model.Q, S, tol, None))
 
 
+def centralized_solver(model: PlantModel, central: SppsSolution) -> dict:
+    """The diagnostics of a centralized solve: the period slots where no
+    sensor measures, solved as pure prediction, and its sweeps and relative
+    residual. A gap report's ``solver`` adds its per-L entries to these."""
+    return {
+        "silent_slots": int(np.count_nonzero(~_active_sensors(model).any(axis=1))),
+        "centralized": {
+            "riccati_sweeps": central.iterations,
+            "riccati_residual": central.residual,
+        },
+    }
+
+
 def observable_support(model: PlantModel, support, verdicts: dict) -> bool:
     """Whether A and the C rows of the sensors in ``support`` form a
     uniformly observable pair; an empty support is not observable.
@@ -412,11 +425,7 @@ def build_gap_report(
 
     solved = dict(zip(needed_L, zip(*map(by_L, (ric_gaps, cov_gaps, perfs)))))
     solver = {
-        "silent_slots": int(np.count_nonzero(~_active_sensors(model).any(axis=1))),
-        "centralized": {
-            "riccati_sweeps": central.iterations,
-            "riccati_residual": central.residual,
-        },
+        **centralized_solver(model, central),
         "L": [
             {
                 "L": L,

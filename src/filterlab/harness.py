@@ -17,7 +17,9 @@ measure at a period slot (its C_j is zero there, as for the benchmark's
 relays and its off-schedule slots) is left out of that slot's fused
 information and fused measurement, and at a silent slot, where no sensor
 measures, the fuse is skipped and the corrected information is the
-predicted one. Only exact zeros are left out, so no number changes.
+predicted one. Only exact zeros are left out, so no number changes. A
+sensor that measures at no slot has no column in the measurements a pass
+holds (``_measured``).
 
 The covariances are data-independent, so one loop over the steps serves
 every run of a scenario: each step advances the covariances of the nodes of
@@ -150,7 +152,10 @@ class TrialResults:
     """All runs of one scenario plus the network diagnostics they share.
 
     ``gap_report`` holds the steady theory of the scenario's sweep when it
-    was solved; the steady theory of every run is read from it.
+    was solved; the steady theory of every run is read from it. ``solver``
+    holds the theory's sweep counts and residuals (``GapReport.solver``, or
+    the centralized solve's alone without a sweep) and ``stages`` the wall
+    and CPU seconds of each stage of the run (``timed``).
     """
 
     horizon: int
@@ -165,6 +170,8 @@ class TrialResults:
     gap_report: gap_mod.GapReport | None = None
     filter_threads: int = 1
     blas_pinned: bool = False
+    solver: dict | None = None
+    stages: dict = field(default_factory=dict)
 
     def run(self, name: str, L: int | None = None) -> FilterRun:
         for r in self.runs:
@@ -189,6 +196,23 @@ def _filter_runs(scenario: Scenario) -> list[tuple]:
             else:
                 runs.append(("cidf", L, WL, WL))
     return runs
+
+
+@contextlib.contextmanager
+def timed(stages: dict, name: str):
+    """Record in ``stages[name]`` the wall (``perf_counter``) and CPU
+    (``process_time``, every thread of the process) seconds of the block."""
+    wall, cpu = time.perf_counter(), time.process_time()
+    yield
+    stages[name] = {"wall_s": time.perf_counter() - wall, "cpu_s": time.process_time() - cpu}
+
+
+def _measured(plant, Y):
+    """The columns of the stacked measurements Y (..., m) of the sensors
+    that measure in some period slot (``gap._active_sensors``): the only
+    ones a filter pass reads. Y itself when every sensor measures."""
+    keep = np.repeat(gap_mod._active_sensors(plant).any(axis=0), plant.sensor_dims)
+    return Y if keep.all() else Y[..., keep]
 
 
 def _usable_cpus() -> int:
@@ -294,8 +318,8 @@ def _report_overflow(sums, x) -> None:
 
 def _run_filters(plant, runs, gain, own, X, Y, theory, threads=1):
     """One FilterRun per entry of ``runs`` ((name, L, prior_mix, fusion), as
-    ``_filter_runs`` lists them), all advanced over the states X and
-    measurements Y.
+    ``_filter_runs`` lists them), all advanced over the states X and the
+    measurement columns Y of the sensors that measure (``_measured``).
 
     With ``threads`` = 2 the runs split into two groups of consecutive runs
     balanced by row count, and each group's pass advances on its own thread
@@ -305,6 +329,12 @@ def _run_filters(plant, runs, gain, own, X, Y, theory, threads=1):
     pass mixes rows of different runs, so a run's numbers do not depend on
     the group it is in.
     """
+    width = _measured(plant, np.empty((0, plant.m))).shape[-1]
+    if Y.shape[-1] != width:
+        raise ValidationError(
+            f"the pass takes the {width} measured columns of Y (_measured), "
+            f"got {Y.shape[-1]}"
+        )
     groups = [runs]
     if threads > 1 and len(runs) > 1:
         sizes = np.cumsum([len(fusion) for *_, fusion in runs])
@@ -366,19 +396,20 @@ def _prepare_pass(plant, runs, gain, own, X, Y, theory):
     block = (len(mixing), N, -1)
 
     exact_sq = fusion[:exact] ** 2
-    # sensor_info[t, j] maps the stacked measurement to C_j' R_j^{-1} y_j.
+    # sensor_info[t, j] maps the measured columns to C_j' R_j^{-1} y_j.
     # Each slot keeps the rows of its active sensors; the restricted fusion
     # weights are shared by the slots of one active set.
     sensor_info = np.zeros((T, N, n, plant.m))
     for j, sl in enumerate(plant.observation_slices()):
         sensor_info[:, j, :, sl] = gain[:, sl].swapaxes(1, 2)
+    sensor_info = _measured(plant, sensor_info)
     restricted, slots = {}, []
     for t, active in enumerate(gap_mod._active_sensors(plant)):
         sensors = np.flatnonzero(active)
         key = sensors.tobytes()
         if key not in restricted:
             restricted[key] = fusion[:, sensors], exact_sq[:, sensors]
-        to_info = sensor_info[t, sensors].reshape(-1, plant.m)
+        to_info = sensor_info[t, sensors].reshape(-1, sensor_info.shape[-1])
         slots.append((sensors.size, *restricted[key], own[t, sensors], to_info))
     rows = len(fusion)
     # Estimates start at zero; the simulator starts every trial at x0.
@@ -473,49 +504,55 @@ def run_monte_carlo(
 
     With theory, the steady covariances come from one gap report over the
     scenario's sweep, solved to ``tol``; a scenario without a sweep solves
-    only the centralized filter.
+    only the centralized filter. Only the measurements of the sensors that
+    measure in some period slot are kept past the simulation (``_measured``).
     """
     start = time.perf_counter()
+    stages = {}
     plant = scenario.plant
     K, h = scenario.horizon, scenario.trials
-    children = np.random.SeedSequence(scenario.seed).spawn(h)
-    X, Y = simulate_trials(plant, K, children)
+    with timed(stages, "simulate"):
+        children = np.random.SeedSequence(scenario.seed).spawn(h)
+        X, Y = simulate_trials(plant, K, children)
+        Y = _measured(plant, Y)
 
-    gain, own = gap_mod._sensor_information(plant)
-    specs = _filter_runs(scenario)
-    threads = _filter_threads(h, len(specs))
-    runs = _run_filters(plant, specs, gain, own, X, Y, with_theory, threads)
-    for r, run in enumerate(runs):
-        if not run.diverged:
-            continue
-        if len(run.diverged) > 0.01 * h:
-            raise NumericalError(
-                f"{run.label}: {len(run.diverged)} of {h} trials diverged "
-                f"(ids {list(run.diverged)[:10]}...)"
-            )
-        # Trials are independent, so this run over the other trials gives
-        # its statistics without the diverged ones.
-        ok = np.ones(h, dtype=bool)
-        ok[list(run.diverged)] = False
-        (runs[r],) = _run_filters(plant, [specs[r]], gain, own, X[ok], Y[ok], with_theory)
-        runs[r].diverged = run.diverged
+    with timed(stages, "filter"):
+        gain, own = gap_mod._sensor_information(plant)
+        specs = _filter_runs(scenario)
+        threads = _filter_threads(h, len(specs))
+        runs = _run_filters(plant, specs, gain, own, X, Y, with_theory, threads)
+        for r, run in enumerate(runs):
+            if not run.diverged:
+                continue
+            if len(run.diverged) > 0.01 * h:
+                raise NumericalError(
+                    f"{run.label}: {len(run.diverged)} of {h} trials diverged "
+                    f"(ids {list(run.diverged)[:10]}...)"
+                )
+            # Trials are independent, so this run over the other trials gives
+            # its statistics without the diverged ones.
+            ok = np.ones(h, dtype=bool)
+            ok[list(run.diverged)] = False
+            (runs[r],) = _run_filters(plant, [specs[r]], gain, own, X[ok], Y[ok], with_theory)
+            runs[r].diverged = run.diverged
 
-    report = central_avg = None
+    report = central_avg = solver = None
     if with_theory:
-        if scenario.L_values:
-            report = gap_mod.build_gap_report(
-                plant,
-                scenario.weights,
-                scenario.L_values,
-                tol=tol,
-                graph=scenario.graph,
-                seed=scenario.seed,
-            )
-            central_avg = report.centralized_avg
-        else:
-            central_avg = gap_mod.average_performance(
-                gap_mod.centralized_dpre(plant, tol=tol)
-            )
+        with timed(stages, "theory"):
+            if scenario.L_values:
+                report = gap_mod.build_gap_report(
+                    plant,
+                    scenario.weights,
+                    scenario.L_values,
+                    tol=tol,
+                    graph=scenario.graph,
+                    seed=scenario.seed,
+                )
+                central_avg, solver = report.centralized_avg, report.solver
+            else:
+                central = gap_mod.centralized_dpre(plant, tol=tol)
+                central_avg = gap_mod.average_performance(central)
+                solver = gap_mod.centralized_solver(plant, central)
         for r in runs:
             if r.name == "ckf":
                 r.theory_steady = np.array([central_avg])
@@ -536,6 +573,8 @@ def run_monte_carlo(
         gap_report=report,
         filter_threads=threads,
         blas_pinned=_openblas() is not None,
+        solver=solver,
+        stages=stages,
     )
 
 

@@ -1,5 +1,9 @@
 """Shared fixtures and random-system generators."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -16,6 +20,15 @@ from filterlab import (
 from filterlab import harness
 
 BENCH_GRAPH_SEED = 12
+
+
+def run_python(*args):
+    """A fresh interpreter that imports filterlab from this checkout."""
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 @pytest.fixture(autouse=True)

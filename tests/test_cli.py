@@ -2,11 +2,14 @@ import csv
 import dataclasses
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
 
+import filterlab
 import filterlab.gap
+from conftest import run_python
 from filterlab import harness
 from filterlab.cli import main
 from filterlab.harness import load_scenario, scenario_to_dict
@@ -340,8 +343,8 @@ class TestPipelines:
         assert (out / "results.json").exists()
         info = json.loads((out / "run_info.json").read_text())
         # The export stage is timed apart from the Monte Carlo run.
-        for key in ("runtime_s", "export_s"):
-            assert isinstance(info[key], float) and info[key] >= 0, key
+        assert isinstance(info["runtime_s"], float) and info["runtime_s"] >= 0
+        assert "export" in info["stages"] and "export_s" not in info
         # Five trials are below the split threshold.
         assert info["filter_threads"] == 1
         assert info["blas_pinned"] is (harness._openblas() is not None)
@@ -467,6 +470,90 @@ class TestPipelines:
             if path.name != "run_info.json":
                 assert "sweeps" not in path.read_text(), path
 
+    def test_run_info_records_stages(self, tiny_scenario, tmp_path, monkeypatch, capsys):
+        # Wall and CPU seconds of each stage, and the process's peak RSS
+        # where the resource module exists; the timings are not checked.
+        out = tmp_path / "sim"
+        argv = ["simulate", "--scenario", tiny_scenario, "--out", str(out)]
+        assert main(argv) == 0
+        info = json.loads((out / "run_info.json").read_text())
+        stages = info["stages"]
+        assert list(stages) == ["simulate", "filter", "theory", "export"]
+        for stage in stages.values():
+            assert sorted(stage) == ["cpu_s", "wall_s"]
+            assert all(isinstance(v, float) and v >= 0 for v in stage.values())
+        assert isinstance(info["peak_rss_mb"], float) and info["peak_rss_mb"] > 0
+        monkeypatch.setitem(sys.modules, "resource", None)  # import fails
+        assert main(argv) == 0
+        assert "peak_rss_mb" not in json.loads((out / "run_info.json").read_text())
+
+    def test_run_info_records_diverged_trials(self, tiny_scenario, tmp_path, monkeypatch):
+        # One spiked measurement blows trial 0 up in every run; 1 of 100
+        # trials is within the budget, and each run lists it.
+        def spiked(*args, **kwargs):
+            X, Y = filterlab.simulate_trials(*args, **kwargs)
+            Y[0, 3, 0] = 1e12
+            return X, Y
+
+        monkeypatch.setattr(harness, "simulate_trials", spiked)
+        out = tmp_path / "sim"
+        argv = ["simulate", "--scenario", tiny_scenario, "--out", str(out), "--trials", "100"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(argv) == 0
+        diverged = json.loads((out / "run_info.json").read_text())["diverged"]
+        labels = ["ckf", "cmdf_L1", "cmdf_L2", "cidf_L1", "cidf_L2"]
+        assert diverged == {label: [0] for label in labels}
+        runs = json.loads((out / "results.json").read_text())["runs"]
+        assert [r["diverged_trials"] for r in runs] == [[0]] * 5
+
+    def test_run_info_records_the_centralized_solve_without_a_sweep(
+        self, tiny_scenario, tmp_path, capsys
+    ):
+        with open(tiny_scenario) as fh:
+            cfg = json.load(fh)
+        del cfg["L_values"]
+        cfg["filters"] = ["ckf"]
+        path = write_json(tmp_path / "ckf_only.json", cfg)
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", path, "--out", str(out), "--tol", "1e-9"]) == 0
+        info = json.loads((out / "run_info.json").read_text())
+        assert info["diverged"] == {"ckf": []}
+        solver = info["solver"]
+        assert sorted(solver) == ["centralized", "silent_slots"]
+        assert solver["silent_slots"] == 0
+        central = solver["centralized"]
+        assert sorted(central) == ["riccati_residual", "riccati_sweeps"]
+        assert isinstance(central["riccati_sweeps"], int) and central["riccati_sweeps"] >= 2
+        assert 0 <= central["riccati_residual"] < 1e-9
+
+    @pytest.fixture
+    def growing_gap(self, tmp_path):
+        # Two scalar sensors, the second nearly blind, with strong mixing:
+        # node 0's gap grows from L = 0 to L = 3, which the report warns of.
+        return write_json(
+            tmp_path / "growing.json",
+            {
+                "plant": {
+                    "A": [[[0.9]]],
+                    "Q": [[[1.0]]],
+                    "sensors": [{"C": [[[1.0]]], "R": [[[1.0]]]}, {"C": [[[0.1]]], "R": [[[1.0]]]}],
+                },
+                "graph": {"N": 2, "edges": [[0, 1]]},
+                "weights": [[0.1, 0.9], [0.9, 0.1]],
+                "L_values": [0, 3],
+                "horizon": 8,
+                "trials": 2,
+                "seed": 1,
+            },
+        )
+
+    def test_gap_growth_warning_reaches_stderr(self, growing_gap, tmp_path):
+        # Without any logging set up, Python's last-resort handler prints
+        # the package's warnings; a fresh process keeps pytest's capture out.
+        out = run_python("-m", "filterlab", "gap", "--scenario", growing_gap, "--out", str(tmp_path))
+        assert out.returncode == 0, out.stderr
+        assert "gap at sensor 0 grew from L=0 to L=3" in out.stderr
+
     def test_compare_cidf(self, tiny_scenario, tmp_path, capsys):
         out = tmp_path / "cmp"
         assert (
@@ -531,7 +618,7 @@ class TestPaperPipeline:
         with open(out / "run_info.json") as fh:
             info = json.load(fh)
         assert info["command"] == "paper"
-        assert isinstance(info["export_s"], float) and info["export_s"] >= 0
+        assert info["stages"]["export"]["wall_s"] >= 0
         # One theory solve per cell: one stacked call carrying L = 4, 5 and
         # the rate's 6, with the 20 sensors of each over the 30-step period;
         # the Riccati stack adds the centralized cell.

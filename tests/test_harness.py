@@ -130,6 +130,7 @@ class TestRunMonteCarlo:
         plant = scn.plant
         X, Y = simulate_trials(plant, scn.horizon, range(scn.trials), noise_scale=0.0)
         gain, own = _sensor_information(plant)
+        Y = harness._measured(plant, Y)
         runs = harness._run_filters(
             plant, harness._filter_runs(scn), gain, own, X, Y, theory=False
         )
@@ -292,8 +293,11 @@ class TestRunMonteCarlo:
         spec = [("cmdf", 1, np.eye(2), 2 * weights.matrix)]
         ref = np.empty((plant.N, h, K))
         peak, final = np.zeros(h), np.zeros(h)
+        # The second sensor never measures, so the pass holds no column of it.
+        measured = harness._measured(plant, Y)
+        assert measured.shape == (h, K + 1, 1)
         with np.errstate(over="ignore", invalid="ignore"):
-            (run,) = harness._run_filters(plant, spec, gain, own, X, Y, theory=False)
+            (run,) = harness._run_filters(plant, spec, gain, own, X, measured, theory=False)
             for l in range(h):
                 states = default_states(plant)
                 for k in range(1, K + 1):
@@ -311,13 +315,15 @@ class TestRunMonteCarlo:
         assert 0 < flagged.sum() < h
         for l in np.flatnonzero(~flagged):
             (alone,) = harness._run_filters(
-                plant, spec, gain, own, X[l : l + 1], Y[l : l + 1], theory=False
+                plant, spec, gain, own, X[l : l + 1], measured[l : l + 1], theory=False
             )
             assert alone.diverged == ()
             np.testing.assert_allclose(alone.mse_per_step, ref[:, l], rtol=1e-12)
         # The same pass over the trials that did not diverge averages them only.
         ok = ~flagged
-        (kept,) = harness._run_filters(plant, spec, gain, own, X[ok], Y[ok], theory=False)
+        (kept,) = harness._run_filters(
+            plant, spec, gain, own, X[ok], measured[ok], theory=False
+        )
         assert kept.diverged == ()
         np.testing.assert_allclose(kept.mse_per_step, ref[:, ok].mean(axis=1), rtol=1e-12)
 
@@ -339,6 +345,7 @@ class TestRunMonteCarlo:
         (X, Y), plant = inputs[0], scn.plant
         gain, own = _sensor_information(plant)
         specs = harness._filter_runs(scn)
+        Y = harness._measured(plant, Y)
         kept = harness._run_filters(plant, specs, gain, own, X[1:], Y[1:], theory=False)
         assert [r.label for r in results.runs] == [r.label for r in kept]
         for run, want in zip(results.runs, kept):
@@ -394,6 +401,20 @@ class TestRunMonteCarlo:
             return peak - inputs[-1]
 
         assert working_set(400) <= 1.25 * working_set(100)
+
+    def test_traced_peak_of_the_benchmark_run(self):
+        # At 300 trials the filter pass's buffers set the peak, about
+        # 12.9 MB. Carrying the 14 relays' measurement columns through the
+        # pass, or making full-size temporaries of Y in the simulation, reads
+        # about 16.4 MB.
+        scn = benchmark_scenario(trials=300)
+        tracemalloc.start()
+        try:
+            run_monte_carlo(scn, with_theory=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14.5e6
 
 
 class TestCompareCidf:
@@ -465,6 +486,7 @@ class TestCompareCidf:
 
         def filter_runs(scn, X, Y):
             gain, own = _sensor_information(scn.plant)
+            Y = harness._measured(scn.plant, Y)
             runs = harness._run_filters(
                 scn.plant, harness._filter_runs(scn), gain, own, X, Y, theory=True
             )
@@ -648,7 +670,7 @@ class TestTwoThreadPass:
         scn = benchmark_scenario(trials=trials)
         X, Y = simulate_trials(scn.plant, horizon, range(trials))
         gain, own = _sensor_information(scn.plant)
-        specs = harness._filter_runs(scn)
+        specs, Y = harness._filter_runs(scn), harness._measured(scn.plant, Y)
         return harness._run_filters(scn.plant, specs, gain, own, X, Y, True, threads)
 
     def test_split_pass_is_bit_identical_on_the_benchmark(self, blas):
@@ -760,7 +782,7 @@ class TestTwoThreadPass:
         X, Y = simulate_trials(scn.plant, scn.horizon, range(4))
         Y[:, 3] = 1e200
         gain, own = _sensor_information(scn.plant)
-        specs = harness._filter_runs(scn)
+        specs, Y = harness._filter_runs(scn), harness._measured(scn.plant, Y)
         return harness._run_filters(scn.plant, specs, gain, own, X, Y, False, threads)
 
     def test_split_pass_keeps_the_callers_errstate(self, blas):
@@ -781,7 +803,7 @@ class TestTwoThreadPass:
         X, Y = simulate_trials(scn.plant, scn.horizon, range(4))
         Y[:, 3] = np.array([[1e80], [-1e80], [1e80], [2e80]])
         gain, own = _sensor_information(scn.plant)
-        specs = harness._filter_runs(scn)
+        specs, Y = harness._filter_runs(scn), harness._measured(scn.plant, Y)
         with np.errstate(all="raise"), pytest.raises(FloatingPointError, match="overflow"):
             harness._run_filters(scn.plant, specs, gain, own, X, Y, False)
         with np.errstate(over="ignore"):
@@ -808,7 +830,7 @@ class TestActiveSensors:
     def filter_pass(self, scn, trials=6, horizon=64):
         X, Y = simulate_trials(scn.plant, horizon, range(trials))
         gain, own = _sensor_information(scn.plant)
-        specs = harness._filter_runs(scn)
+        specs, Y = harness._filter_runs(scn), harness._measured(scn.plant, Y)
         return harness._run_filters(scn.plant, specs, gain, own, X, Y, True)
 
     @pytest.mark.parametrize("graph_seed", [12, 5, 2])
@@ -845,3 +867,34 @@ class TestActiveSensors:
         monkeypatch.setattr(harness.np, "matmul", recorded)
         self.filter_pass(scn, trials=3, horizon=60)
         assert fuses == [6] * 30
+
+    def test_the_pass_holds_only_the_measuring_sensors_columns(self, monkeypatch):
+        # Of the benchmark's 20 measurement columns the pass, and the rerun
+        # of a run without its diverged trial, get the 6 of the sensors
+        # that measure; the 14 relays' columns are gone.
+        shapes = []
+        run_filters = harness._run_filters
+
+        def recorded(plant, runs, gain, own, X, Y, *args):
+            shapes.append(Y.shape)
+            return run_filters(plant, runs, gain, own, X, Y, *args)
+
+        def spiked(*args, **kwargs):
+            X, Y = simulate_trials(*args, **kwargs)
+            Y[0, 5, 0] = 1e12  # sensor 0 measures at odd slots
+            return X, Y
+
+        monkeypatch.setattr(harness, "_run_filters", recorded)
+        monkeypatch.setattr(harness, "simulate_trials", spiked)
+        scn = benchmark_scenario(trials=100, horizon=60, filters=("ckf",))
+        (run,) = run_monte_carlo(scn, with_theory=False).runs
+        assert run.diverged == (0,)
+        assert shapes == [(100, 61, 6), (99, 61, 6)]
+
+    def test_full_width_measurements_are_rejected(self):
+        scn = benchmark_scenario(trials=2, horizon=60, filters=("ckf",))
+        X, Y = simulate_trials(scn.plant, 60, range(2))
+        gain, own = _sensor_information(scn.plant)
+        specs = harness._filter_runs(scn)
+        with pytest.raises(ValidationError, match=r"6 measured columns of Y \(_measured\), got 20"):
+            harness._run_filters(scn.plant, specs, gain, own, X, Y, False)

@@ -1,14 +1,11 @@
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import filterlab
 import filterlab._linalg as linalg
 import filterlab.gap as gap
 import reference_linalg
+from conftest import run_python
 from filterlab import NumericalError, build_gap_report, diameter
 from filterlab._linalg import (
     frobenius_norm, max_sym_spectral_norm, spd_inverse, sym, sym_spectral_norm,
@@ -237,15 +234,6 @@ class TestMaxSymSpectralNorm:
         assert solved[1] < 600 and solved[3] < 600
 
 
-def _run_python(*args):
-    """A fresh interpreter that imports filterlab from this checkout."""
-    src = os.path.dirname(os.path.dirname(filterlab.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
-    )
-
-
 def test_import_loads_no_scipy():
     # numpy is the only runtime dependency; scipy serves the tests alone.
     # Importing the package does not run the command either.
@@ -253,14 +241,14 @@ def test_import_loads_no_scipy():
         "import sys, filterlab; print(sorted(m for m in sys.modules "
         "if m.split('.')[0] == 'scipy' or m == 'filterlab.__main__'))"
     )
-    out = _run_python("-c", code)
+    out = run_python("-c", code)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
 
 
 def test_python_m_filterlab_runs_the_command():
-    out = _run_python("-m", "filterlab", "--help")
+    out = run_python("-m", "filterlab", "--help")
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("usage: filterlab")
     # A config error keeps the command's own exit code.
-    assert _run_python("-m", "filterlab", "gap").returncode == 1
+    assert run_python("-m", "filterlab", "gap").returncode == 1

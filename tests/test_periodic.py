@@ -12,7 +12,7 @@ from filterlab import (
 )
 from measurement_form import stacked_observation
 from reference_filters import simulate_trajectory
-from reference_simulation import reference_trial
+from reference_simulation import dense_simulate_trials, reference_trial
 
 
 class TestPeriodicSequence:
@@ -293,6 +293,39 @@ class TestSimulateTrials:
         for k in range(61):
             C = np.vstack([Ci.at(k) for Ci in bench_plant.C])
             assert np.array_equal(Y[:, k], X[:, k] @ C.T)
+
+    @pytest.mark.parametrize(
+        "x0, noise_scale",
+        [(None, 1.0), ([1.0, -2.0, 0.5, 3.0], 0.5), ([1.0, -2.0, 0.5, 3.0], 0.0)],
+    )
+    def test_benchmark_matches_the_dense_body_bit_for_bit(self, bench_plant, x0, noise_scale):
+        # One-row sensors: each measurement sums one noise term and one
+        # state term, with or without the dense factor's zeros.
+        seeds = np.random.SeedSequence(31).spawn(40)
+        got = simulate_trials(bench_plant, 70, seeds, x0, noise_scale)
+        want = dense_simulate_trials(bench_plant, 70, seeds, x0, noise_scale)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_two_row_sensor_with_correlated_noise_matches_the_dense_body(self):
+        # A two-row sensor and a two-row relay with non-diagonal R, beside a
+        # one-row sensor, over a period of 2.
+        rng = np.random.default_rng(4)
+
+        def spd(size):
+            M = rng.standard_normal((size, size))
+            return M @ M.T + size * np.eye(size)
+
+        A = [0.9 * M / np.linalg.norm(M, 2) for M in rng.standard_normal((2, 3, 3))]
+        C = [list(rng.standard_normal((2, 2, 3))), [rng.standard_normal((1, 3))], [np.zeros((2, 3))]]
+        R = [[spd(2), spd(2)], [spd(1)], [spd(2)]]
+        plant = PlantModel(A=A, Q=[spd(3), spd(3)], C=C, R=R)
+        assert plant.R[0].stack[:, 0, 1].all() and plant.R[2].stack[:, 0, 1].all()
+        seeds = np.random.SeedSequence(8).spawn(25)
+        X, Y = simulate_trials(plant, 40, seeds, noise_scale=0.8)
+        X0, Y0 = dense_simulate_trials(plant, 40, seeds, noise_scale=0.8)
+        assert X.tobytes() == X0.tobytes() and Y.shape == (25, 41, 5)
+        np.testing.assert_allclose(Y, Y0, rtol=1e-15, atol=0)
 
     def test_one_trial_view(self, bench_plant):
         seed = np.random.SeedSequence(5).spawn(1)[0]
