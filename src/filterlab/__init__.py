@@ -35,13 +35,10 @@ from .spps import (
 )
 from .gap import (
     GapReport,
-    GapSeries,
     average_performance,
     build_gap_report,
     centralized_dpre,
     cmdf_spps,
-    gap_series_cov,
-    gap_series_ric,
 )
 from .harness import (
     Scenario,

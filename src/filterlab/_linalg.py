@@ -10,10 +10,6 @@ def sym(M: np.ndarray) -> np.ndarray:
     return (M + M.swapaxes(-1, -2)) / 2.0
 
 
-def spectral_norm(M: np.ndarray) -> float:
-    return float(np.linalg.norm(M, 2))
-
-
 def sym_spectral_norm(M: np.ndarray) -> np.ndarray:
     """Spectral norm of each symmetric matrix in a stack, at half an SVD's cost."""
     return np.abs(np.linalg.eigvalsh(M)).max(axis=-1)

@@ -1,6 +1,6 @@
 """Steady-state performance of the consensus filter, its gap to the
-centralized filter, series-form verifications of that gap, and fitted decay
-rates against the network's spectral gap."""
+centralized filter, and fitted decay rates against the network's spectral
+gap."""
 
 import hashlib
 import json
@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._artifacts import write_csv, write_json
-from ._linalg import max_sym_spectral_norm, spectral_norm, sym, sym_spectral_norm
-from .errors import NumericalError, ValidationError
+from ._linalg import max_sym_spectral_norm, sym
+from .errors import ValidationError
 from .network import ConsensusWeights, SensorGraph, second_largest_eigenvalue, weight_power
 from .network import check_fusion_steps
 from .periodic import PeriodicSequence, PlantModel
@@ -23,16 +23,11 @@ from .spps import (
     _closed_loops,
     _information_riccati,
     _lyapunov_stack,
-    dple_spps,
     uniform_observability,
 )
 
 logger = logging.getLogger("filterlab.gap")
 
-# Series terms below this spectral norm terminate the truncated sums.
-SERIES_TERM_TOL = 1e-14
-# Solver tolerance of the steady solutions the series forms are checked against.
-SERIES_TOL = 1e-11
 # A gap, or its growth, within this many solver tolerances of the centralized
 # value, relative to it, is below what the solves resolve (``_resolution``).
 RATE_RESOLUTION = 100
@@ -73,7 +68,7 @@ def centralized_dpre(model: PlantModel, tol: float = DEFAULT_TOL) -> SppsSolutio
     every sensor's C_j' R_j^{-1} C_j. A gap report solves the same cell as
     the last of its Riccati stack (``_fused_solve``)."""
     S = _fused_information(np.ones((1, model.N)), _sensor_information(model)[1])
-    return _cell_solution(_information_riccati(model.A, model.Q, S, tol, None))
+    return _cell_solution(_information_riccati(model.A, model.Q, S, tol))
 
 
 def centralized_solver(model: PlantModel, central: SppsSolution) -> dict:
@@ -158,7 +153,7 @@ def _fused_solve(model, weights, L_values, tol, reduce):
     for d, fusion in enumerate(fusions):
         S[:, d * N : (d + 1) * N] = _fused_information(fusion, own)
     S[:, nodes:] = _fused_information(np.ones((1, own.shape[1])), own)
-    riccati = _information_riccati(model.A, model.Q, S, tol, None)
+    riccati = _information_riccati(model.A, model.Q, S, tol)
     kept, P = reduce(riccati), riccati[0]
     for d, fusion in enumerate(fusions):
         cells = slice(d * N, (d + 1) * N)
@@ -167,7 +162,7 @@ def _fused_solve(model, weights, L_values, tol, reduce):
         _, S[:, cells], P[:, cells] = _closed_loops(
             model.A, model.Q, P[:, cells], S[:, cells], S2
         )
-    return kept, _lyapunov_stack(S[:, :nodes], P[:, :nodes], tol, None)
+    return kept, _lyapunov_stack(S[:, :nodes], P[:, :nodes], tol)
 
 
 def cmdf_spps(
@@ -190,112 +185,6 @@ def cmdf_spps(
         model, weights, [L], tol, lambda riccati: [_cell_solution(riccati, i) for i in nodes]
     )
     return [(P[i], _cell_solution(X, i)) for i in nodes]
-
-
-@dataclass(frozen=True)
-class GapSeries:
-    """A truncated gap series next to the directly computed gap."""
-
-    series_sum: np.ndarray
-    direct: np.ndarray
-    defect: float
-    terms: int
-
-
-def _series_parts(model, weights, L, i):
-    """Node i (row 0, full fusion support required) and the centralized
-    filter (row 1) for the series forms: Riccati solutions P, fused
-    information S and S2, and their ``_closed_loops``."""
-    power, mask = weight_power(weights, L)
-    if not mask[i].all():
-        raise ValidationError(
-            f"series form needs full fusion support for node {i} at L={L} "
-            "(take L at least the graph diameter)"
-        )
-    fusion = np.stack([model.N * power[i], np.ones(model.N)])
-    own = _sensor_information(model)[1]
-    S, S2 = _fused_information(fusion, own), _fused_information(fusion**2, own)
-    P = _information_riccati(model.A, model.Q, S, SERIES_TOL, None)[0]
-    return P, S, S2, _closed_loops(model.A, model.Q, P, S, S2)
-
-
-def _series(loops, anchor, mid, rows, direct, truncation) -> GapSeries:
-    """Sum the geometric series of one-period propagations of the gap that
-    slot t injects as mid(t), carried on the left by the closed loop of row
-    rows[0] and on the right by that of rows[1], and set it against the
-    directly computed gap."""
-    M = loops[:, list(rows)]
-    T, n = M.shape[0], M.shape[-1]
-    # phi runs through the suffix products over [anchor+l+1, anchor+T) for
-    # l = T-1..0 and ends as the one-period product from the anchor.
-    phi = np.broadcast_to(np.eye(n), M.shape[1:])
-    Psi = np.zeros((n, n))
-    for l in range(T - 1, -1, -1):
-        t = (anchor + l) % T
-        Psi += phi[0] @ mid(t) @ phi[1].T
-        phi = phi @ M[t]
-    total = np.zeros((n, n))
-    left = right = np.eye(n)
-    for j in range(truncation):
-        term = left @ Psi @ right.T
-        total += term
-        if spectral_norm(term) < SERIES_TERM_TOL:
-            series = sym(total)
-            return GapSeries(series, direct, sym_spectral_norm(series - direct), j + 1)
-        left = phi[0] @ left
-        right = phi[1] @ right
-    raise NumericalError(
-        f"gap series did not reach the term floor within {truncation} terms; "
-        "increase the truncation cap"
-    )
-
-
-def gap_series_ric(
-    model: PlantModel,
-    weights: ConsensusWeights,
-    L: int,
-    i: int,
-    truncation: int = 5000,
-    anchor: int = 0,
-) -> GapSeries:
-    """Series form of the parameter-covariance gap (node i minus centralized).
-
-    Reconstructs P_i^(L) - P at the anchor slot as the geometric series of
-    one-period gap propagations, each slot injecting the information
-    mismatch A P+_i (S - S_i) P+ A', and compares it against the direct
-    difference of the two solved steady solutions.
-    """
-    P, S, _, (gain, loops, _) = _series_parts(model, weights, L, i)
-    a = anchor % model.period
-
-    def mid(t):
-        return gain[t, 0] @ (S[t, 1] - S[t, 0]) @ gain[t, 1].T
-
-    return _series(loops, anchor, mid, (0, 1), P[a, 0] - P[a, 1], truncation)
-
-
-def gap_series_cov(
-    model: PlantModel,
-    weights: ConsensusWeights,
-    L: int,
-    i: int,
-    truncation: int = 5000,
-    anchor: int = 0,
-) -> GapSeries:
-    """Series form of the error-vs-parameter covariance gap at node i.
-
-    Reconstructs the steady difference between the node's true error
-    covariance and its parameter covariance from the noise mismatch
-    A P+_i (S2_i - S_i) P+_i A' propagated through the closed loop.
-    """
-    P, S, S2, (gain, loops, noise) = _series_parts(model, weights, L, i)
-    err = dple_spps(loops[:, 0], noise[:, 0], tol=SERIES_TOL)
-
-    def mid(t):
-        return gain[t, 0] @ (S2[t, 0] - S[t, 0]) @ gain[t, 0].T
-
-    direct = err.at(anchor) - P[anchor % model.period, 0]
-    return _series(loops, anchor, mid, (0, 0), direct, truncation)
 
 
 def average_performance(solution: SppsSolution) -> float:

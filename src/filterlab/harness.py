@@ -651,16 +651,16 @@ def _steady_block(results: TrialResults):
     return zip(*rows)
 
 
-def export_results(results: TrialResults, out_dir, stem: str = "results") -> list[str]:
+def export_results(results: TrialResults, out_dir) -> list[str]:
     """Write per-step and steady CSVs plus a JSON mirror; returns the paths.
 
     Column order is fixed and every float is written so that it reads back
     bit for bit, so identical runs produce byte-identical files.
     """
     os.makedirs(out_dir, exist_ok=True)
-    per_step = os.path.join(out_dir, f"{stem}_per_step.csv")
-    steady = os.path.join(out_dir, f"{stem}_steady.csv")
-    mirror = os.path.join(out_dir, f"{stem}.json")
+    per_step = os.path.join(out_dir, "results_per_step.csv")
+    steady = os.path.join(out_dir, "results_steady.csv")
+    mirror = os.path.join(out_dir, "results.json")
     header = ["filter", "sensor", "k", "mse_empirical", "mse_theory"]
     write_csv(per_step, header, _per_step_blocks(results))
     header = ["filter", "sensor", "L", "mse_i", "theory_avg", "rate_q", "sigma2"]

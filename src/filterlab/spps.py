@@ -27,11 +27,11 @@ import numpy as np
 
 from ._artifacts import write_csv, write_json
 from ._linalg import frobenius_norm, spd_inverse, sym, sym_spectral_norm
-from .errors import ConvergenceError, NumericalError, ValidationError
+from .errors import ConvergenceError, NumericalError
 from .periodic import normalize_period
 
 DEFAULT_TOL = 1e-10
-# Sweep budget defaults to ~1e5 individual time steps regardless of period.
+# The sweep budget: about 1e5 individual time steps whatever the period.
 MAX_STEP_BUDGET = 100_000
 # Window Gramian eigenvalues above this fraction of the largest count toward
 # the rank in uniform_observability.
@@ -74,7 +74,7 @@ class SppsSolution:
         write_csv(path, ["k", "i", "j", "value"], [(k, i, j, P.ravel())])
 
 
-def _iterate_to_period(step, period, P0, tol, max_sweeps, label):
+def _iterate_to_period(step, period, P0, tol, label):
     """Drive P_{k+1} = step(k, P_k, cells) over a (cells, n, n) stack until
     each cell's full period changes by < tol, relative to its size.
 
@@ -95,15 +95,11 @@ def _iterate_to_period(step, period, P0, tol, max_sweeps, label):
     slot.
 
     Returns (slots, sweeps, residual): slots[s, c] approximates cell c's SPPS
-    solution at time slot s; sweeps and residual are per cell.
-    ``max_sweeps=None`` budgets about MAX_STEP_BUDGET time steps; a budget
-    below 2 sweeps raises ValidationError, since the first sweep has nothing
-    to compare against.
+    solution at time slot s; sweeps and residual are per cell. The budget is
+    about MAX_STEP_BUDGET time steps, and at least 2 sweeps, since the first
+    sweep has nothing to compare against.
     """
-    if max_sweeps is None:
-        max_sweeps = max(2, math.ceil(MAX_STEP_BUDGET / period))
-    elif max_sweeps < 2:
-        raise ValidationError(f"max_sweeps must be >= 2, got {max_sweeps}")
+    max_sweeps = max(2, math.ceil(MAX_STEP_BUDGET / period))
     P = sym(np.asarray(P0, dtype=float))
     slots = np.empty((period,) + P.shape)
     sweeps = np.zeros(P.shape[0], dtype=int)
@@ -176,7 +172,7 @@ def _information_step(Ak, Qk, P, S):
     return sym(Ak @ post @ Ak.T + Qk)
 
 
-def _information_riccati(A, Q, S, tol, max_sweeps):
+def _information_riccati(A, Q, S, tol):
     """Stacked Riccati recursion in information form,
     P_{k+1} = A_k (P_k^{-1} + S_k)^{-1} A_k' + Q_k from P_0 = I, for the
     measurement information S_k of each cell given as a (T, cells, n, n)
@@ -194,7 +190,7 @@ def _information_riccati(A, Q, S, tol, max_sweeps):
         return _information_step(Ak, Qk, P, S[k, cells])
 
     return _iterate_to_period(
-        step, period, np.broadcast_to(np.eye(n), (count, n, n)), tol, max_sweeps,
+        step, period, np.broadcast_to(np.eye(n), (count, n, n)), tol,
         "periodic Riccati recursion",
     )
 
@@ -228,7 +224,6 @@ def dpre_spps(
     Q,
     R,
     tol: float = DEFAULT_TOL,
-    max_sweeps: int | None = None,
 ) -> SppsSolution:
     """SPPS solution of the periodic filter Riccati equation.
 
@@ -236,16 +231,16 @@ def dpre_spps(
         P_{k+1} = A_k (P_k^{-1} + C_k' R_k^{-1} C_k)^{-1} A_k' + Q_k
     forward from the identity until one full period changes by less than
     ``tol`` relative to its size. Convergence requires the pair (A., C.) to
-    be uniformly observable; exhausting ``max_sweeps`` (at least 2) raises
+    be uniformly observable; exhausting the sweep budget raises
     ConvergenceError.
     """
     A, C, Q, R = normalize_period([A, C, Q, R])
     Rinv = spd_inverse(R.stack, what="measurement noise covariance")
     S = sym(C.stack.swapaxes(1, 2) @ Rinv @ C.stack)[:, None]
-    return _cell_solution(_information_riccati(A, Q, S, tol, max_sweeps))
+    return _cell_solution(_information_riccati(A, Q, S, tol))
 
 
-def _lyapunov_stack(loops, noise, tol, max_sweeps):
+def _lyapunov_stack(loops, noise, tol):
     """Stacked periodic Lyapunov recursion X_{k+1} = M_k X_k M_k' + V_k from
     X_0 = 0, for loops M and noise V given as (T, cells, n, n) stacks.
 
@@ -270,7 +265,7 @@ def _lyapunov_stack(loops, noise, tol, max_sweeps):
         return sym(M @ X @ M.swapaxes(1, 2) + noise[k, cells])
 
     return _iterate_to_period(
-        step, period, np.zeros((count, n, n)), tol, max_sweeps,
+        step, period, np.zeros((count, n, n)), tol,
         "periodic Lyapunov recursion",
     )
 
@@ -279,7 +274,6 @@ def dple_spps(
     A,
     Q,
     tol: float = DEFAULT_TOL,
-    max_sweeps: int | None = None,
 ) -> SppsSolution:
     """SPPS solution of the periodic Lyapunov equation P_{k+1} = A_k P_k A_k' + Q_k.
 
@@ -287,7 +281,7 @@ def dple_spps(
     steady solution exists and NumericalError is raised.
     """
     A, Q = normalize_period([A, Q])
-    return _cell_solution(_lyapunov_stack(A.stack[:, None], Q.stack[:, None], tol, max_sweeps))
+    return _cell_solution(_lyapunov_stack(A.stack[:, None], Q.stack[:, None], tol))
 
 
 def uniform_observability(A, C) -> bool:

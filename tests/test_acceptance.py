@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
+"""Acceptance suite: one test per criterion (two for criterion 10, the steady
+averages and every per-step cell), each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they complete. The heavyweight benchmark computations (full Monte
@@ -7,6 +8,7 @@ Carlo run, full gap report) are shared module-scoped fixtures.
 
 import math
 import time
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -28,8 +30,6 @@ from filterlab import (
     cmdf_spps,
     diameter,
     dpre_spps,
-    gap_series_cov,
-    gap_series_ric,
     is_strongly_connected,
     metropolis_weights,
     random_geometric_graph,
@@ -40,6 +40,8 @@ from filterlab import (
 from reference_filters import ckf_step, cmdf_step, default_states, simulate_trajectory
 from theory_checks import (
     dpre_monotonicity_probe,
+    gap_series_cov,
+    gap_series_ric,
     monodromy,
     monodromy_bounds,
     power_norm_bound,
@@ -338,6 +340,31 @@ def test_criterion_10_monte_carlo_matches_theory(bench_results):
         ok,
         f"steady MSE within {worst_rel * 100:.2f}% of the DPLE trace average "
         f"across all sensors and swept L; run took {results.wall:.0f} s",
+    )
+
+
+def test_criterion_10_per_step_agreement(bench_results):
+    # Every CKF and CMDF cell (row, step) against its theory, in units of the
+    # cell's own standard error. Every row sees the same trials, so the z of
+    # all rows move together: the check bounds the largest |z| over all cells,
+    # two-sided with a Bonferroni split of alpha, rather than counting rows.
+    runs = [r for r in bench_results.runs if r.name in ("ckf", "cmdf")]
+    labels = [(r.label, i) for r in runs for i in range(len(r.mse_per_step))]
+    mse, theory, se = (
+        np.concatenate([getattr(r, f) for r in runs])
+        for f in ("mse_per_step", "theory_per_step", "step_se")
+    )
+    bound = NormalDist().inv_cdf(1.0 - 1e-3 / (2 * mse.size))
+    z = np.abs(mse - theory) / se
+    row, step = np.unravel_index(np.argmax(z), z.shape)
+    # The check has power: theory 5% too high is caught.
+    scaled = float((np.abs(mse - 1.05 * theory) / se).max())
+    report(
+        10,
+        z.max() < bound < scaled,
+        f"per-step max |z| {z.max():.2f} at {labels[row][0]} node {labels[row][1]} "
+        f"step {step + 1} over {mse.size} cells, Bonferroni bound {bound:.2f} "
+        f"at alpha 1e-3; theory x 1.05 gives {scaled:.2f}",
     )
 
 

@@ -413,13 +413,13 @@ class TestPipelines:
         stacks = []
         riccati, lyapunov = filterlab.gap._information_riccati, filterlab.gap._lyapunov_stack
 
-        def recording_riccati(A, Q, S, tol, max_sweeps):
+        def recording_riccati(A, Q, S, tol):
             stacks.append(("riccati", S.shape[1], tol))
-            return riccati(A, Q, S, tol, max_sweeps)
+            return riccati(A, Q, S, tol)
 
-        def recording_lyapunov(loops, noise, tol, max_sweeps):
+        def recording_lyapunov(loops, noise, tol):
             stacks.append(("lyapunov", loops.shape[1], tol))
-            return lyapunov(loops, noise, tol, max_sweeps)
+            return lyapunov(loops, noise, tol)
 
         monkeypatch.setattr(filterlab.gap, "_information_riccati", recording_riccati)
         monkeypatch.setattr(filterlab.gap, "_lyapunov_stack", recording_lyapunov)

@@ -21,13 +21,12 @@ from filterlab import (
     centralized_dpre,
     cmdf_spps,
     dple_spps,
-    gap_series_cov,
-    gap_series_ric,
     metropolis_weights,
     weight_power,
 )
 from filterlab.gap import _resolution
 from filterlab.spps import SppsSolution
+from theory_checks import gap_series_cov, gap_series_ric
 
 
 class TestCmdfDpre:
@@ -486,16 +485,16 @@ class TestStackedSolve:
         stacks = []
         riccati, lyapunov = gap._information_riccati, gap._lyapunov_stack
 
-        def recording_riccati(A, Q, S, tol, max_sweeps):
+        def recording_riccati(A, Q, S, tol):
             stacks.append(("riccati", S.shape[1]))
             own = gap._sensor_information(bench_plant)[1]
             central = gap._fused_information(np.ones((1, bench_plant.N)), own)
             assert np.array_equal(S[:, -1:], central)
-            return riccati(A, Q, S, tol, max_sweeps)
+            return riccati(A, Q, S, tol)
 
-        def recording_lyapunov(loops, noise, tol, max_sweeps):
+        def recording_lyapunov(loops, noise, tol):
             stacks.append(("lyapunov", loops.shape[1]))
-            return lyapunov(loops, noise, tol, max_sweeps)
+            return lyapunov(loops, noise, tol)
 
         monkeypatch.setattr(gap, "_information_riccati", recording_riccati)
         monkeypatch.setattr(gap, "_lyapunov_stack", recording_lyapunov)

@@ -585,7 +585,7 @@ class TestExports:
     def test_round_trip_is_bit_exact(self, tmp_path):
         scn = triangle_scenario(trials=5)
         results = run_monte_carlo(scn, with_theory=False)
-        paths = export_results(results, tmp_path, stem="a")
+        paths = export_results(results, tmp_path)
         with open(paths[0]) as fh:
             rows = list(csv.reader(fh))[1:]
         run = results.run("cmdf", 1)

@@ -1,8 +1,8 @@
 """The package keeps one filter implementation, the batched engine in
 ``harness``. The step-wise filters and their one-trial simulator live in
 ``tests/reference_filters.py`` as the oracle the engine is checked against,
-and the lemma checks, which no command runs, in ``tests/theory_checks.py``;
-neither may grow back into the package."""
+and the lemma checks and the series forms of the gap, which no command runs,
+in ``tests/theory_checks.py``; neither may grow back into the package."""
 
 import ast
 import pathlib
@@ -14,6 +14,8 @@ TEST_ONLY_NAMES = {
     "_solution_loops", "solution_monodromy", "power_norm_bound",
     "dpre_monotonicity_probe", "fixed_point_defect", "spectral_diagnostics",
     "_support_connected", "spectral_radius", "min_eig_sym", "weights_to_csv",
+    "GapSeries", "_series_parts", "_series", "gap_series_ric", "gap_series_cov",
+    "SERIES_TOL", "SERIES_TERM_TOL", "spectral_norm",
 }
 
 

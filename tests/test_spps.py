@@ -105,24 +105,18 @@ class TestDpreSpps:
             sol = dpre_spps(A, C, Qs, Rs, tol=tol)
             assert fixed_point_defect(sol, A, C, Qs, Rs) <= 10 * tol
 
-    def test_divergent_recursion_raises(self):
+    def test_divergent_recursion_raises(self, monkeypatch):
+        # 200 sweeps of a period-1 recursion, before it overflows.
+        monkeypatch.setattr(spps, "MAX_STEP_BUDGET", 200)
         with pytest.raises(ConvergenceError):
             with np.errstate(over="ignore", invalid="ignore"):
-                dpre_spps([[2.0]], [[0.0]], [[1.0]], [[1.0]], max_sweeps=200)
+                dpre_spps([[2.0]], [[0.0]], [[1.0]], [[1.0]])
 
-    def test_indefinite_innovation_raises(self):
+    def test_indefinite_innovation_raises(self, monkeypatch):
+        monkeypatch.setattr(spps, "MAX_STEP_BUDGET", 50)
         bad_R = PeriodicSequence([[[-1.0]]])
         with pytest.raises(NumericalError):
-            dpre_spps([[0.5]], [[0.0]], [[1.0]], bad_R, max_sweeps=50)
-
-    @pytest.mark.parametrize("max_sweeps", [-1, 0, 1])
-    def test_budget_below_two_sweeps_rejected(self, max_sweeps):
-        # Convergence is first tested on the second sweep, so a smaller
-        # budget could only report a residual it never measured.
-        with pytest.raises(ValidationError, match="max_sweeps"):
-            dpre_spps([[0.5]], [[1.0]], [[1.0]], [[1.0]], max_sweeps=max_sweeps)
-        with pytest.raises(ValidationError, match="max_sweeps"):
-            dple_spps([[0.5]], [[1.0]], max_sweeps=max_sweeps)
+            dpre_spps([[0.5]], [[0.0]], [[1.0]], bad_R)
 
     def test_singular_measurement_noise_raises(self):
         # The information form needs R_k^{-1}; R = 0 is outside the model.
@@ -230,7 +224,7 @@ class TestIterateToPeriod:
 
         def run(ids):
             return _iterate_to_period(
-                step_of(np.array(ids)), 2, np.zeros((len(ids), 1, 1)), 1e-10, 1000, "test"
+                step_of(np.array(ids)), 2, np.zeros((len(ids), 1, 1)), 1e-10, "test"
             )
 
         slots, sweeps, residual = run([0, 1])
@@ -261,10 +255,13 @@ def _assert_same_stop(got, want):
             assert np.array_equal(g, w)
 
 
-def _both_stops(step, period, P0, tol, max_sweeps):
-    args = (step, period, P0, tol, max_sweeps, "test")
-    got = _stop_outcome(_iterate_to_period, *args)
-    want = _stop_outcome(reference_spps.iterate_to_period, *args)
+def _both_stops(step, period, P0, tol, max_sweeps, monkeypatch):
+    """Both stop tests' outcomes, at a budget of ``max_sweeps`` sweeps."""
+    monkeypatch.setattr(spps, "MAX_STEP_BUDGET", max_sweeps * period)
+    got = _stop_outcome(_iterate_to_period, step, period, P0, tol, "test")
+    want = _stop_outcome(
+        reference_spps.iterate_to_period, step, period, P0, tol, max_sweeps, "test"
+    )
     _assert_same_stop(got, want)
     return want
 
@@ -305,23 +302,24 @@ class TestStopMatchesReference:
     GAINS = [0.3, -0.8, 0.95, 0.0, 0.3, -0.8, 0.95]
     SHAPES = ["rank1"] * 3 + ["identity"] * 4
 
-    def test_changes_landing_at_the_tolerance(self):
+    def test_changes_landing_at_the_tolerance(self, monkeypatch):
         # Cells contracting at different rates, each stopped exactly at,
         # just above and within 1e-12 of its own final change.
         step, P0 = _scalar_cells(self.GAINS, self.SHAPES)
         residual = reference_spps.iterate_to_period(step, 3, P0, 1e-9, 1000, "test")[2]
         for r in residual[residual > 0]:
             for tol in (r, np.nextafter(r, np.inf), r * (1 + 1e-12), r * (1 - 1e-12)):
-                sweeps = _both_stops(step, 3, P0, tol, 1000)[1]
+                sweeps = _both_stops(step, 3, P0, tol, 1000, monkeypatch)[1]
                 assert len(set(sweeps)) > 2
 
     @pytest.mark.parametrize("max_sweeps", [2, 3, 8])
-    def test_exhausted_budget(self, max_sweeps):
+    def test_exhausted_budget(self, max_sweeps, monkeypatch):
         step, P0 = _scalar_cells(self.GAINS, self.SHAPES)
-        assert isinstance(_both_stops(step, 3, P0, 1e-9, max_sweeps), ConvergenceError)
+        outcome = _both_stops(step, 3, P0, 1e-9, max_sweeps, monkeypatch)
+        assert isinstance(outcome, ConvergenceError)
         # Cells that stop within two sweeps return.
         step, P0 = _scalar_cells([0.0, 0.0], ["rank1", "identity"])
-        assert _both_stops(step, 3, P0, 1e-9, 2)[1].tolist() == [2, 2]
+        assert _both_stops(step, 3, P0, 1e-9, 2, monkeypatch)[1].tolist() == [2, 2]
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-12, 1e-13])
     def test_benchmark_stacks(self, tol, monkeypatch, bench_plant, bench_weights):
@@ -329,10 +327,11 @@ class TestStopMatchesReference:
         # cell) and its Lyapunov stack, each run through both stop tests.
         fast, stacks = spps._iterate_to_period, []
 
-        def both(step, period, P0, stop_tol, max_sweeps, label):
-            args = (step, period, P0, stop_tol, max_sweeps, label)
-            want = _stop_outcome(reference_spps.iterate_to_period, *args)
-            _assert_same_stop(_stop_outcome(fast, *args), want)
+        def both(step, period, P0, stop_tol, label):
+            want = _stop_outcome(
+                reference_spps.iterate_to_period, step, period, P0, stop_tol, None, label
+            )
+            _assert_same_stop(_stop_outcome(fast, step, period, P0, stop_tol, label), want)
             stacks.append((label, len(P0)))
             return want
 
@@ -591,11 +590,11 @@ class TestSilentSlots:
 
     def assert_shortcut_matches_full_step(self, A, Q, S, S2, monkeypatch):
         assert spps._silent(S).any()
-        slots, sweeps, _ = spps._information_riccati(A, Q, S, DEFAULT_TOL, None)
+        slots, sweeps, _ = spps._information_riccati(A, Q, S, DEFAULT_TOL)
         loops = spps._closed_loops(A, Q, slots, S, S2)
         with monkeypatch.context() as patch:
             patch.setattr(spps, "_silent", all_slots_live)
-            full, full_sweeps, _ = spps._information_riccati(A, Q, S, DEFAULT_TOL, None)
+            full, full_sweeps, _ = spps._information_riccati(A, Q, S, DEFAULT_TOL)
             full_loops = spps._closed_loops(A, Q, slots, S, S2)
         assert sweeps.tolist() == full_sweeps.tolist()
         assert relative_change(slots, full) < 1e-12
@@ -627,7 +626,7 @@ class TestSilentSlots:
         S, S2 = benchmark_information(bench_plant, bench_weights, 4)
         A, Q = bench_plant.A, bench_plant.Q
         shapes = self.count_inverses(monkeypatch)
-        P, sweeps, _ = spps._information_riccati(A, Q, S, DEFAULT_TOL, None)
+        P, sweeps, _ = spps._information_riccati(A, Q, S, DEFAULT_TOL)
         # Two inverses per live slot of every sweep, none on the 15 silent.
         assert len(shapes) == 2 * 15 * sweeps.max()
         shapes.clear()
@@ -640,7 +639,7 @@ class TestSilentSlots:
         S = np.concatenate([S + np.eye(S.shape[-1]), S], axis=1)
         assert not spps._silent(S).any()
         shapes = self.count_inverses(monkeypatch)
-        _, sweeps, _ = spps._information_riccati(A, Q, S, DEFAULT_TOL, None)
+        _, sweeps, _ = spps._information_riccati(A, Q, S, DEFAULT_TOL)
         assert len(shapes) == 2 * A.period * sweeps.max()
 
 

@@ -1,7 +1,8 @@
 """Checks of the paper's lemmas on solved systems, for the acceptance
 criteria and the solver tests: monotonicity of the periodic Riccati solution
 in the measurement noise, the monodromy bounds it implies, matrix-power norm
-bounds, and the fitted consensus contraction envelope.
+bounds, the fitted consensus contraction envelope, and the series forms of
+the consensus filter's gap to the centralized filter.
 
 None of this runs in a command or pipeline; it reads the package's solvers
 and checks what they return.
@@ -12,15 +13,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from filterlab._linalg import spd_inverse, spectral_norm, sym, sym_spectral_norm
-from filterlab.errors import ValidationError
+from filterlab._linalg import spd_inverse, sym, sym_spectral_norm
+from filterlab.errors import NumericalError, ValidationError
+from filterlab.gap import _fused_information, _sensor_information
 from filterlab.network import (
-    STRUCTURAL_ZERO_TOL, ConsensusWeights, _hops, second_largest_eigenvalue,
+    STRUCTURAL_ZERO_TOL, ConsensusWeights, _hops, second_largest_eigenvalue, weight_power,
 )
-from filterlab.periodic import PeriodicSequence, as_periodic, normalize_period
+from filterlab.periodic import PeriodicSequence, PlantModel, as_periodic, normalize_period
 from filterlab.spps import (
-    DEFAULT_TOL, SppsSolution, _closed_loops, _information_step, dpre_spps,
+    DEFAULT_TOL, SppsSolution, _closed_loops, _information_riccati, _information_step,
+    dple_spps, dpre_spps,
 )
+
+# Series terms below this spectral norm terminate the truncated sums.
+SERIES_TERM_TOL = 1e-14
+# Solver tolerance of the steady solutions the series forms are checked against.
+SERIES_TOL = 1e-11
+
+
+def spectral_norm(M: np.ndarray) -> float:
+    return float(np.linalg.norm(M, 2))
 
 
 def spectral_radius(M: np.ndarray) -> float:
@@ -205,3 +217,109 @@ def spectral_diagnostics(
             return sigma2, (float(np.exp(log_M)), float(q))
     # q = 1 always admits M = max norm.
     return sigma2, (float(np.exp(log_vals.max())), 1.0)
+
+
+@dataclass(frozen=True)
+class GapSeries:
+    """A truncated gap series next to the directly computed gap."""
+
+    series_sum: np.ndarray
+    direct: np.ndarray
+    defect: float
+    terms: int
+
+
+def _series_parts(model, weights, L, i):
+    """Node i (row 0, full fusion support required) and the centralized
+    filter (row 1) for the series forms: Riccati solutions P, fused
+    information S and S2, and their ``_closed_loops``."""
+    power, mask = weight_power(weights, L)
+    if not mask[i].all():
+        raise ValidationError(
+            f"series form needs full fusion support for node {i} at L={L} "
+            "(take L at least the graph diameter)"
+        )
+    fusion = np.stack([model.N * power[i], np.ones(model.N)])
+    own = _sensor_information(model)[1]
+    S, S2 = _fused_information(fusion, own), _fused_information(fusion**2, own)
+    P = _information_riccati(model.A, model.Q, S, SERIES_TOL)[0]
+    return P, S, S2, _closed_loops(model.A, model.Q, P, S, S2)
+
+
+def _series(loops, anchor, mid, rows, direct, truncation) -> GapSeries:
+    """Sum the geometric series of one-period propagations of the gap that
+    slot t injects as mid(t), carried on the left by the closed loop of row
+    rows[0] and on the right by that of rows[1], and set it against the
+    directly computed gap."""
+    M = loops[:, list(rows)]
+    T, n = M.shape[0], M.shape[-1]
+    # phi runs through the suffix products over [anchor+l+1, anchor+T) for
+    # l = T-1..0 and ends as the one-period product from the anchor.
+    phi = np.broadcast_to(np.eye(n), M.shape[1:])
+    Psi = np.zeros((n, n))
+    for l in range(T - 1, -1, -1):
+        t = (anchor + l) % T
+        Psi += phi[0] @ mid(t) @ phi[1].T
+        phi = phi @ M[t]
+    total = np.zeros((n, n))
+    left = right = np.eye(n)
+    for j in range(truncation):
+        term = left @ Psi @ right.T
+        total += term
+        if spectral_norm(term) < SERIES_TERM_TOL:
+            series = sym(total)
+            return GapSeries(series, direct, sym_spectral_norm(series - direct), j + 1)
+        left = phi[0] @ left
+        right = phi[1] @ right
+    raise NumericalError(
+        f"gap series did not reach the term floor within {truncation} terms; "
+        "increase the truncation cap"
+    )
+
+
+def gap_series_ric(
+    model: PlantModel,
+    weights: ConsensusWeights,
+    L: int,
+    i: int,
+    truncation: int = 5000,
+    anchor: int = 0,
+) -> GapSeries:
+    """Series form of the parameter-covariance gap (node i minus centralized).
+
+    Reconstructs P_i^(L) - P at the anchor slot as the geometric series of
+    one-period gap propagations, each slot injecting the information
+    mismatch A P+_i (S - S_i) P+ A', and compares it against the direct
+    difference of the two solved steady solutions.
+    """
+    P, S, _, (gain, loops, _) = _series_parts(model, weights, L, i)
+    a = anchor % model.period
+
+    def mid(t):
+        return gain[t, 0] @ (S[t, 1] - S[t, 0]) @ gain[t, 1].T
+
+    return _series(loops, anchor, mid, (0, 1), P[a, 0] - P[a, 1], truncation)
+
+
+def gap_series_cov(
+    model: PlantModel,
+    weights: ConsensusWeights,
+    L: int,
+    i: int,
+    truncation: int = 5000,
+    anchor: int = 0,
+) -> GapSeries:
+    """Series form of the error-vs-parameter covariance gap at node i.
+
+    Reconstructs the steady difference between the node's true error
+    covariance and its parameter covariance from the noise mismatch
+    A P+_i (S2_i - S_i) P+_i A' propagated through the closed loop.
+    """
+    P, S, S2, (gain, loops, noise) = _series_parts(model, weights, L, i)
+    err = dple_spps(loops[:, 0], noise[:, 0], tol=SERIES_TOL)
+
+    def mid(t):
+        return gain[t, 0] @ (S2[t, 0] - S[t, 0]) @ gain[t, 0].T
+
+    direct = err.at(anchor) - P[anchor % model.period, 0]
+    return _series(loops, anchor, mid, (0, 0), direct, truncation)
