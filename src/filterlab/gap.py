@@ -33,29 +33,30 @@ logger = logging.getLogger("filterlab.gap")
 RATE_RESOLUTION = 100
 
 
-def _sensor_information(plant: PlantModel) -> tuple[np.ndarray, np.ndarray]:
-    """Per period slot t: R_j^{-1} C_j stacked over sensors, (T, m, n), and
-    C_j' R_j^{-1} C_j, (T, N, n, n); each sensor's T slots solve as one stack."""
+def _sensor_information(plant: PlantModel):
+    """Where each sensor measures and what it adds, decided here alone.
+    Sensor j measures at period slot t where C_j is nonzero; a slot where
+    none does is silent. Returns, over the S sensors that measure in some
+    slot and their m' measurement columns: whether sensor j is one, (N,);
+    whether it measures at slot t, (T, S); the map of the m' columns to
+    C_j' R_j^{-1} y_j, (T, S, n, m'); and C_j' R_j^{-1} C_j, (T, S, n, n)."""
     T, n = plant.period, plant.n
-    gain = np.empty((T, plant.m, n))
-    own = np.empty((T, plant.N, n, n))
-    for j, sl in enumerate(plant.observation_slices()):
-        C = plant.C[j].with_period(T).stack
-        gain[:, sl] = np.linalg.solve(plant.R[j].with_period(T).stack, C)
-        own[:, j] = C.swapaxes(1, 2) @ gain[:, sl]
-    return gain, own
-
-
-def _active_sensors(plant: PlantModel) -> np.ndarray:
-    """(T, N): whether sensor j measures at period slot t, its C_j nonzero
-    there. A sensor that does not adds nothing to any fused information or
-    fused measurement at that slot; a slot where none does is silent."""
-    return np.stack([C.stack.any(axis=(1, 2)) for C in plant.C], axis=1)
+    active = np.stack([C.stack.any(axis=(1, 2)) for C in plant.C], axis=1)
+    sensors = active.any(axis=0)
+    measuring, slices = np.flatnonzero(sensors), plant.observation_slices()
+    to_info = np.zeros((T, measuring.size, n, plant.m))
+    own = np.empty((T, measuring.size, n, n))
+    for s, j in enumerate(measuring):
+        C = plant.C[j].stack
+        gain = np.linalg.solve(plant.R[j].stack, C)
+        to_info[:, s, :, slices[j]] = gain.swapaxes(1, 2)
+        own[:, s] = C.swapaxes(1, 2) @ gain
+    return sensors, active[:, sensors], to_info[..., np.repeat(sensors, plant.sensor_dims)], own
 
 
 def _fused_information(fusion: np.ndarray, own: np.ndarray) -> np.ndarray:
     """Per slot and fusing node i, (T, rows, n, n), the fused information
-    S_i = sum_j fusion_ij C_j' R_j^{-1} C_j; ``own`` is the second table of
+    S_i = sum_j fusion_ij C_j' R_j^{-1} C_j; ``own`` is the last table of
     ``_sensor_information``, or one slot of it for one slot's (rows, n, n).
     With ``fusion**2`` it is S2_i, the information of the noise that fusion
     injects."""
@@ -65,9 +66,10 @@ def _fused_information(fusion: np.ndarray, own: np.ndarray) -> np.ndarray:
 def centralized_dpre(model: PlantModel, tol: float = DEFAULT_TOL) -> SppsSolution:
     """Steady covariance of the centralized filter over the whole network:
     the information-form Riccati equation of the fusion row 1', which fuses
-    every sensor's C_j' R_j^{-1} C_j. A gap report solves the same cell as
-    the last of its Riccati stack (``_fused_solve``)."""
-    S = _fused_information(np.ones((1, model.N)), _sensor_information(model)[1])
+    every measuring sensor's C_j' R_j^{-1} C_j. A gap report solves the same
+    cell as the last of its Riccati stack (``_fused_solve``)."""
+    own = _sensor_information(model)[3]
+    S = _fused_information(np.ones((1, own.shape[1])), own)
     return _cell_solution(_information_riccati(model.A, model.Q, S, tol))
 
 
@@ -76,7 +78,7 @@ def centralized_solver(model: PlantModel, central: SppsSolution) -> dict:
     sensor measures, solved as pure prediction, and its sweeps and relative
     residual. A gap report's ``solver`` adds its per-L entries to these."""
     return {
-        "silent_slots": int(np.count_nonzero(~_active_sensors(model).any(axis=1))),
+        "silent_slots": int(np.count_nonzero(~_sensor_information(model)[1].any(axis=1))),
         "centralized": {
             "riccati_sweeps": central.iterations,
             "riccati_residual": central.residual,
@@ -104,11 +106,12 @@ def observable_support(model: PlantModel, support, verdicts: dict) -> bool:
 
 def _fusion_matrix(model, weights, L, verdicts):
     """The fusion weights of every node at depth L, (N, N): node i fuses
-    sensor j with weight N (W^L)_ij on its support, the sensors an L-step
-    path reaches.
+    sensor j with weight N (W^L)_ij, as L consensus rounds of W and the
+    filter pass (``harness._filter_runs``) do.
 
-    A node with an empty support, or one that is not uniformly observable,
-    has no steady covariance and raises ValidationError.
+    The support mask of ``weight_power``, the sensors an L-step path
+    reaches, only gates: a node whose support is empty or not uniformly
+    observable has no steady covariance and raises ValidationError.
     """
     power, mask = weight_power(weights, L)
     for i in range(model.N):
@@ -121,7 +124,7 @@ def _fusion_matrix(model, weights, L, verdicts):
                 f"node {i} at L={L}: the pair (A, modified C) is not uniformly "
                 "observable, so the consensus filter has no steady covariance"
             )
-    return np.where(mask, model.N * power, 0.0)
+    return model.N * power
 
 
 def _fused_solve(model, weights, L_values, tol, reduce):
@@ -144,10 +147,8 @@ def _fused_solve(model, weights, L_values, tol, reduce):
     """
     verdicts = {}
     N = model.N
-    # Sensors that measure in no slot add nothing to any fused information.
-    sensors = _active_sensors(model).any(axis=0)
+    sensors, _, _, own = _sensor_information(model)
     fusions = [_fusion_matrix(model, weights, L, verdicts)[:, sensors] for L in L_values]
-    own = _sensor_information(model)[1][:, sensors]
     nodes = len(fusions) * N
     S = np.empty((model.period, nodes + 1) + own.shape[2:])
     for d, fusion in enumerate(fusions):

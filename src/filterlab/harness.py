@@ -7,19 +7,21 @@ told apart by two matrices: ``prior_mix`` mixes the nodes' predicted
 information P_j^{-1} x_j and ``fusion`` the sensors' measurement
 information C_j' R_j^{-1} y_j. The centralized Kalman filter (CKF) is one
 node with ([[1]], 1'), the consensus-on-measurement filter (CMDF) is
-(I, N W^L) and the consensus-on-information baseline (CIDF) is (W^L, W^L).
-Node i corrects to x_i = P+_i q_i with
+(I, N W^L), the fusion its theory solves (``gap._fusion_matrix``, whose
+support mask only gates observability), and the consensus-on-information
+baseline (CIDF) is (W^L, W^L). Node i corrects to x_i = P+_i q_i with
 
     q_i = sum_j prior_mix_ij P_j^{-1} x_j + sum_j fusion_ij C_j' R_j^{-1} y_j.
 
-A slot without information is a prediction step. A sensor that does not
-measure at a period slot (its C_j is zero there, as for the benchmark's
-relays and its off-schedule slots) is left out of that slot's fused
-information and fused measurement, and at a silent slot, where no sensor
-measures, the fuse is skipped and the corrected information is the
-predicted one. Only exact zeros are left out, so no number changes. A
-sensor that measures at no slot has no column in the measurements a pass
-holds (``_measured``).
+A slot without information is a prediction step. Which sensor measures at
+which period slot is decided by ``gap._sensor_information``, whose tables
+the pass and the theory read. A sensor that does not measure at a slot (its
+C_j is zero there, as for the benchmark's relays and its off-schedule
+slots) is left out of that slot's fused information and fused measurement,
+and at a silent slot, where no sensor measures, the fuse is skipped and the
+corrected information is the predicted one. Only exact zeros are left out,
+so no number changes. A sensor that measures at no slot has no column in
+the measurements a pass holds (``_measured``).
 
 The covariances are data-independent, so one loop over the steps serves
 every run of a scenario: each step advances the covariances of the nodes of
@@ -209,9 +211,9 @@ def timed(stages: dict, name: str):
 
 def _measured(plant, Y):
     """The columns of the stacked measurements Y (..., m) of the sensors
-    that measure in some period slot (``gap._active_sensors``): the only
-    ones a filter pass reads. Y itself when every sensor measures."""
-    keep = np.repeat(gap_mod._active_sensors(plant).any(axis=0), plant.sensor_dims)
+    that measure in some period slot (``gap._sensor_information``): the
+    only ones a filter pass reads. Y itself when every sensor measures."""
+    keep = np.repeat(gap_mod._sensor_information(plant)[0], plant.sensor_dims)
     return Y if keep.all() else Y[..., keep]
 
 
@@ -316,10 +318,11 @@ def _report_overflow(sums, x) -> None:
         np.multiply(x, x).sum(axis=1)
 
 
-def _run_filters(plant, runs, gain, own, X, Y, theory, threads=1):
+def _run_filters(plant, runs, X, Y, theory, threads=1):
     """One FilterRun per entry of ``runs`` ((name, L, prior_mix, fusion), as
     ``_filter_runs`` lists them), all advanced over the states X and the
-    measurement columns Y of the sensors that measure (``_measured``).
+    measurement columns Y of the sensors that measure (``_measured``), as
+    many as ``gap._sensor_information`` has, else ValidationError.
 
     With ``threads`` = 2 the runs split into two groups of consecutive runs
     balanced by row count, and each group's pass advances on its own thread
@@ -329,7 +332,7 @@ def _run_filters(plant, runs, gain, own, X, Y, theory, threads=1):
     pass mixes rows of different runs, so a run's numbers do not depend on
     the group it is in.
     """
-    width = _measured(plant, np.empty((0, plant.m))).shape[-1]
+    width = gap_mod._sensor_information(plant)[2].shape[-1]
     if Y.shape[-1] != width:
         raise ValidationError(
             f"the pass takes the {width} measured columns of Y (_measured), "
@@ -343,7 +346,7 @@ def _run_filters(plant, runs, gain, own, X, Y, theory, threads=1):
         groups = [runs[:cut], runs[cut:]]
     # Every buffer is allocated here, in the calling thread: glibc gives each
     # thread its own heap, and a worker's would add its peak to the process's.
-    passes = [_prepare_pass(plant, group, gain, own, X, Y, theory) for group in groups]
+    passes = [_prepare_pass(plant, group, X, Y, theory) for group in groups]
     with _one_blas_thread():
         if len(passes) == 1:
             return passes[0]()
@@ -358,7 +361,7 @@ def _run_filters(plant, runs, gain, own, X, Y, theory, threads=1):
     return out
 
 
-def _prepare_pass(plant, runs, gain, own, X, Y, theory):
+def _prepare_pass(plant, runs, X, Y, theory):
     """The pass of ``_run_filters`` over ``runs``, set up: returns the
     callable that advances it and returns one FilterRun per run.
 
@@ -369,9 +372,9 @@ def _prepare_pass(plant, runs, gain, own, X, Y, theory):
     information P^{-1} and posterior covariance P+, whose inverse is
     sum_j prior_mix_ij P_j^{-1} + sum_j fusion_ij C_j' R_j^{-1} C_j, and
     then the estimates of every row and trial, (rows, n, trials). Each slot
-    fuses only its active sensors (``gap._active_sensors``), through one
-    restricted copy of the fusion weights per distinct active set, and a
-    silent slot skips the fuse. The squared one-step-ahead errors are
+    fuses only the sensors that measure there, by its columns of the fusion
+    weights and its rows of the plant's ``gap._sensor_information`` tables;
+    a silent slot skips the fuse. The squared one-step-ahead errors are
     reduced as they come: per step to their mean and standard error over the
     trials, per trial to their mean over the steady window, the last plant
     period; with one trial the standard errors are NaN. With ``theory`` the
@@ -387,7 +390,8 @@ def _prepare_pass(plant, runs, gain, own, X, Y, theory):
     N, T = plant.N, plant.period
     own_prior = [np.array_equal(pm, np.eye(len(pm))) for _, _, pm, _ in runs]
     order = sorted(range(len(runs)), key=lambda r: not own_prior[r])
-    fusion = np.concatenate([runs[r][3] for r in order])
+    sensors, measures, to_info, own = gap_mod._sensor_information(plant)
+    fusion = np.concatenate([runs[r][3] for r in order])[:, sensors]
     bounds = np.cumsum([0] + [len(runs[r][3]) for r in order])
     exact = int(bounds[sum(own_prior)])
     # The mixing runs are CIDF's, each mixing N nodes with its own W^L.
@@ -396,21 +400,13 @@ def _prepare_pass(plant, runs, gain, own, X, Y, theory):
     block = (len(mixing), N, -1)
 
     exact_sq = fusion[:exact] ** 2
-    # sensor_info[t, j] maps the measured columns to C_j' R_j^{-1} y_j.
-    # Each slot keeps the rows of its active sensors; the restricted fusion
-    # weights are shared by the slots of one active set.
-    sensor_info = np.zeros((T, N, n, plant.m))
-    for j, sl in enumerate(plant.observation_slices()):
-        sensor_info[:, j, :, sl] = gain[:, sl].swapaxes(1, 2)
-    sensor_info = _measured(plant, sensor_info)
-    restricted, slots = {}, []
-    for t, active in enumerate(gap_mod._active_sensors(plant)):
-        sensors = np.flatnonzero(active)
-        key = sensors.tobytes()
-        if key not in restricted:
-            restricted[key] = fusion[:, sensors], exact_sq[:, sensors]
-        to_info = sensor_info[t, sensors].reshape(-1, sensor_info.shape[-1])
-        slots.append((sensors.size, *restricted[key], own[t, sensors], to_info))
+    slots = []
+    for t, on in enumerate(measures):
+        # Views where every measuring sensor measures: a copy per slot raised
+        # a 300-trial benchmark run's peak RSS by 1.8 MB (x86-64 Linux, glibc).
+        on = slice(None) if on.all() else on
+        info_t = to_info[t, on].reshape(-1, to_info.shape[-1])
+        slots.append((fusion[:, on], exact_sq[:, on], own[t, on], info_t))
     rows = len(fusion)
     # Estimates start at zero; the simulator starts every trial at x0.
     x0 = X[0, 0]
@@ -427,7 +423,8 @@ def _prepare_pass(plant, runs, gain, own, X, Y, theory):
         E = np.broadcast_to(np.outer(x0, x0), (exact, n, n))
         for k in range(1, K + 1):
             A, Q = plant.A.at(k - 1), plant.Q.at(k - 1)
-            active, fuse, fuse_sq, own_k, to_info = slots[k % T]
+            fuse, fuse_sq, own_k, to_info = slots[k % T]
+            active = len(own_k)
             Pinv = spd_inverse(A @ post @ A.T + Q, what="predicted covariance")
             prior = Pinv
             if mix is not None:
@@ -517,10 +514,9 @@ def run_monte_carlo(
         Y = _measured(plant, Y)
 
     with timed(stages, "filter"):
-        gain, own = gap_mod._sensor_information(plant)
         specs = _filter_runs(scenario)
         threads = _filter_threads(h, len(specs))
-        runs = _run_filters(plant, specs, gain, own, X, Y, with_theory, threads)
+        runs = _run_filters(plant, specs, X, Y, with_theory, threads)
         for r, run in enumerate(runs):
             if not run.diverged:
                 continue
@@ -533,7 +529,7 @@ def run_monte_carlo(
             # its statistics without the diverged ones.
             ok = np.ones(h, dtype=bool)
             ok[list(run.diverged)] = False
-            (runs[r],) = _run_filters(plant, [specs[r]], gain, own, X[ok], Y[ok], with_theory)
+            (runs[r],) = _run_filters(plant, [specs[r]], X[ok], Y[ok], with_theory)
             runs[r].diverged = run.diverged
 
     report = central_avg = solver = None

@@ -91,6 +91,22 @@ def complete_graph(n: int) -> SensorGraph:
     return SensorGraph(n_nodes=n, edges=edges)
 
 
+def every_sensor_measuring(plant: PlantModel):
+    """``gap._sensor_information`` as if every sensor measured at every
+    slot: the tables of all N sensors over all m columns, a zero C_j giving
+    zero rows. Patched in, it shows that leaving out the sensors that do
+    not measure changes no bit."""
+    T, n = plant.period, plant.n
+    to_info = np.zeros((T, plant.N, n, plant.m))
+    own = np.empty((T, plant.N, n, n))
+    for j, sl in enumerate(plant.observation_slices()):
+        C = plant.C[j].stack
+        gain = np.linalg.solve(plant.R[j].stack, C)
+        to_info[:, j, :, sl] = gain.swapaxes(1, 2)
+        own[:, j] = C.swapaxes(1, 2) @ gain
+    return np.ones(plant.N, dtype=bool), np.ones((T, plant.N), dtype=bool), to_info, own
+
+
 def spd(rng, n: int, scale: float = 1.0) -> np.ndarray:
     B = rng.normal(size=(n, n))
     return scale * (B @ B.T) + 0.2 * scale * np.eye(n)

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     complete_graph,
+    every_sensor_measuring,
     two_node_graph,
     two_node_weights,
     two_sensor_scalar_plant,
@@ -463,9 +464,7 @@ class TestStackedSolve:
         import filterlab.gap as gap
 
         report = build_gap_report(bench_plant, bench_weights, [2, 4])
-        monkeypatch.setattr(
-            gap, "_active_sensors", lambda plant: np.ones((plant.period, plant.N), dtype=bool)
-        )
+        monkeypatch.setattr(gap, "_sensor_information", every_sensor_measuring)
         every = build_gap_report(bench_plant, bench_weights, [2, 4])
         assert every.solver.pop("silent_slots") == 0
         assert report.solver.pop("silent_slots") == 15
@@ -487,8 +486,8 @@ class TestStackedSolve:
 
         def recording_riccati(A, Q, S, tol):
             stacks.append(("riccati", S.shape[1]))
-            own = gap._sensor_information(bench_plant)[1]
-            central = gap._fused_information(np.ones((1, bench_plant.N)), own)
+            own = gap._sensor_information(bench_plant)[3]
+            central = gap._fused_information(np.ones((1, len(own[0]))), own)
             assert np.array_equal(S[:, -1:], central)
             return riccati(A, Q, S, tol)
 
@@ -564,3 +563,77 @@ class TestCmdfSpps:
         report = build_gap_report(bench_plant, bench_weights, L_values=[2, d])
         for L in (2, d):
             self._assert_nodes_match_report(bench_plant, bench_weights, report, L)
+
+
+class TestOneFusion:
+    """The consensus filter the Monte Carlo pass runs and the one the theory
+    solves fuse the same N W^L. On a 30-node path at L = 29, six entries of
+    W^L lie in (0, 1e-12]: the support mask leaves them out, so they show
+    whether the mask gates only or also cuts the fused weights."""
+
+    N, L = 30, 29
+
+    @pytest.fixture
+    def path(self):
+        N = self.N
+        plant = PlantModel(A=[[0.9]], Q=[[1.0]], C=[[[1.0]]] * N, R=[[[1.0]]] * N)
+        graph = SensorGraph(n_nodes=N, edges=frozenset((i, i + 1) for i in range(N - 1)))
+        return plant, graph, metropolis_weights(graph)
+
+    def test_the_pass_fuses_what_the_theory_solves(self, path, monkeypatch):
+        import filterlab.gap as gap
+        from filterlab import Scenario, harness, simulate_trials
+
+        plant, graph, weights = path
+        scn = Scenario(plant, graph, weights, (self.L,), 2, 1, 0, filters=("cmdf",))
+        specs = harness._filter_runs(scn)
+        ((_, _, _, fusion),) = specs
+        assert np.array_equal(fusion, gap._fusion_matrix(plant, weights, self.L, {}))
+        # Each step of the pass fuses S and, for its theory curve, S2; the
+        # theory fuses the nodes' S, the centralized S, then the nodes' S2.
+        calls = []
+        fused_information = gap._fused_information
+
+        def recording(fusion, own):
+            calls.append((fusion.copy(), fused_information(fusion, own)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(gap, "_fused_information", recording)
+        X, Y = simulate_trials(plant, 2, range(1))
+        harness._run_filters(plant, specs, X, harness._measured(plant, Y), True)
+        step = calls[:2]
+        calls.clear()
+        cmdf_spps(plant, weights, self.L)
+        for (pass_fusion, pass_S), (fusion, S) in zip(step, [calls[0], calls[2]]):
+            assert np.array_equal(pass_fusion, fusion)
+            assert np.array_equal(pass_S, S[0])
+
+    def test_the_observability_gates_read_the_mask(self, path, monkeypatch, tmp_path):
+        import json
+
+        import filterlab.gap as gap
+        from filterlab import Scenario, harness
+        from filterlab.cli import main
+
+        plant, graph, weights = path
+        power, mask = weight_power(weights, self.L)
+        tiny = (power > 0) & ~mask
+        assert np.count_nonzero(tiny) == 6
+        assert power[tiny].max() <= 1e-12 and power[tiny].min() < 1.5e-14
+        supports = []
+        observable = gap.observable_support
+
+        def recording(model, support, verdicts):
+            supports.append(np.asarray(support, dtype=bool))
+            return observable(model, support, verdicts)
+
+        monkeypatch.setattr(gap, "observable_support", recording)
+        gap._fusion_matrix(plant, weights, self.L, {})
+        scn = Scenario(plant, graph, weights, (self.L,), 2, 1, 0)
+        config = tmp_path / "path.json"
+        config.write_text(json.dumps(harness.scenario_to_dict(scn)))
+        assert main(["observability", "--scenario", str(config)]) == 0
+        # The gate, then the command's whole-network check and its nodes.
+        assert np.array_equal(np.stack(supports[: self.N]), mask)
+        assert supports[self.N].all()
+        assert np.array_equal(np.stack(supports[self.N + 1 :]), mask)

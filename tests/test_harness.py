@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import complete_graph, scalar_plant, two_node_graph
+from conftest import complete_graph, every_sensor_measuring, scalar_plant, two_node_graph
 from filterlab import (
     ConsensusWeights,
     PlantModel,
@@ -23,7 +23,6 @@ from filterlab import (
     simulate_trials,
 )
 from filterlab import gap, harness
-from filterlab.gap import _sensor_information
 from filterlab.harness import (
     CidfComparison,
     TrialResults,
@@ -129,11 +128,8 @@ class TestRunMonteCarlo:
         scn = triangle_scenario(trials=3, filters=("ckf", "cmdf"))
         plant = scn.plant
         X, Y = simulate_trials(plant, scn.horizon, range(scn.trials), noise_scale=0.0)
-        gain, own = _sensor_information(plant)
         Y = harness._measured(plant, Y)
-        runs = harness._run_filters(
-            plant, harness._filter_runs(scn), gain, own, X, Y, theory=False
-        )
+        runs = harness._run_filters(plant, harness._filter_runs(scn), X, Y, theory=False)
         assert [r.label for r in runs] == ["ckf", "cmdf_L1", "cmdf_L2"]
         for run in runs:
             # Squared errors are non-negative, so a zero mean is zero in every trial.
@@ -289,7 +285,6 @@ class TestRunMonteCarlo:
         h, K = 40, 44
         X, Y = simulate_trials(plant, K, np.random.SeedSequence(1).spawn(h))
         Y[0, 5, 0] = 1e12
-        gain, own = _sensor_information(plant)
         spec = [("cmdf", 1, np.eye(2), 2 * weights.matrix)]
         ref = np.empty((plant.N, h, K))
         peak, final = np.zeros(h), np.zeros(h)
@@ -297,7 +292,7 @@ class TestRunMonteCarlo:
         measured = harness._measured(plant, Y)
         assert measured.shape == (h, K + 1, 1)
         with np.errstate(over="ignore", invalid="ignore"):
-            (run,) = harness._run_filters(plant, spec, gain, own, X, measured, theory=False)
+            (run,) = harness._run_filters(plant, spec, X, measured, theory=False)
             for l in range(h):
                 states = default_states(plant)
                 for k in range(1, K + 1):
@@ -315,15 +310,13 @@ class TestRunMonteCarlo:
         assert 0 < flagged.sum() < h
         for l in np.flatnonzero(~flagged):
             (alone,) = harness._run_filters(
-                plant, spec, gain, own, X[l : l + 1], measured[l : l + 1], theory=False
+                plant, spec, X[l : l + 1], measured[l : l + 1], theory=False
             )
             assert alone.diverged == ()
             np.testing.assert_allclose(alone.mse_per_step, ref[:, l], rtol=1e-12)
         # The same pass over the trials that did not diverge averages them only.
         ok = ~flagged
-        (kept,) = harness._run_filters(
-            plant, spec, gain, own, X[ok], measured[ok], theory=False
-        )
+        (kept,) = harness._run_filters(plant, spec, X[ok], measured[ok], theory=False)
         assert kept.diverged == ()
         np.testing.assert_allclose(kept.mse_per_step, ref[:, ok].mean(axis=1), rtol=1e-12)
 
@@ -343,10 +336,9 @@ class TestRunMonteCarlo:
         scn = triangle_scenario(trials=200)
         results = run_monte_carlo(scn, with_theory=False)
         (X, Y), plant = inputs[0], scn.plant
-        gain, own = _sensor_information(plant)
         specs = harness._filter_runs(scn)
         Y = harness._measured(plant, Y)
-        kept = harness._run_filters(plant, specs, gain, own, X[1:], Y[1:], theory=False)
+        kept = harness._run_filters(plant, specs, X[1:], Y[1:], theory=False)
         assert [r.label for r in results.runs] == [r.label for r in kept]
         for run, want in zip(results.runs, kept):
             assert run.diverged == (0,)
@@ -485,11 +477,8 @@ class TestCompareCidf:
         Y_moved = np.concatenate([Y[:, :, blocks[j]] for j in perm], axis=2)
 
         def filter_runs(scn, X, Y):
-            gain, own = _sensor_information(scn.plant)
             Y = harness._measured(scn.plant, Y)
-            runs = harness._run_filters(
-                scn.plant, harness._filter_runs(scn), gain, own, X, Y, theory=True
-            )
+            runs = harness._run_filters(scn.plant, harness._filter_runs(scn), X, Y, theory=True)
             return {(r.name, r.fusion_steps): r for r in runs}
 
         def close(a, b):
@@ -669,9 +658,8 @@ class TestTwoThreadPass:
     def benchmark_pass(self, threads, trials=12, horizon=40):
         scn = benchmark_scenario(trials=trials)
         X, Y = simulate_trials(scn.plant, horizon, range(trials))
-        gain, own = _sensor_information(scn.plant)
         specs, Y = harness._filter_runs(scn), harness._measured(scn.plant, Y)
-        return harness._run_filters(scn.plant, specs, gain, own, X, Y, True, threads)
+        return harness._run_filters(scn.plant, specs, X, Y, True, threads)
 
     def test_split_pass_is_bit_identical_on_the_benchmark(self, blas):
         assert_same_runs(self.benchmark_pass(2), self.benchmark_pass(1))
@@ -781,9 +769,8 @@ class TestTwoThreadPass:
         scn = triangle_scenario(trials=4, filters=("ckf", "cmdf"))
         X, Y = simulate_trials(scn.plant, scn.horizon, range(4))
         Y[:, 3] = 1e200
-        gain, own = _sensor_information(scn.plant)
         specs, Y = harness._filter_runs(scn), harness._measured(scn.plant, Y)
-        return harness._run_filters(scn.plant, specs, gain, own, X, Y, False, threads)
+        return harness._run_filters(scn.plant, specs, X, Y, False, threads)
 
     def test_split_pass_keeps_the_callers_errstate(self, blas):
         # The overflow is reported as the overflow, not as the inf - inf of
@@ -802,18 +789,13 @@ class TestTwoThreadPass:
         scn = triangle_scenario(trials=4, filters=("ckf",))
         X, Y = simulate_trials(scn.plant, scn.horizon, range(4))
         Y[:, 3] = np.array([[1e80], [-1e80], [1e80], [2e80]])
-        gain, own = _sensor_information(scn.plant)
         specs, Y = harness._filter_runs(scn), harness._measured(scn.plant, Y)
         with np.errstate(all="raise"), pytest.raises(FloatingPointError, match="overflow"):
-            harness._run_filters(scn.plant, specs, gain, own, X, Y, False)
+            harness._run_filters(scn.plant, specs, X, Y, False)
         with np.errstate(over="ignore"):
-            (run,) = harness._run_filters(scn.plant, specs, gain, own, X, Y, False)
+            (run,) = harness._run_filters(scn.plant, specs, X, Y, False)
         assert np.isfinite(run.mse_per_step).all()
         assert np.isinf(run.step_se[0, 3:]).any()
-
-
-def every_sensor_active(plant):
-    return np.ones((plant.period, plant.N), dtype=bool)
 
 
 class TestActiveSensors:
@@ -822,16 +804,19 @@ class TestActiveSensors:
     nothing; what is left out is exact zeros, so no bit moves."""
 
     def test_benchmark_relays_and_silent_slots(self, bench_plant):
-        active = gap._active_sensors(bench_plant)
-        assert active.shape == (30, 20)
+        # The 6 measuring sensors are the first; the 14 relays have no
+        # entry, and the 6 measure at the odd slots only.
+        sensors, active, to_info, own = gap._sensor_information(bench_plant)
+        assert (sensors == (np.arange(20) < 6)).all()
+        assert active.shape == (30, 6)
         assert not active[0::2].any()
-        assert (active[1::2] == (np.arange(20) < 6)).all()
+        assert active[1::2].all()
+        assert to_info.shape == (30, 6, 4, 6) and own.shape == (30, 6, 4, 4)
 
     def filter_pass(self, scn, trials=6, horizon=64):
         X, Y = simulate_trials(scn.plant, horizon, range(trials))
-        gain, own = _sensor_information(scn.plant)
         specs, Y = harness._filter_runs(scn), harness._measured(scn.plant, Y)
-        return harness._run_filters(scn.plant, specs, gain, own, X, Y, True)
+        return harness._run_filters(scn.plant, specs, X, Y, True)
 
     @pytest.mark.parametrize("graph_seed", [12, 5, 2])
     def test_benchmark_pass_is_bit_identical_to_fusing_every_sensor(
@@ -839,16 +824,16 @@ class TestActiveSensors:
     ):
         scn = benchmark_scenario(trials=6, graph_seed=graph_seed, L_values=(1, 3, 6))
         skipped = self.filter_pass(scn)
-        monkeypatch.setattr(gap, "_active_sensors", every_sensor_active)
+        monkeypatch.setattr(gap, "_sensor_information", every_sensor_measuring)
         assert_same_runs(skipped, self.filter_pass(scn))
 
     def test_pass_without_silent_slots_is_bit_identical(self, monkeypatch):
         # Each slot of the triangle's plant has a measuring sensor and two
         # that do not.
         scn = triangle_scenario()
-        assert gap._active_sensors(scn.plant).sum(axis=1).tolist() == [1, 1]
+        assert gap._sensor_information(scn.plant)[1].sum(axis=1).tolist() == [1, 1]
         skipped = self.filter_pass(scn, horizon=12)
-        monkeypatch.setattr(gap, "_active_sensors", every_sensor_active)
+        monkeypatch.setattr(gap, "_sensor_information", every_sensor_measuring)
         assert_same_runs(skipped, self.filter_pass(scn, horizon=12))
 
     def test_silent_slots_skip_the_fuse(self, monkeypatch):
@@ -875,9 +860,9 @@ class TestActiveSensors:
         shapes = []
         run_filters = harness._run_filters
 
-        def recorded(plant, runs, gain, own, X, Y, *args):
+        def recorded(plant, runs, X, Y, *args):
             shapes.append(Y.shape)
-            return run_filters(plant, runs, gain, own, X, Y, *args)
+            return run_filters(plant, runs, X, Y, *args)
 
         def spiked(*args, **kwargs):
             X, Y = simulate_trials(*args, **kwargs)
@@ -894,7 +879,6 @@ class TestActiveSensors:
     def test_full_width_measurements_are_rejected(self):
         scn = benchmark_scenario(trials=2, horizon=60, filters=("ckf",))
         X, Y = simulate_trials(scn.plant, 60, range(2))
-        gain, own = _sensor_information(scn.plant)
         specs = harness._filter_runs(scn)
         with pytest.raises(ValidationError, match=r"6 measured columns of Y \(_measured\), got 20"):
-            harness._run_filters(scn.plant, specs, gain, own, X, Y, False)
+            harness._run_filters(scn.plant, specs, X, Y, False)

@@ -18,7 +18,6 @@ from filterlab import (
     uniform_observability,
 )
 from filterlab.spps import DEFAULT_TOL, OBSERVABILITY_REL_TOL, _iterate_to_period
-from filterlab.network import weight_power
 import filterlab.gap as gap
 import filterlab.spps as spps
 import reference_spps
@@ -560,9 +559,8 @@ def relative_change(got, want):
 def benchmark_information(plant, weights, L):
     """S and S2 of the benchmark's nodes at depth L and of the centralized
     filter, (30, 21, 4, 4) each."""
-    own = gap._sensor_information(plant)[1]
-    power, mask = weight_power(weights, L)
-    fusion = np.vstack([np.where(mask, plant.N * power, 0.0), np.ones(plant.N)])
+    sensors, _, _, own = gap._sensor_information(plant)
+    fusion = np.vstack([gap._fusion_matrix(plant, weights, L, {}), np.ones(plant.N)])[:, sensors]
     return gap._fused_information(fusion, own), gap._fused_information(fusion**2, own)
 
 

@@ -239,8 +239,8 @@ def _series_parts(model, weights, L, i):
             f"series form needs full fusion support for node {i} at L={L} "
             "(take L at least the graph diameter)"
         )
-    fusion = np.stack([model.N * power[i], np.ones(model.N)])
-    own = _sensor_information(model)[1]
+    sensors, _, _, own = _sensor_information(model)
+    fusion = np.stack([model.N * power[i], np.ones(model.N)])[:, sensors]
     S, S2 = _fused_information(fusion, own), _fused_information(fusion**2, own)
     P = _information_riccati(model.A, model.Q, S, SERIES_TOL)[0]
     return P, S, S2, _closed_loops(model.A, model.Q, P, S, S2)
