@@ -144,6 +144,8 @@ def _cmd_simulate(args) -> dict:
     info = {
         "runtime_s": results.runtime_seconds,
         "filter_threads": results.filter_threads,
+        "filter_blocks": results.filter_blocks,
+        "filter_window": results.filter_window,
         "blas_pinned": results.blas_pinned,
         "stages": stages,
         "diverged": {r.label: list(r.diverged) for r in results.runs},

@@ -24,13 +24,16 @@ so no number changes. A sensor that measures at no slot has no column in
 the measurements a pass holds (``_measured``).
 
 The covariances are data-independent, so one loop over the steps serves
-every run of a scenario: each step advances the covariances of the nodes of
-all runs as one stack, then the estimates of all runs and trials together,
-and reduces their squared errors on the spot. From SPLIT_MIN_TRIALS trials
-on, with two usable CPUs and numpy's OpenBLAS found, the runs split into two
+every run of a scenario. It advances the covariances of the nodes of all
+runs as one stack, a window of WINDOW_STEPS steps at a time; then each
+block of whole runs advances its slice of the one estimate stack, all
+trials together, over the window's steps while the block is in cache, and
+reduces its squared errors on the spot. From SPLIT_MIN_TRIALS trials on,
+with two usable CPUs and numpy's OpenBLAS found, the runs split into two
 groups of whole runs that advance on two threads. Numpy's OpenBLAS is
 pinned to one thread while any pass runs. No step mixes rows of different
-runs, so the results do not depend on the thread count.
+runs, so the results do not depend on the thread count, the blocks or the
+window.
 Empirical MSE is computed on the one-step-ahead (predicted) estimates,
 matching the error covariance recursions the theory curves iterate.
 """
@@ -74,10 +77,19 @@ from .spps import DEFAULT_TOL
 KNOWN_FILTERS = ("ckf", "cmdf", "cidf")
 DIVERGENCE_NORM = 1e9
 # A filter pass with at least this many trials runs on two threads. Below it
-# the threads' contention for the interpreter outweighs the second core: on
-# a 2-core VM 24 trials of 300 steps took about three times as long split,
-# and at 100 steps the split broke even at about 64 trials.
-SPLIT_MIN_TRIALS = 128
+# the blocked pass is as fast on one thread. Median walls of the benchmark's
+# 19 runs over 100 steps on a 2-core VM, one thread against two: 0.33-0.49 s
+# against 0.38-0.47 s at 300 trials, 0.40-0.49 against 0.55-0.63 s at 450,
+# 0.51-0.64 against 0.56-0.70 s at 600, 0.67-0.83 against 0.59-0.69 s at 750
+# (the split won 3 of 4 pairs) and 1.32-1.82 against 0.86-1.10 s at 1500.
+SPLIT_MIN_TRIALS = 750
+# A filter pass advances its estimates in blocks of whole runs of at most
+# BLOCK_BYTES (``_pass_layout``), each over a window of WINDOW_STEPS steps
+# while it is in cache. On a 2-core VM with 2 MB of L2 a core, a
+# 300-trial benchmark pass took 0.29-0.30 s at these values, 0.30-0.34 s
+# with 4-step windows and 0.36-0.44 s with 20-step ones.
+BLOCK_BYTES = 384 * 1024
+WINDOW_STEPS = 10
 DEFAULT_SEED = 7
 DEFAULT_GRAPH_SEED = 12
 # The top-level keys of a config file; any other key is an error.
@@ -157,7 +169,9 @@ class TrialResults:
     was solved; the steady theory of every run is read from it. ``solver``
     holds the theory's sweep counts and residuals (``GapReport.solver``, or
     the centralized solve's alone without a sweep) and ``stages`` the wall
-    and CPU seconds of each stage of the run (``timed``).
+    and CPU seconds of each stage of the run (``timed``). ``filter_blocks``
+    holds the row count of each estimate block of the filter pass, group by
+    group (``_pass_layout``), and ``filter_window`` its window of steps.
     """
 
     horizon: int
@@ -171,6 +185,8 @@ class TrialResults:
     runtime_seconds: float = 0.0
     gap_report: gap_mod.GapReport | None = None
     filter_threads: int = 1
+    filter_blocks: list = field(default_factory=list)
+    filter_window: int = 1
     blas_pinned: bool = False
     solver: dict | None = None
     stages: dict = field(default_factory=dict)
@@ -318,6 +334,38 @@ def _report_overflow(sums, x) -> None:
         np.multiply(x, x).sum(axis=1)
 
 
+def _groups(runs, threads):
+    """The runs of a pass on ``threads`` threads: with two, two groups of
+    consecutive whole runs balanced by row count, else all runs as one."""
+    if threads < 2 or len(runs) < 2:
+        return [runs]
+    sizes = np.cumsum([len(fusion) for *_, fusion in runs])
+    ends = sizes[:-1]
+    cut = 1 + int(np.argmin(np.maximum(ends, sizes[-1] - ends)))
+    return [runs[:cut], runs[cut:]]
+
+
+def _pass_layout(runs, n, trials):
+    """(order, own_prior, bounds) of a pass over ``runs``: the runs in row
+    order, the runs keeping their own prior (prior_mix = I) first; whether
+    each run keeps it; and the row bounds of the pass's estimate blocks. A
+    block is consecutive whole runs, as many as BLOCK_BYTES of (n, trials)
+    estimates hold but at least one, and at least two rows when the pass
+    has them: a one-row GEMM takes another OpenBLAS path and rounds
+    differently, so the CKF row shares a block."""
+    own_prior = [np.array_equal(pm, np.eye(len(pm))) for _, _, pm, _ in runs]
+    order = sorted(range(len(runs)), key=lambda r: not own_prior[r])
+    row_bytes = n * trials * 8
+    bounds, prev = [0], 0
+    for end in np.cumsum([len(runs[r][3]) for r in order]).tolist():
+        if prev - bounds[-1] >= 2 and (end - bounds[-1]) * row_bytes > BLOCK_BYTES:
+            bounds.append(prev)
+        prev = end
+    if prev - bounds[-1] < 2 and len(bounds) > 1:
+        bounds.pop()
+    return order, own_prior, bounds + [prev]
+
+
 def _run_filters(plant, runs, X, Y, theory, threads=1):
     """One FilterRun per entry of ``runs`` ((name, L, prior_mix, fusion), as
     ``_filter_runs`` lists them), all advanced over the states X and the
@@ -325,12 +373,12 @@ def _run_filters(plant, runs, X, Y, theory, threads=1):
     many as ``gap._sensor_information`` has, else ValidationError.
 
     With ``threads`` = 2 the runs split into two groups of consecutive runs
-    balanced by row count, and each group's pass advances on its own thread
-    (one of them the caller's) in a copy of the caller's context, so
-    ``np.errstate`` holds there too. Either way numpy's OpenBLAS is pinned
-    to one thread while the pass runs (``_one_blas_thread``). Nothing in a
-    pass mixes rows of different runs, so a run's numbers do not depend on
-    the group it is in.
+    balanced by row count (``_groups``), and each group's pass advances on
+    its own thread (one of them the caller's) in a copy of the caller's
+    context, so ``np.errstate`` holds there too. Either way numpy's OpenBLAS
+    is pinned to one thread while the pass runs (``_one_blas_thread``).
+    Nothing in a pass mixes rows of different runs, so a run's numbers do
+    not depend on the group or the estimate block it is in.
     """
     width = gap_mod._sensor_information(plant)[2].shape[-1]
     if Y.shape[-1] != width:
@@ -338,15 +386,9 @@ def _run_filters(plant, runs, X, Y, theory, threads=1):
             f"the pass takes the {width} measured columns of Y (_measured), "
             f"got {Y.shape[-1]}"
         )
-    groups = [runs]
-    if threads > 1 and len(runs) > 1:
-        sizes = np.cumsum([len(fusion) for *_, fusion in runs])
-        ends = sizes[:-1]
-        cut = 1 + int(np.argmin(np.maximum(ends, sizes[-1] - ends)))
-        groups = [runs[:cut], runs[cut:]]
     # Every buffer is allocated here, in the calling thread: glibc gives each
     # thread its own heap, and a worker's would add its peak to the process's.
-    passes = [_prepare_pass(plant, group, X, Y, theory) for group in groups]
+    passes = [_prepare_pass(plant, group, X, Y, theory) for group in _groups(runs, threads)]
     with _one_blas_thread():
         if len(passes) == 1:
             return passes[0]()
@@ -365,19 +407,23 @@ def _prepare_pass(plant, runs, X, Y, theory):
     """The pass of ``_run_filters`` over ``runs``, set up: returns the
     callable that advances it and returns one FilterRun per run.
 
-    The rows of every run form one stack, ordered so that the runs keeping
-    their own prior (prior_mix = I, skipped rather than multiplied) come
-    first and the mixing runs form one block after them. The covariances are
-    data-independent, so each step first advances every row's predicted
+    The rows of every run form one stack in the order of ``_pass_layout``:
+    the runs keeping their own prior (prior_mix = I, skipped rather than
+    multiplied) first, the mixing runs after them. The covariances are
+    data-independent, so the pass advances them, for every row at once, a
+    window of WINDOW_STEPS steps at a time: each step's predicted
     information P^{-1} and posterior covariance P+, whose inverse is
     sum_j prior_mix_ij P_j^{-1} + sum_j fusion_ij C_j' R_j^{-1} C_j, and
-    then the estimates of every row and trial, (rows, n, trials). Each slot
-    fuses only the sensors that measure there, by its columns of the fusion
-    weights and its rows of the plant's ``gap._sensor_information`` tables;
-    a silent slot skips the fuse. The squared one-step-ahead errors are
-    reduced as they come: per step to their mean and standard error over the
-    trials, per trial to their mean over the steady window, the last plant
-    period; with one trial the standard errors are NaN. With ``theory`` the
+    each sensor's measurement information over the trials. Then each block
+    of whole runs (``_pass_layout``) advances its slice of the one estimate
+    stack, (rows, n, trials), over the window's steps while it is in cache,
+    in two scratch buffers of the widest block's size. Each slot fuses only
+    the sensors that measure there, by its columns of the fusion weights and
+    its rows of the plant's ``gap._sensor_information`` tables; a silent
+    slot skips the fuse. The squared one-step-ahead errors are reduced as
+    they come: per step to their mean and standard error over the trials,
+    per trial to their mean over the steady window, the last plant period;
+    with one trial the standard errors are NaN. With ``theory`` the
     own-prior rows also iterate their exact predicted-error covariance,
     which the fused measurement noise grows by
     P+ (sum_j fusion_ij^2 C_j' R_j^{-1} C_j) P+. A trial whose estimate in a
@@ -388,16 +434,20 @@ def _prepare_pass(plant, runs, X, Y, theory):
     """
     h, K, n = X.shape[0], X.shape[1] - 1, plant.n
     N, T = plant.N, plant.period
-    own_prior = [np.array_equal(pm, np.eye(len(pm))) for _, _, pm, _ in runs]
-    order = sorted(range(len(runs)), key=lambda r: not own_prior[r])
+    order, own_prior, bounds = _pass_layout(runs, n, h)
     sensors, measures, to_info, own = gap_mod._sensor_information(plant)
     fusion = np.concatenate([runs[r][3] for r in order])[:, sensors]
-    bounds = np.cumsum([0] + [len(runs[r][3]) for r in order])
-    exact = int(bounds[sum(own_prior)])
+    ends = np.cumsum([0] + [len(runs[r][3]) for r in order])
+    exact = int(ends[sum(own_prior)])
     # The mixing runs are CIDF's, each mixing N nodes with its own W^L.
     mixing = [runs[r][2] for r in order if not own_prior[r]]
     mix = np.stack(mixing) if mixing else None
-    block = (len(mixing), N, -1)
+    # Per block: its rows, and where its mixing rows start and their W^Ls.
+    blocks = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        start = max(lo, exact)
+        held = mix[(start - exact) // N : (hi - exact) // N] if hi > start else None
+        blocks.append((lo, hi, start - lo, held))
 
     exact_sq = fusion[:exact] ** 2
     slots = []
@@ -407,63 +457,93 @@ def _prepare_pass(plant, runs, X, Y, theory):
         on = slice(None) if on.all() else on
         info_t = to_info[t, on].reshape(-1, to_info.shape[-1])
         slots.append((fusion[:, on], exact_sq[:, on], own[t, on], info_t))
-    rows = len(fusion)
+    rows, W = len(fusion), WINDOW_STEPS
     # Estimates start at zero; the simulator starts every trial at x0.
     x0 = X[0, 0]
     traces = np.empty((exact, K)) if theory else None
     mse, spread = np.empty((rows, K)), np.empty((rows, K))
-    # Two estimate buffers and three (rows, trials) ones serve every step.
-    estimates = np.zeros((rows, n, h)), np.empty((rows, n, h))
-    sq, steady = np.empty((rows, h)), np.zeros((rows, h))
+    # One estimate stack; the blocks share two scratch buffers and one sq.
+    xhat = np.zeros((rows, n, h))
+    widest = max(hi - lo for lo, hi, *_ in blocks)
+    scratch = np.empty((widest, n, h)), np.empty((widest, n, h))
+    sq, steady = np.empty((widest, h)), np.zeros((rows, h))
     bad = np.zeros((rows, h), dtype=bool)
+    # A window's covariances, sensors' measurement information and states.
+    Pinvs, posts = np.empty((W, rows, n, n)), np.empty((W, rows, n, n))
+    measured = np.empty((W, to_info.shape[1] * n, h))
+    truth = np.empty((W, n, h))
+
+    def covariances(k, last, Pinv, post, z, E):
+        """Step k's covariances from the posterior ``last`` into the
+        window's tables ``Pinv`` and ``post``, and its sensors' measurement
+        information into ``z``; the step's record and the next
+        predicted-error covariance."""
+        A, Q = plant.A.at(k - 1), plant.Q.at(k - 1)
+        fuse, fuse_sq, own_k, info_t = slots[k % T]
+        Pinv[...] = spd_inverse(A @ last @ A.T + Q, what="predicted covariance")
+        prior = Pinv
+        if mix is not None:
+            prior = Pinv.copy()
+            prior[exact:] = (mix @ Pinv[exact:].reshape(len(mixing), N, -1)).reshape(-1, n, n)
+        info = gap_mod._fused_information(fuse, own_k)
+        post[...] = spd_inverse(prior + info, what="posterior information")
+        if theory:
+            M = post[:exact] @ Pinv[:exact]
+            Ep = sym(A @ E @ A.T + Q)
+            traces[:, k - 1] = np.trace(Ep, axis1=1, axis2=2)
+            noise = gap_mod._fused_information(fuse_sq, own_k)
+            E = sym(M @ Ep @ M.swapaxes(1, 2) + post[:exact] @ noise @ post[:exact])
+        fused = None
+        if len(own_k):
+            z = np.matmul(info_t, Y[:, k].T, out=z[: len(info_t)])
+            fused = fuse, z.reshape(len(own_k), n * h)
+        return (A, Pinv, post, fused), E
+
+    def estimates(steps, window, lo, hi, mixed, held):
+        """Advance the estimates of rows lo:hi over the window's steps."""
+        x, b = xhat[lo:hi], hi - lo
+        pred, q = scratch[0][:b], scratch[1][:b]
+        sq_b, steady_b, bad_b = sq[:b], steady[lo:hi], bad[lo:hi]
+        for j, (k, (A, Pinv, post, fused)) in enumerate(zip(steps, window)):
+            np.matmul(A, x, out=pred)
+            np.matmul(Pinv[lo:hi], pred, out=q)
+            err = np.subtract(pred, truth[j], out=pred)
+            np.einsum("inh,inh->ih", err, err, out=sq_b)
+            mse[lo:hi, k - 1] = sq_b.mean(axis=1)
+            mean = mse[lo:hi, k - 1]
+            _report_overflow(mean, err)
+            if k > K - T:
+                np.add(steady_b, sq_b, out=steady_b)
+            dev = np.subtract(sq_b, mean[:, None], out=sq_b)
+            spread[lo:hi, k - 1] = np.einsum("ih,ih->i", dev, dev)
+            _report_overflow(spread[lo:hi, k - 1], dev)
+            if held is not None:
+                shape = (len(held), N, -1)
+                np.matmul(held, q[mixed:].reshape(shape), out=pred[mixed:].reshape(shape))
+                q[mixed:] = pred[mixed:]
+            if fused is not None:
+                fuse, z = fused
+                np.matmul(fuse[lo:hi], z, out=pred.reshape(b, n * h))
+                q += pred
+            np.matmul(post[lo:hi], q, out=x)
+            _flag_diverged(x, bad_b, pred, sq_b)
 
     def advance():
-        xhat, work = estimates
         post = np.broadcast_to(np.eye(n), (rows, n, n))
         E = np.broadcast_to(np.outer(x0, x0), (exact, n, n))
-        for k in range(1, K + 1):
-            A, Q = plant.A.at(k - 1), plant.Q.at(k - 1)
-            fuse, fuse_sq, own_k, to_info = slots[k % T]
-            active = len(own_k)
-            Pinv = spd_inverse(A @ post @ A.T + Q, what="predicted covariance")
-            prior = Pinv
-            if mix is not None:
-                prior = Pinv.copy()
-                prior[exact:] = (mix @ Pinv[exact:].reshape(block)).reshape(-1, n, n)
-            info = gap_mod._fused_information(fuse, own_k)
-            post = spd_inverse(prior + info, what="posterior information")
-            if theory:
-                M = post[:exact] @ Pinv[:exact]
-                Ep = sym(A @ E @ A.T + Q)
-                traces[:, k - 1] = np.trace(Ep, axis1=1, axis2=2)
-                noise = gap_mod._fused_information(fuse_sq, own_k)
-                E = sym(M @ Ep @ M.swapaxes(1, 2) + post[:exact] @ noise @ post[:exact])
-            pred = np.matmul(A, xhat, out=work)
-            q = np.matmul(Pinv, pred, out=xhat)
-            err = np.subtract(pred, X[:, k].T.copy(), out=pred)
-            np.einsum("inh,inh->ih", err, err, out=sq)
-            mse[:, k - 1] = sq.mean(axis=1)
-            _report_overflow(mse[:, k - 1], err)
-            if k > K - T:
-                np.add(steady, sq, out=steady)
-            dev = np.subtract(sq, mse[:, k - 1, None], out=sq)
-            spread[:, k - 1] = np.einsum("ih,ih->i", dev, dev)
-            _report_overflow(spread[:, k - 1], dev)
-            if mix is not None:
-                np.matmul(mix, q[exact:].reshape(block), out=work[exact:].reshape(block))
-                q[exact:] = work[exact:]
-            if active:
-                fused = np.matmul(
-                    fuse,
-                    (to_info @ Y[:, k].T).reshape(active, n * h),
-                    out=work.reshape(rows, n * h),
-                )
-                q += fused.reshape(rows, n, h)
-            xhat, work = np.matmul(post, q, out=work), q
-            _flag_diverged(xhat, bad, work, sq)
+        for first in range(1, K + 1, W):
+            steps = range(first, min(first + W, K + 1))
+            window = []
+            for k, Pinv, table, z in zip(steps, Pinvs, posts, measured):
+                step, E = covariances(k, post, Pinv, table, z, E)
+                window.append(step)
+                post = table
+            np.copyto(truth[: len(steps)], X[:, steps.start : steps.stop].transpose(1, 2, 0))
+            for block in blocks:
+                estimates(steps, window, *block)
         per_trial = np.divide(steady, T, out=steady)
         mse_steady = per_trial.mean(axis=1)
-        dev = np.subtract(per_trial, mse_steady[:, None], out=sq)
+        dev = np.subtract(per_trial, mse_steady[:, None], out=per_trial)
         # Sums of squared deviations over h trials to squared standard errors.
         se2 = 1.0 / (h * (h - 1)) if h > 1 else np.nan
         step_se = np.sqrt(np.multiply(spread, se2, out=spread), out=spread)
@@ -471,7 +551,7 @@ def _prepare_pass(plant, runs, X, Y, theory):
         # deviation in the window, whose overflow the step reported.
         steady_se = np.sqrt(np.einsum("ih,ih->i", dev, dev) * se2)
         out = [None] * len(runs)
-        for r, lo, hi in zip(order, bounds[:-1], bounds[1:]):
+        for r, lo, hi in zip(order, ends[:-1], ends[1:]):
             name, L = runs[r][:2]
             out[r] = FilterRun(
                 name=name,
@@ -517,6 +597,11 @@ def run_monte_carlo(
         specs = _filter_runs(scenario)
         threads = _filter_threads(h, len(specs))
         runs = _run_filters(plant, specs, X, Y, with_theory, threads)
+        blocks = [
+            int(rows)
+            for group in _groups(specs, threads)
+            for rows in np.diff(_pass_layout(group, plant.n, h)[2])
+        ]
         for r, run in enumerate(runs):
             if not run.diverged:
                 continue
@@ -568,6 +653,8 @@ def run_monte_carlo(
         runtime_seconds=time.perf_counter() - start,
         gap_report=report,
         filter_threads=threads,
+        filter_blocks=blocks,
+        filter_window=WINDOW_STEPS,
         blas_pinned=_openblas() is not None,
         solver=solver,
         stages=stages,

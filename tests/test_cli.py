@@ -359,6 +359,20 @@ class TestPipelines:
         info = json.loads((out / "run_info.json").read_text())
         assert info["filter_threads"] == 2 and info["blas_pinned"] is True
 
+    def test_run_info_records_the_estimate_blocks(self, tmp_path):
+        # 384 KB hold two 20-row runs of 300 trials; the CKF row rides with
+        # the first CMDF run, and the 300 trials run on one thread.
+        scenario = write_json(
+            tmp_path / "bench.json",
+            harness.scenario_to_dict(harness.benchmark_scenario(trials=300, horizon=60)),
+        )
+        out = tmp_path / "bench"
+        assert main(["simulate", "--scenario", scenario, "--out", str(out)]) == 0
+        info = json.loads((out / "run_info.json").read_text())
+        assert info["filter_threads"] == 1
+        assert info["filter_blocks"] == [21] + [40] * 8 + [20]
+        assert info["filter_window"] == harness.WINDOW_STEPS
+
     def test_one_trial_writes_no_standard_error(self, tiny_scenario, tmp_path, capsys):
         out = tmp_path / "one"
         argv = ["simulate", "--scenario", tiny_scenario, "--out", str(out), "--trials", "1"]

@@ -396,7 +396,7 @@ class TestRunMonteCarlo:
 
     def test_traced_peak_of_the_benchmark_run(self):
         # At 300 trials the filter pass's buffers set the peak, about
-        # 12.9 MB. Carrying the 14 relays' measurement columns through the
+        # 10.6 MB. Carrying the 14 relays' measurement columns through the
         # pass, or making full-size temporaries of Y in the simulation, reads
         # about 16.4 MB.
         scn = benchmark_scenario(trials=300)
@@ -407,6 +407,19 @@ class TestRunMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak < 14.5e6
+
+    def test_traced_peak_holds_one_estimate_stack(self):
+        # One (361, 4, 300) estimate stack, 3.5 MB, and the blocks' scratch
+        # in its place of two stacks: about 10.6 MB, where two stacks read
+        # about 12.9 MB.
+        scn = benchmark_scenario(trials=300)
+        tracemalloc.start()
+        try:
+            run_monte_carlo(scn, with_theory=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 11.5e6
 
 
 class TestCompareCidf:
@@ -796,6 +809,76 @@ class TestTwoThreadPass:
             (run,) = harness._run_filters(scn.plant, specs, X, Y, False)
         assert np.isfinite(run.mse_per_step).all()
         assert np.isinf(run.step_se[0, 3:]).any()
+
+
+class TestBlockedPass:
+    """The estimates advance in blocks of whole runs over windows of steps;
+    no block size or window length moves a bit."""
+
+    HORIZON = 64
+    # One run a block (the CKF row riding with the first CMDF run), the
+    # default, and the whole stack as one block.
+    BLOCK_BUDGETS = [0, harness.BLOCK_BYTES, 2**62]
+
+    @pytest.fixture(scope="class")
+    def spiked(self):
+        # Sensor 0 measures at odd slots: one spiked measurement diverges
+        # trial 0 in every run.
+        scn = benchmark_scenario(trials=40)
+        X, Y = simulate_trials(scn.plant, self.HORIZON, range(40))
+        Y[0, 5, 0] = 1e12
+        return scn.plant, harness._filter_runs(scn), X, harness._measured(scn.plant, Y)
+
+    def blocked_pass(self, spiked, block_bytes, window):
+        plant, specs, X, Y = spiked
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "BLOCK_BYTES", block_bytes)
+            mp.setattr(harness, "WINDOW_STEPS", window)
+            with np.errstate(over="ignore"):
+                return harness._run_filters(plant, specs, X, Y, True)
+
+    @pytest.fixture(scope="class")
+    def whole(self, spiked):
+        # The whole stack as one block, one step at a time.
+        return self.blocked_pass(spiked, 2**62, 1)
+
+    @pytest.mark.parametrize("window", [1, 7, HORIZON])
+    @pytest.mark.parametrize("block_bytes", BLOCK_BUDGETS, ids=["run", "default", "stack"])
+    def test_blocks_and_windows_move_no_bit(self, spiked, whole, block_bytes, window):
+        runs = self.blocked_pass(spiked, block_bytes, window)
+        assert all(r.diverged == (0,) for r in runs)
+        assert all(r.theory_per_step is not None for r in runs if r.name != "cidf")
+        assert_same_runs(runs, whole)
+
+    @pytest.mark.parametrize("block_bytes", BLOCK_BUDGETS, ids=["run", "default", "stack"])
+    def test_blocks_are_whole_runs_and_the_ckf_row_shares_one(
+        self, spiked, block_bytes, monkeypatch
+    ):
+        monkeypatch.setattr(harness, "BLOCK_BYTES", block_bytes)
+        _, specs, X, _ = spiked
+        sizes = [len(fusion) for *_, fusion in specs]
+        order, _, bounds = harness._pass_layout(specs, 4, len(X))
+        ends = np.cumsum([0] + [sizes[r] for r in order]).tolist()
+        assert set(bounds) <= set(ends) and bounds[0] == 0 and bounds[-1] == 361
+        # The CKF row is the first; a one-row GEMM would round differently.
+        assert order[0] == 0 and bounds[1] >= 2
+        if block_bytes == 0:
+            assert bounds == [0, 21] + ends[3:]
+        elif block_bytes == 2**62:
+            assert bounds == [0, 361]
+
+    @pytest.mark.parametrize(
+        "sizes, bounds",
+        [
+            ([20, 1], [0, 21]),  # a last run of one row joins the run before it
+            ([1, 1, 20], [0, 2, 22]),
+            ([1], [0, 1]),  # a one-row pass has one one-row block
+        ],
+    )
+    def test_one_row_runs_never_form_a_block_of_their_own(self, sizes, bounds, monkeypatch):
+        monkeypatch.setattr(harness, "BLOCK_BYTES", 0)
+        runs = [("cmdf", None, np.eye(size), np.ones((size, 1))) for size in sizes]
+        assert harness._pass_layout(runs, 4, 10)[2] == bounds
 
 
 class TestActiveSensors:
