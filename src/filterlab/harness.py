@@ -23,17 +23,16 @@ corrected information is the predicted one. Only exact zeros are left out,
 so no number changes. A sensor that measures at no slot has no column in
 the measurements a pass holds (``_measured``).
 
-The covariances are data-independent, so one loop over the steps serves
+The covariances are data-independent, so one pass over the steps serves
 every run of a scenario. It advances the covariances of the nodes of all
 runs as one stack, a window of WINDOW_STEPS steps at a time; then each
 block of whole runs advances its slice of the one estimate stack, all
 trials together, over the window's steps while the block is in cache, and
 reduces its squared errors on the spot. From SPLIT_MIN_TRIALS trials on,
-with two usable CPUs and numpy's OpenBLAS found, the runs split into two
-groups of whole runs that advance on two threads. Numpy's OpenBLAS is
-pinned to one thread while any pass runs. No step mixes rows of different
-runs, so the results do not depend on the thread count, the blocks or the
-window.
+with two blocks, two usable CPUs and numpy's OpenBLAS found, a second
+thread advances every other block. Numpy's OpenBLAS is pinned to one
+thread while any pass runs. No step mixes rows of different runs, so the
+results do not depend on the thread count, the blocks or the window.
 Empirical MSE is computed on the one-step-ahead (predicted) estimates,
 matching the error covariance recursions the theory curves iterate.
 """
@@ -76,13 +75,15 @@ from .spps import DEFAULT_TOL
 
 KNOWN_FILTERS = ("ckf", "cmdf", "cidf")
 DIVERGENCE_NORM = 1e9
-# A filter pass with at least this many trials runs on two threads. Below it
-# the blocked pass is as fast on one thread. Median walls of the benchmark's
-# 19 runs over 100 steps on a 2-core VM, one thread against two: 0.33-0.49 s
-# against 0.38-0.47 s at 300 trials, 0.40-0.49 against 0.55-0.63 s at 450,
-# 0.51-0.64 against 0.56-0.70 s at 600, 0.67-0.83 against 0.59-0.69 s at 750
-# (the split won 3 of 4 pairs) and 1.32-1.82 against 0.86-1.10 s at 1500.
-SPLIT_MIN_TRIALS = 750
+# A filter pass with at least this many trials runs on two threads. Walls of
+# a pass of the benchmark's 19 runs over 100 steps on a 2-core VM, one thread
+# against two, in 5 alternating pairs: two threads lost all 5 at 40 trials
+# (two blocks of 301 and 60 rows) and won from 100 on, but at 450 by 2-7%
+# and only 3 of 5 pairs in one of three rounds; at 600 they won every pair,
+# 0.47-0.49 against 0.39-0.45 s, at 750 0.60-0.70 against 0.45-0.59 s and
+# at 1500 1.22-1.27 against 0.72-0.76 s. A 300-trial pass stays on one
+# thread: a second thread's scratch raises its traced peak by about 1 MB.
+SPLIT_MIN_TRIALS = 600
 # A filter pass advances its estimates in blocks of whole runs of at most
 # BLOCK_BYTES (``_pass_layout``), each over a window of WINDOW_STEPS steps
 # while it is in cache. On a 2-core VM with 2 MB of L2 a core, a
@@ -170,8 +171,9 @@ class TrialResults:
     holds the theory's sweep counts and residuals (``GapReport.solver``, or
     the centralized solve's alone without a sweep) and ``stages`` the wall
     and CPU seconds of each stage of the run (``timed``). ``filter_blocks``
-    holds the row count of each estimate block of the filter pass, group by
-    group (``_pass_layout``), and ``filter_window`` its window of steps.
+    holds the row count of each estimate block of the filter pass
+    (``_pass_layout``), ``filter_threads`` the threads that advanced them
+    and ``filter_window`` its window of steps.
     """
 
     horizon: int
@@ -265,11 +267,12 @@ def _openblas():
     return None
 
 
-def _filter_threads(trials: int, run_count: int) -> int:
-    """Threads for a filter pass over ``run_count`` runs: two from
-    SPLIT_MIN_TRIALS trials on, when two CPUs are usable and numpy's OpenBLAS
-    can be pinned to one thread; else one."""
-    if trials < SPLIT_MIN_TRIALS or run_count < 2 or _usable_cpus() < 2:
+def _filter_threads(trials: int, block_count: int) -> int:
+    """Threads for a filter pass of ``block_count`` estimate blocks
+    (``_pass_layout``): two from SPLIT_MIN_TRIALS trials on, when the pass
+    has two blocks, two CPUs are usable and numpy's OpenBLAS can be pinned
+    to one thread; else one."""
+    if trials < SPLIT_MIN_TRIALS or block_count < 2 or _usable_cpus() < 2:
         return 1
     return 2 if _openblas() else 1
 
@@ -284,7 +287,7 @@ _saved_threads = None
 @contextlib.contextmanager
 def _one_blas_thread():
     """Numpy's OpenBLAS, when found, at one thread while any filter pass
-    runs: a split pass's threads then do not oversubscribe the cores, and no
+    runs: a two-thread pass's threads do not oversubscribe the cores, and no
     step wakes BLAS threads for a small product. The first pass in saves the
     count and the last one out restores it; the lock keeps concurrent passes
     from interleaving the two."""
@@ -334,17 +337,6 @@ def _report_overflow(sums, x) -> None:
         np.multiply(x, x).sum(axis=1)
 
 
-def _groups(runs, threads):
-    """The runs of a pass on ``threads`` threads: with two, two groups of
-    consecutive whole runs balanced by row count, else all runs as one."""
-    if threads < 2 or len(runs) < 2:
-        return [runs]
-    sizes = np.cumsum([len(fusion) for *_, fusion in runs])
-    ends = sizes[:-1]
-    cut = 1 + int(np.argmin(np.maximum(ends, sizes[-1] - ends)))
-    return [runs[:cut], runs[cut:]]
-
-
 def _pass_layout(runs, n, trials):
     """(order, own_prior, bounds) of a pass over ``runs``: the runs in row
     order, the runs keeping their own prior (prior_mix = I) first; whether
@@ -368,44 +360,10 @@ def _pass_layout(runs, n, trials):
 
 def _run_filters(plant, runs, X, Y, theory, threads=1):
     """One FilterRun per entry of ``runs`` ((name, L, prior_mix, fusion), as
-    ``_filter_runs`` lists them), all advanced over the states X and the
-    measurement columns Y of the sensors that measure (``_measured``), as
-    many as ``gap._sensor_information`` has, else ValidationError.
-
-    With ``threads`` = 2 the runs split into two groups of consecutive runs
-    balanced by row count (``_groups``), and each group's pass advances on
-    its own thread (one of them the caller's) in a copy of the caller's
-    context, so ``np.errstate`` holds there too. Either way numpy's OpenBLAS
-    is pinned to one thread while the pass runs (``_one_blas_thread``).
-    Nothing in a pass mixes rows of different runs, so a run's numbers do
-    not depend on the group or the estimate block it is in.
-    """
-    width = gap_mod._sensor_information(plant)[2].shape[-1]
-    if Y.shape[-1] != width:
-        raise ValidationError(
-            f"the pass takes the {width} measured columns of Y (_measured), "
-            f"got {Y.shape[-1]}"
-        )
-    # Every buffer is allocated here, in the calling thread: glibc gives each
-    # thread its own heap, and a worker's would add its peak to the process's.
-    passes = [_prepare_pass(plant, group, X, Y, theory) for group in _groups(runs, threads)]
-    with _one_blas_thread():
-        if len(passes) == 1:
-            return passes[0]()
-        # Imported here: it would add about 10 ms to importing the package.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(len(passes) - 1) as pool:
-            futures = [pool.submit(contextvars.copy_context().run, p) for p in passes[1:]]
-            out = passes[0]()
-            for future in futures:
-                out += future.result()
-    return out
-
-
-def _prepare_pass(plant, runs, X, Y, theory):
-    """The pass of ``_run_filters`` over ``runs``, set up: returns the
-    callable that advances it and returns one FilterRun per run.
+    ``_filter_runs`` lists them), all advanced in one pass over the states X
+    and the measurement columns Y of the sensors that measure
+    (``_measured``), as many as ``gap._sensor_information`` has, else
+    ValidationError.
 
     The rows of every run form one stack in the order of ``_pass_layout``:
     the runs keeping their own prior (prior_mix = I, skipped rather than
@@ -416,22 +374,35 @@ def _prepare_pass(plant, runs, X, Y, theory):
     sum_j prior_mix_ij P_j^{-1} + sum_j fusion_ij C_j' R_j^{-1} C_j, and
     each sensor's measurement information over the trials. Then each block
     of whole runs (``_pass_layout``) advances its slice of the one estimate
-    stack, (rows, n, trials), over the window's steps while it is in cache,
-    in two scratch buffers of the widest block's size. Each slot fuses only
-    the sensors that measure there, by its columns of the fusion weights and
-    its rows of the plant's ``gap._sensor_information`` tables; a silent
-    slot skips the fuse. The squared one-step-ahead errors are reduced as
-    they come: per step to their mean and standard error over the trials,
-    per trial to their mean over the steady window, the last plant period;
-    with one trial the standard errors are NaN. With ``theory`` the
-    own-prior rows also iterate their exact predicted-error covariance,
-    which the fused measurement noise grows by
-    P+ (sum_j fusion_ij^2 C_j' R_j^{-1} C_j) P+. A trial whose estimate in a
-    run has an entry above DIVERGENCE_NORM or NaN at any step is listed in
-    that run's ``diverged`` and still counted in its statistics. An overflow
-    of a squared error or deviation reaches ``np.errstate``
-    (``_report_overflow``).
+    stack, (rows, n, trials), over the window's steps while it is in cache.
+    On ``threads`` threads, at most one a block, thread t advances blocks
+    t, t + threads, ... in its own scratch. Thread 0 is the caller's; the
+    others run in a copy of its context, so ``np.errstate`` holds there
+    too, and each window waits for them. Numpy's OpenBLAS is pinned to one
+    thread while the pass runs (``_one_blas_thread``). No step mixes rows
+    of different runs, so a run's numbers do not depend on the block or the
+    thread it is in.
+
+    Each slot fuses only the sensors that measure there, by its columns of
+    the fusion weights and its rows of the plant's
+    ``gap._sensor_information`` tables; a silent slot skips the fuse. The
+    squared one-step-ahead errors are reduced as they come: per step to
+    their mean and standard error over the trials, per trial to their mean
+    over the steady window, the last plant period; with one trial the
+    standard errors are NaN. With ``theory`` the own-prior rows also iterate
+    their exact predicted-error covariance, which the fused measurement
+    noise grows by P+ (sum_j fusion_ij^2 C_j' R_j^{-1} C_j) P+. A trial
+    whose estimate in a run has an entry above DIVERGENCE_NORM or NaN at any
+    step is listed in that run's ``diverged`` and still counted in its
+    statistics. An overflow of a squared error or deviation reaches
+    ``np.errstate`` (``_report_overflow``).
     """
+    width = gap_mod._sensor_information(plant)[2].shape[-1]
+    if Y.shape[-1] != width:
+        raise ValidationError(
+            f"the pass takes the {width} measured columns of Y (_measured), "
+            f"got {Y.shape[-1]}"
+        )
     h, K, n = X.shape[0], X.shape[1] - 1, plant.n
     N, T = plant.N, plant.period
     order, own_prior, bounds = _pass_layout(runs, n, h)
@@ -448,6 +419,8 @@ def _prepare_pass(plant, runs, X, Y, theory):
         start = max(lo, exact)
         held = mix[(start - exact) // N : (hi - exact) // N] if hi > start else None
         blocks.append((lo, hi, start - lo, held))
+    threads = min(threads, len(blocks))
+    shares = [blocks[t::threads] for t in range(threads)]
 
     exact_sq = fusion[:exact] ** 2
     slots = []
@@ -462,11 +435,16 @@ def _prepare_pass(plant, runs, X, Y, theory):
     x0 = X[0, 0]
     traces = np.empty((exact, K)) if theory else None
     mse, spread = np.empty((rows, K)), np.empty((rows, K))
-    # One estimate stack; the blocks share two scratch buffers and one sq.
+    # One estimate stack. Every buffer is allocated here, in the calling
+    # thread: glibc gives each thread its own heap, and a worker's would add
+    # its peak to the process's. Each thread's blocks share two scratch
+    # stacks and one sq of its widest block's size.
     xhat = np.zeros((rows, n, h))
-    widest = max(hi - lo for lo, hi, *_ in blocks)
-    scratch = np.empty((widest, n, h)), np.empty((widest, n, h))
-    sq, steady = np.empty((widest, h)), np.zeros((rows, h))
+    scratch = []
+    for share in shares:
+        widest = max(hi - lo for lo, hi, *_ in share)
+        scratch.append((np.empty((widest, n, h)), np.empty((widest, n, h)), np.empty((widest, h))))
+    steady = np.zeros((rows, h))
     bad = np.zeros((rows, h), dtype=bool)
     # A window's covariances, sensors' measurement information and states.
     Pinvs, posts = np.empty((W, rows, n, n)), np.empty((W, rows, n, n))
@@ -499,38 +477,44 @@ def _prepare_pass(plant, runs, X, Y, theory):
             fused = fuse, z.reshape(len(own_k), n * h)
         return (A, Pinv, post, fused), E
 
-    def estimates(steps, window, lo, hi, mixed, held):
-        """Advance the estimates of rows lo:hi over the window's steps."""
-        x, b = xhat[lo:hi], hi - lo
-        pred, q = scratch[0][:b], scratch[1][:b]
-        sq_b, steady_b, bad_b = sq[:b], steady[lo:hi], bad[lo:hi]
-        for j, (k, (A, Pinv, post, fused)) in enumerate(zip(steps, window)):
-            np.matmul(A, x, out=pred)
-            np.matmul(Pinv[lo:hi], pred, out=q)
-            err = np.subtract(pred, truth[j], out=pred)
-            np.einsum("inh,inh->ih", err, err, out=sq_b)
-            mse[lo:hi, k - 1] = sq_b.mean(axis=1)
-            mean = mse[lo:hi, k - 1]
-            _report_overflow(mean, err)
-            if k > K - T:
-                np.add(steady_b, sq_b, out=steady_b)
-            dev = np.subtract(sq_b, mean[:, None], out=sq_b)
-            spread[lo:hi, k - 1] = np.einsum("ih,ih->i", dev, dev)
-            _report_overflow(spread[lo:hi, k - 1], dev)
-            if held is not None:
-                shape = (len(held), N, -1)
-                np.matmul(held, q[mixed:].reshape(shape), out=pred[mixed:].reshape(shape))
-                q[mixed:] = pred[mixed:]
-            if fused is not None:
-                fuse, z = fused
-                np.matmul(fuse[lo:hi], z, out=pred.reshape(b, n * h))
-                q += pred
-            np.matmul(post[lo:hi], q, out=x)
-            _flag_diverged(x, bad_b, pred, sq_b)
+    def advance(steps, window, t):
+        """Advance thread t's blocks of estimates over the window's steps."""
+        for lo, hi, mixed, held in shares[t]:
+            x, b = xhat[lo:hi], hi - lo
+            pred, q, sq = (buffer[:b] for buffer in scratch[t])
+            steady_b, bad_b = steady[lo:hi], bad[lo:hi]
+            for j, (k, (A, Pinv, post, fused)) in enumerate(zip(steps, window)):
+                np.matmul(A, x, out=pred)
+                np.matmul(Pinv[lo:hi], pred, out=q)
+                err = np.subtract(pred, truth[j], out=pred)
+                np.einsum("inh,inh->ih", err, err, out=sq)
+                mse[lo:hi, k - 1] = sq.mean(axis=1)
+                mean = mse[lo:hi, k - 1]
+                _report_overflow(mean, err)
+                if k > K - T:
+                    np.add(steady_b, sq, out=steady_b)
+                dev = np.subtract(sq, mean[:, None], out=sq)
+                spread[lo:hi, k - 1] = np.einsum("ih,ih->i", dev, dev)
+                _report_overflow(spread[lo:hi, k - 1], dev)
+                if held is not None:
+                    shape = (len(held), N, -1)
+                    np.matmul(held, q[mixed:].reshape(shape), out=pred[mixed:].reshape(shape))
+                    q[mixed:] = pred[mixed:]
+                if fused is not None:
+                    fuse, z = fused
+                    np.matmul(fuse[lo:hi], z, out=pred.reshape(b, n * h))
+                    q += pred
+                np.matmul(post[lo:hi], q, out=x)
+                _flag_diverged(x, bad_b, pred, sq)
 
-    def advance():
-        post = np.broadcast_to(np.eye(n), (rows, n, n))
-        E = np.broadcast_to(np.outer(x0, x0), (exact, n, n))
+    post = np.broadcast_to(np.eye(n), (rows, n, n))
+    E = np.broadcast_to(np.outer(x0, x0), (exact, n, n))
+    with _one_blas_thread(), contextlib.ExitStack() as workers:
+        if threads > 1:
+            # Imported here: it would add about 10 ms to importing the package.
+            from concurrent.futures import ThreadPoolExecutor
+
+            pool = workers.enter_context(ThreadPoolExecutor(threads - 1))
         for first in range(1, K + 1, W):
             steps = range(first, min(first + W, K + 1))
             window = []
@@ -539,8 +523,13 @@ def _prepare_pass(plant, runs, X, Y, theory):
                 window.append(step)
                 post = table
             np.copyto(truth[: len(steps)], X[:, steps.start : steps.stop].transpose(1, 2, 0))
-            for block in blocks:
-                estimates(steps, window, *block)
+            futures = [
+                pool.submit(contextvars.copy_context().run, advance, steps, window, t)
+                for t in range(1, threads)
+            ]
+            advance(steps, window, 0)
+            for future in futures:
+                future.result()
         per_trial = np.divide(steady, T, out=steady)
         mse_steady = per_trial.mean(axis=1)
         dev = np.subtract(per_trial, mse_steady[:, None], out=per_trial)
@@ -550,22 +539,20 @@ def _prepare_pass(plant, runs, X, Y, theory):
         # A deviation of a trial's steady mean is at most its largest step
         # deviation in the window, whose overflow the step reported.
         steady_se = np.sqrt(np.einsum("ih,ih->i", dev, dev) * se2)
-        out = [None] * len(runs)
-        for r, lo, hi in zip(order, ends[:-1], ends[1:]):
-            name, L = runs[r][:2]
-            out[r] = FilterRun(
-                name=name,
-                fusion_steps=L,
-                mse_per_step=mse[lo:hi],
-                step_se=step_se[lo:hi],
-                mse_steady=mse_steady[lo:hi],
-                steady_se=steady_se[lo:hi],
-                theory_per_step=traces[lo:hi] if theory and hi <= exact else None,
-                diverged=tuple(np.flatnonzero(bad[lo:hi].any(axis=0)).tolist()),
-            )
-        return out
-
-    return advance
+    out = [None] * len(runs)
+    for r, lo, hi in zip(order, ends[:-1], ends[1:]):
+        name, L = runs[r][:2]
+        out[r] = FilterRun(
+            name=name,
+            fusion_steps=L,
+            mse_per_step=mse[lo:hi],
+            step_se=step_se[lo:hi],
+            mse_steady=mse_steady[lo:hi],
+            steady_se=steady_se[lo:hi],
+            theory_per_step=traces[lo:hi] if theory and hi <= exact else None,
+            diverged=tuple(np.flatnonzero(bad[lo:hi].any(axis=0)).tolist()),
+        )
+    return out
 
 
 def run_monte_carlo(
@@ -595,27 +582,28 @@ def run_monte_carlo(
 
     with timed(stages, "filter"):
         specs = _filter_runs(scenario)
-        threads = _filter_threads(h, len(specs))
+        blocks = np.diff(_pass_layout(specs, plant.n, h)[2]).tolist()
+        threads = _filter_threads(h, len(blocks))
         runs = _run_filters(plant, specs, X, Y, with_theory, threads)
-        blocks = [
-            int(rows)
-            for group in _groups(specs, threads)
-            for rows in np.diff(_pass_layout(group, plant.n, h)[2])
-        ]
+        reruns = {}
         for r, run in enumerate(runs):
-            if not run.diverged:
-                continue
             if len(run.diverged) > 0.01 * h:
                 raise NumericalError(
                     f"{run.label}: {len(run.diverged)} of {h} trials diverged "
                     f"(ids {list(run.diverged)[:10]}...)"
                 )
-            # Trials are independent, so this run over the other trials gives
-            # its statistics without the diverged ones.
+            if run.diverged:
+                reruns.setdefault(run.diverged, []).append(r)
+        # Trials are independent, so one pass of the runs that diverged on the
+        # same trials over the other trials gives their statistics without them.
+        for diverged, rerun in reruns.items():
             ok = np.ones(h, dtype=bool)
-            ok[list(run.diverged)] = False
-            (runs[r],) = _run_filters(plant, [specs[r]], X[ok], Y[ok], with_theory)
-            runs[r].diverged = run.diverged
+            ok[list(diverged)] = False
+            kept = [specs[r] for r in rerun]
+            again = _run_filters(plant, kept, X[ok], Y[ok], with_theory, threads)
+            for r, run in zip(rerun, again):
+                run.diverged = diverged
+                runs[r] = run
 
     report = central_avg = solver = None
     if with_theory:

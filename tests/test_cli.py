@@ -354,10 +354,15 @@ class TestPipelines:
             pytest.skip("numpy bundles no OpenBLAS whose threads can be pinned")
         monkeypatch.setattr(harness, "SPLIT_MIN_TRIALS", 1)
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
-        out = tmp_path / "split"
-        assert main(["simulate", "--scenario", tiny_scenario, "--out", str(out)]) == 0
-        info = json.loads((out / "run_info.json").read_text())
-        assert info["filter_threads"] == 2 and info["blas_pinned"] is True
+        # One run a block makes four blocks of the tiny pass; the default
+        # budget holds it in one, which no second thread can share.
+        for block_bytes, blocks, threads in [(0, 4, 2), (harness.BLOCK_BYTES, 1, 1)]:
+            monkeypatch.setattr(harness, "BLOCK_BYTES", block_bytes)
+            out = tmp_path / f"split{block_bytes}"
+            assert main(["simulate", "--scenario", tiny_scenario, "--out", str(out)]) == 0
+            info = json.loads((out / "run_info.json").read_text())
+            assert info["filter_threads"] == threads and info["blas_pinned"] is True
+            assert len(info["filter_blocks"]) == blocks
 
     def test_run_info_records_the_estimate_blocks(self, tmp_path):
         # 384 KB hold two 20-row runs of 300 trials; the CKF row rides with

@@ -261,7 +261,7 @@ class TestRunMonteCarlo:
             plant=plant,
             graph=graph,
             weights=metropolis_weights(graph),
-            L_values=(1,),
+            L_values=(2, 1),
             horizon=80,
             trials=3,
             seed=1,
@@ -269,7 +269,8 @@ class TestRunMonteCarlo:
         )
         from filterlab import NumericalError
 
-        with pytest.raises(NumericalError):
+        # Every run diverges; the first in run order is named.
+        with pytest.raises(NumericalError, match="^cmdf_L2: "):
             with np.errstate(over="ignore", invalid="ignore"):
                 run_monte_carlo(scn, with_theory=False)
 
@@ -319,6 +320,37 @@ class TestRunMonteCarlo:
         (kept,) = harness._run_filters(plant, spec, X[ok], measured[ok], theory=False)
         assert kept.diverged == ()
         np.testing.assert_allclose(kept.mse_per_step, ref[:, ok].mean(axis=1), rtol=1e-12)
+
+    def test_runs_diverged_on_the_same_trials_rerun_together(self, monkeypatch):
+        # One spiked measurement diverges trial 0 in all 19 benchmark runs:
+        # one pass reruns them together over the other 119 trials, the CKF
+        # row sharing its block as in a fresh pass over those trials.
+        inputs, calls = [], []
+        run_filters = harness._run_filters
+
+        def spiked(*args, **kwargs):
+            X, Y = simulate_trials(*args, **kwargs)
+            Y[0, 5, 0] = 1e12
+            inputs.append((X, Y))
+            return X, Y
+
+        def counted(plant, runs, *args):
+            calls.append(len(runs))
+            return run_filters(plant, runs, *args)
+
+        monkeypatch.setattr(harness, "simulate_trials", spiked)
+        monkeypatch.setattr(harness, "_run_filters", counted)
+        scn = benchmark_scenario(trials=120, horizon=60)
+        with np.errstate(over="ignore"):
+            results = run_monte_carlo(scn, with_theory=False)
+        assert calls == [19, 19]
+        (X, Y), plant = inputs[0], scn.plant
+        Y = harness._measured(plant, Y)
+        fresh = run_filters(plant, harness._filter_runs(scn), X[1:], Y[1:], False)
+        assert all(r.diverged == (0,) for r in results.runs)
+        for run in fresh:
+            run.diverged = (0,)
+        assert_same_runs(results.runs, fresh)
 
     def test_few_diverged_trials_are_dropped_from_the_averages(self, monkeypatch):
         # One spiked measurement blows trial 0 up in every run: 1 of 200
@@ -655,6 +687,25 @@ def blas():
     return found
 
 
+@pytest.fixture
+def advanced(monkeypatch):
+    """The (thread, address of its first estimate) of each step a block of
+    a filter pass advances: ``_flag_diverged`` screens each block each step."""
+    seen = []
+    screen = harness._flag_diverged
+
+    def recorded(xhat, *args):
+        seen.append((threading.current_thread(), xhat.ctypes.data))
+        return screen(xhat, *args)
+
+    monkeypatch.setattr(harness, "_flag_diverged", recorded)
+    return seen
+
+
+def worker_advanced(seen) -> bool:
+    return any(thread is not threading.main_thread() for thread, _ in seen)
+
+
 def assert_same_runs(got, want):
     assert [r.label for r in got] == [r.label for r in want]
     for a, b in zip(got, want):
@@ -668,31 +719,49 @@ def assert_same_runs(got, want):
 
 
 class TestTwoThreadPass:
+    """Two-thread passes run with one run a block (BLOCK_BYTES = 0), so the
+    second thread has blocks to advance."""
+
+    @pytest.fixture(autouse=True)
+    def one_run_a_block(self, monkeypatch):
+        monkeypatch.setattr(harness, "BLOCK_BYTES", 0)
+
     def benchmark_pass(self, threads, trials=12, horizon=40):
         scn = benchmark_scenario(trials=trials)
         X, Y = simulate_trials(scn.plant, horizon, range(trials))
         specs, Y = harness._filter_runs(scn), harness._measured(scn.plant, Y)
         return harness._run_filters(scn.plant, specs, X, Y, True, threads)
 
-    def test_split_pass_is_bit_identical_on_the_benchmark(self, blas):
-        assert_same_runs(self.benchmark_pass(2), self.benchmark_pass(1))
+    def test_split_pass_is_bit_identical_on_the_benchmark(self, blas, monkeypatch, advanced):
+        # CKF beside one consensus run is one block of 21 rows, so it runs on
+        # one thread: a one-row GEMM of its own would round differently.
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        for filters, L_values, threads in [
+            (("ckf", "cmdf", "cidf"), None, 2),
+            (("ckf", "cmdf"), (4,), 1),
+        ]:
+            scn = benchmark_scenario(trials=12, horizon=60, filters=filters, L_values=L_values)
+            monkeypatch.setattr(harness, "SPLIT_MIN_TRIALS", 10**9)
+            advanced.clear()
+            inline = run_monte_carlo(scn)
+            assert not worker_advanced(advanced)
+            monkeypatch.setattr(harness, "SPLIT_MIN_TRIALS", scn.trials)
+            split = run_monte_carlo(scn)
+            assert (inline.filter_threads, split.filter_threads) == (1, threads)
+            assert worker_advanced(advanced) == (threads == 2)
+            assert_same_runs(split.runs, inline.runs)
 
-    def test_benchmark_groups_are_balanced_whole_runs(self, blas, monkeypatch):
-        # CKF and the nine CMDF depths (181 rows) on one thread, the nine
-        # CIDF depths (180 rows) on the other.
-        groups = []
-        prepare = harness._prepare_pass
-
-        def recorded(plant, runs, *args):
-            groups.append([(name, L) for name, L, *_ in runs])
-            return prepare(plant, runs, *args)
-
-        monkeypatch.setattr(harness, "_prepare_pass", recorded)
+    def test_threads_take_every_other_block(self, blas, advanced):
+        # One run a block, the CKF row riding with the first CMDF run, makes
+        # 18 blocks: the caller advances blocks 0, 2, ..., the worker 1, 3, ...
         self.benchmark_pass(2, trials=2, horizon=8)
-        assert [{name for name, _ in g} for g in groups] == [{"ckf", "cmdf"}, {"cidf"}]
-        assert [len(g) for g in groups] == [10, 9]
+        starts = sorted({address for _, address in advanced})
+        assert len(starts) == 18
+        for thread, address in advanced:
+            caller = starts.index(address) % 2 == 0
+            assert (thread is threading.main_thread()) == caller
 
-    def test_split_run_with_diverged_trials_is_bit_identical(self, blas, monkeypatch):
+    def test_split_run_with_diverged_trials_is_bit_identical(self, blas, monkeypatch, advanced):
         # One spiked measurement diverges trial 0 in every run; the split
         # passes, the first and the rerun without trial 0, match the inline.
         def spiked(*args, **kwargs):
@@ -708,13 +777,14 @@ class TestTwoThreadPass:
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
         split = run_monte_carlo(scn, with_theory=False)
         assert (inline.filter_threads, split.filter_threads) == (1, 2)
+        assert worker_advanced(advanced)
         assert all(r.diverged == (0,) for r in split.runs)
         assert_same_runs(split.runs, inline.runs)
 
     def test_few_trials_run_inline(self, monkeypatch):
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
         trials = harness.SPLIT_MIN_TRIALS - 1
-        assert harness._filter_threads(trials, 19) == 1
+        assert harness._filter_threads(trials, 18) == 1
         assert harness._filter_threads(trials + 1, 1) == 1
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -722,15 +792,16 @@ class TestTwoThreadPass:
         get, _ = blas
         before = get()
         seen = []
-        inverse = harness.spd_inverse
+        screen = harness._flag_diverged
 
-        def watched(*args, **kwargs):
-            seen.append(get())
-            return inverse(*args, **kwargs)
+        def watched(*args):
+            seen.append((threading.current_thread(), get()))
+            return screen(*args)
 
-        monkeypatch.setattr(harness, "spd_inverse", watched)
+        monkeypatch.setattr(harness, "_flag_diverged", watched)
         self.benchmark_pass(threads, trials=2, horizon=4)
-        assert seen and set(seen) == {1}
+        assert seen and {count for _, count in seen} == {1}
+        assert worker_advanced(seen) == (threads == 2)
         assert get() == before
 
     def test_concurrent_pins_hold_one_thread_and_restore_the_count(self, blas):
@@ -765,15 +836,15 @@ class TestTwoThreadPass:
 
         get, _ = blas
         before = get()
-        inverse = harness.spd_inverse
+        screen = harness._flag_diverged
 
-        def failing(*args, **kwargs):
+        def failing(*args):
             if threading.current_thread() is not threading.main_thread():
-                raise NumericalError("predicted covariance is not positive definite")
-            return inverse(*args, **kwargs)
+                raise NumericalError("the worker's block failed")
+            return screen(*args)
 
-        monkeypatch.setattr(harness, "spd_inverse", failing)
-        with pytest.raises(NumericalError):
+        monkeypatch.setattr(harness, "_flag_diverged", failing)
+        with pytest.raises(NumericalError, match="worker"):
             self.benchmark_pass(2, trials=2, horizon=4)
         assert get() == before
 
@@ -785,14 +856,18 @@ class TestTwoThreadPass:
         specs, Y = harness._filter_runs(scn), harness._measured(scn.plant, Y)
         return harness._run_filters(scn.plant, specs, X, Y, False, threads)
 
-    def test_split_pass_keeps_the_callers_errstate(self, blas):
+    def test_split_pass_keeps_the_callers_errstate(self, blas, advanced):
         # The overflow is reported as the overflow, not as the inf - inf of
-        # the deviation that follows it.
+        # the deviation that follows it. Under numpy's default errstate the
+        # worker's overflow would warn, and a warning fails the test.
         for threads in (1, 2):
             with np.errstate(all="raise"), pytest.raises(FloatingPointError, match="overflow"):
                 self.overflowing_pass(threads)
         with np.errstate(all="ignore"):
-            split, inline = self.overflowing_pass(2), self.overflowing_pass(1)
+            inline = self.overflowing_pass(1)
+            advanced.clear()
+            split = self.overflowing_pass(2)
+        assert worker_advanced(advanced)
         assert all(r.diverged == (0, 1, 2, 3) for r in inline)
         assert_same_runs(split, inline)
 
@@ -829,13 +904,13 @@ class TestBlockedPass:
         Y[0, 5, 0] = 1e12
         return scn.plant, harness._filter_runs(scn), X, harness._measured(scn.plant, Y)
 
-    def blocked_pass(self, spiked, block_bytes, window):
+    def blocked_pass(self, spiked, block_bytes, window, threads=1):
         plant, specs, X, Y = spiked
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(harness, "BLOCK_BYTES", block_bytes)
             mp.setattr(harness, "WINDOW_STEPS", window)
             with np.errstate(over="ignore"):
-                return harness._run_filters(plant, specs, X, Y, True)
+                return harness._run_filters(plant, specs, X, Y, True, threads)
 
     @pytest.fixture(scope="class")
     def whole(self, spiked):
@@ -845,10 +920,11 @@ class TestBlockedPass:
     @pytest.mark.parametrize("window", [1, 7, HORIZON])
     @pytest.mark.parametrize("block_bytes", BLOCK_BUDGETS, ids=["run", "default", "stack"])
     def test_blocks_and_windows_move_no_bit(self, spiked, whole, block_bytes, window):
-        runs = self.blocked_pass(spiked, block_bytes, window)
-        assert all(r.diverged == (0,) for r in runs)
-        assert all(r.theory_per_step is not None for r in runs if r.name != "cidf")
-        assert_same_runs(runs, whole)
+        for threads in (1, 2):
+            runs = self.blocked_pass(spiked, block_bytes, window, threads)
+            assert all(r.diverged == (0,) for r in runs)
+            assert all(r.theory_per_step is not None for r in runs if r.name != "cidf")
+            assert_same_runs(runs, whole)
 
     @pytest.mark.parametrize("block_bytes", BLOCK_BUDGETS, ids=["run", "default", "stack"])
     def test_blocks_are_whole_runs_and_the_ckf_row_shares_one(
