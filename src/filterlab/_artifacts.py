@@ -6,11 +6,16 @@ back has the bits it was written with, and identical runs produce
 byte-identical files. NaN and None are empty CSV fields; every other CSV
 value is written as ``csv`` writes it. JSON files are what ``json.dump``
 writes with ``indent=2``.
+
+``timed`` records the stage times that ``run_info.json``, the one
+timestamped artifact, holds.
 """
 
 import csv
 import json
 import re
+import time
+from contextlib import contextmanager
 from itertools import chain, repeat
 
 import numpy as np
@@ -130,3 +135,12 @@ def _json_chunks(value, depth: int):
 def write_json(path, data) -> None:
     with open(path, "w") as fh:
         fh.writelines(_json_chunks(data, 0))
+
+
+@contextmanager
+def timed(stages: dict, name: str):
+    """Record in ``stages[name]`` the wall (``perf_counter``) and CPU
+    (``process_time``, every thread of the process) seconds of the block."""
+    wall, cpu = time.perf_counter(), time.process_time()
+    yield
+    stages[name] = {"wall_s": time.perf_counter() - wall, "cpu_s": time.process_time() - cpu}

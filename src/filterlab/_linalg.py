@@ -22,10 +22,14 @@ def max_sym_spectral_norm(D: np.ndarray) -> np.ndarray:
 
     A slot's Frobenius norm F bounds its spectral norm from above. Each
     cell's largest-F slot is solved first; then only the cell's other slots
-    whose F exceeds that slot's spectral norm.
+    whose F exceeds that slot's spectral norm. F is summed from unscaled
+    squares over the whole stack at once where every F lies in (1e-150,
+    1e150); otherwise each slot takes ``frobenius_norm`` in turn.
     """
-    # Slot by slot, so no temporary of the stack's full size is held.
-    F = np.stack([frobenius_norm(slot) for slot in D])
+    F, unscaled = _unscaled_frobenius(D)
+    if not unscaled.all():
+        # Slot by slot, so no temporary of the stack's full size is held.
+        F = np.stack([frobenius_norm(slot) for slot in D])
     cells = np.arange(D.shape[1])
     top = F.argmax(axis=0)
     best = sym_spectral_norm(D[top, cells])
@@ -37,13 +41,31 @@ def max_sym_spectral_norm(D: np.ndarray) -> np.ndarray:
     return best
 
 
+def _unscaled_frobenius(M: np.ndarray):
+    """Frobenius norms of a (..., n, n) stack summed from unscaled squares,
+    and where they are exact to rounding: where a norm lies in (1e-150,
+    1e150), no square overflows and what underflow takes from a square lies
+    far below the rounding of the sum."""
+    F = np.einsum("...ij,...ij->...", M, M, out=np.empty(M.shape[:-2]))
+    np.sqrt(F, out=F)
+    return F, (F > 1e-150) & (F < 1e150)
+
+
 def frobenius_norm(M: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix in a (..., n, n) stack, summed over the
-    matrix scaled to its largest absolute entry so that no square under- or
-    overflows."""
-    big = np.abs(M).max(axis=(-2, -1))
-    unit = M / np.where(big > 0, big, 1.0)[..., None, None]
-    return big * np.sqrt(np.einsum("...ij,...ij->...", unit, unit))
+    """Frobenius norm of each matrix in a (..., n, n) stack.
+
+    The unscaled squares are summed in one pass (``_unscaled_frobenius``).
+    A matrix whose norm falls outside (1e-150, 1e150), zero and non-finite
+    ones included, is summed again scaled to its largest absolute entry, so
+    that no square under- or overflows.
+    """
+    F, unscaled = _unscaled_frobenius(M)
+    if not unscaled.all():
+        rest = M[~unscaled]
+        big = np.abs(rest).max(axis=(-2, -1))
+        unit = rest / np.where(big > 0, big, 1.0)[..., None, None]
+        F[~unscaled] = big * np.sqrt(np.einsum("...ij,...ij->...", unit, unit))
+    return F
 
 
 def spd_inverse(M: np.ndarray, what: str = "matrix") -> np.ndarray:
@@ -82,9 +104,10 @@ def spd_inverse(M: np.ndarray, what: str = "matrix") -> np.ndarray:
             A[:, k] = 0.0
             A -= r[:, None] * r / pivots[k]
         # A non-finite entry leaves its own or a later pivot non-finite or
-        # negative, so this also rejects input that is not finite.
-        if not ((pivots > 0) & (pivots < np.inf)).all():
+        # negative, so this also rejects input that is not finite: a NaN
+        # pivot makes both ends NaN. An empty stack has no pivot to reject.
+        if not (pivots.min(initial=np.inf) > 0 and pivots.max(initial=0.0) < np.inf):
             raise NumericalError(f"{what} is not positive definite")
-        A = np.ldexp(A, 1 - exponent)
+        np.ldexp(A, 1 - exponent, out=A)
     # The sweep leaves minus the inverse.
     return np.negative(A.transpose(*range(2, ndim), 0, 1), out=np.empty(M.shape))

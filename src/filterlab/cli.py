@@ -23,7 +23,7 @@ import sys
 
 from . import gap as gap_mod
 from . import harness
-from ._artifacts import write_json
+from ._artifacts import timed, write_json
 from .errors import NumericalError, ValidationError
 from .network import check_fusion_steps, diameter, weight_power
 from .periodic import PlantModel
@@ -123,7 +123,7 @@ def _cmd_simulate(args) -> dict:
     results = harness.run_monte_carlo(scenario, tol=args.tol)
     stages = results.stages
     written = ["scenario.json", "results_{per_step,steady}.csv", "results.json"]
-    with harness.timed(stages, "export"):
+    with timed(stages, "export"):
         harness.export_results(results, out)
         report = results.gap_report
         if report is not None:
@@ -150,6 +150,8 @@ def _cmd_simulate(args) -> dict:
         "stages": stages,
         "diverged": {r.label: list(r.diverged) for r in results.runs},
     }
+    if report is not None:
+        info["theory_stages"] = report.stages
     peak = _peak_rss_mb()
     if peak is not None:
         info["peak_rss_mb"] = peak
@@ -187,7 +189,7 @@ def _cmd_gap(args) -> dict:
         f"{len(report.cells)} cells, {len(finite)} finite rates, "
         f"sigma2 {report.sigma2:.4f}; wrote {written} to {args.out}"
     )
-    return {"solver": report.solver}
+    return {"solver": report.solver, "theory_stages": report.stages}
 
 
 def _cmd_compare_cidf(args) -> dict:

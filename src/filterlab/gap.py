@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._artifacts import write_csv, write_json
+from ._artifacts import timed, write_csv, write_json
 from ._linalg import max_sym_spectral_norm, sym
 from .errors import ValidationError
 from .network import ConsensusWeights, SensorGraph, second_largest_eigenvalue, weight_power
@@ -59,8 +59,12 @@ def _fused_information(fusion: np.ndarray, own: np.ndarray) -> np.ndarray:
     S_i = sum_j fusion_ij C_j' R_j^{-1} C_j; ``own`` is the last table of
     ``_sensor_information``, or one slot of it for one slot's (rows, n, n).
     With ``fusion**2`` it is S2_i, the information of the noise that fusion
-    injects."""
-    return sym(np.einsum("ij,...jab->...iab", fusion, own))
+    injects.
+
+    The einsum's rounding depends on the memory layout of ``fusion``, so the
+    weights are read in one layout, Fortran order, whatever the caller holds:
+    equal weights fuse to equal bits."""
+    return sym(np.einsum("ij,...jab->...iab", np.asfortranarray(fusion), own))
 
 
 def centralized_dpre(model: PlantModel, tol: float = DEFAULT_TOL) -> SppsSolution:
@@ -127,7 +131,7 @@ def _fusion_matrix(model, weights, L, verdicts):
     return model.N * power
 
 
-def _fused_solve(model, weights, L_values, tol, reduce):
+def _fused_solve(model, weights, L_values, tol, reduce, stages):
     """Steady parameter and true error covariances of all N nodes at every
     fusion depth in ``L_values``, and of the centralized filter.
 
@@ -142,28 +146,41 @@ def _fused_solve(model, weights, L_values, tol, reduce):
     arrays are held at full stack size: S and the Riccati slots, then the
     loops, the noise and the Lyapunov slots.
 
+    ``stages`` receives the wall and CPU seconds (``timed``) of the fusion
+    weights with their observability checks (``observability``, which also
+    counts the ``observable_support`` calls and the distinct support
+    ``masks`` they checked), of the fused information with the Riccati stack
+    and its reduction (``riccati``), and of the closed loops with the
+    Lyapunov stack (``lyapunov``).
+
     Returns (reduce(riccati), lyapunov), lyapunov the ``_iterate_to_period``
     result of the len(L_values) * N node cells.
     """
     verdicts = {}
     N = model.N
     sensors, _, _, own = _sensor_information(model)
-    fusions = [_fusion_matrix(model, weights, L, verdicts)[:, sensors] for L in L_values]
+    with timed(stages, "observability"):
+        fusions = [_fusion_matrix(model, weights, L, verdicts)[:, sensors] for L in L_values]
     nodes = len(fusions) * N
-    S = np.empty((model.period, nodes + 1) + own.shape[2:])
-    for d, fusion in enumerate(fusions):
-        S[:, d * N : (d + 1) * N] = _fused_information(fusion, own)
-    S[:, nodes:] = _fused_information(np.ones((1, own.shape[1])), own)
-    riccati = _information_riccati(model.A, model.Q, S, tol)
-    kept, P = reduce(riccati), riccati[0]
-    for d, fusion in enumerate(fusions):
-        cells = slice(d * N, (d + 1) * N)
-        S2 = _fused_information(fusion**2, own)
-        # The loops and noise take the place of the S and P they come from.
-        _, S[:, cells], P[:, cells] = _closed_loops(
-            model.A, model.Q, P[:, cells], S[:, cells], S2
-        )
-    return kept, _lyapunov_stack(S[:, :nodes], P[:, :nodes], tol)
+    # _fusion_matrix checks each node's support once per depth.
+    stages["observability"].update(observable_support=nodes, masks=len(verdicts))
+    with timed(stages, "riccati"):
+        S = np.empty((model.period, nodes + 1) + own.shape[2:])
+        for d, fusion in enumerate(fusions):
+            S[:, d * N : (d + 1) * N] = _fused_information(fusion, own)
+        S[:, nodes:] = _fused_information(np.ones((1, own.shape[1])), own)
+        riccati = _information_riccati(model.A, model.Q, S, tol)
+        kept, P = reduce(riccati), riccati[0]
+    with timed(stages, "lyapunov"):
+        for d, fusion in enumerate(fusions):
+            cells = slice(d * N, (d + 1) * N)
+            S2 = _fused_information(fusion**2, own)
+            # The loops and noise take the place of the S and P they come from.
+            _, S[:, cells], P[:, cells] = _closed_loops(
+                model.A, model.Q, P[:, cells], S[:, cells], S2
+            )
+        lyapunov = _lyapunov_stack(S[:, :nodes], P[:, :nodes], tol)
+    return kept, lyapunov
 
 
 def cmdf_spps(
@@ -183,7 +200,7 @@ def cmdf_spps(
     """
     nodes = range(model.N)
     P, X = _fused_solve(
-        model, weights, [L], tol, lambda riccati: [_cell_solution(riccati, i) for i in nodes]
+        model, weights, [L], tol, lambda riccati: [_cell_solution(riccati, i) for i in nodes], {}
     )
     return [(P[i], _cell_solution(X, i)) for i in nodes]
 
@@ -221,8 +238,9 @@ class GapCell:
 class GapReport:
     """Gap summaries for a sweep of sensors and fusion depths.
 
-    ``solver`` holds the diagnostics of the solves behind the report; no
-    data file holds it.
+    ``solver`` holds the diagnostics of the solves behind the report and
+    ``stages`` the wall and CPU seconds of its theory stages
+    (``_fused_solve``); no data file holds either.
     """
 
     cells: list[GapCell]
@@ -230,6 +248,7 @@ class GapReport:
     centralized_avg: float
     metadata: dict = field(default_factory=dict)
     solver: dict = field(default_factory=dict)
+    stages: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self._index = {(c.sensor, c.L): c for c in self.cells}
@@ -302,8 +321,9 @@ def build_gap_report(
         gaps = max_sym_spectral_norm(P[:, :-1] - P[:, -1:])
         return _cell_solution(riccati, -1), gaps, sweeps[:-1], residual[:-1]
 
+    stages = {}
     (central, ric_gaps, *ric_stats), (X, *X_stats) = _fused_solve(
-        model, weights, needed_L, tol, reduce
+        model, weights, needed_L, tol, reduce, stages
     )
     central_avg = average_performance(central)
     cov_gaps = max_sym_spectral_norm(X - np.stack(central.P)[:, None])
@@ -360,4 +380,5 @@ def build_gap_report(
         centralized_avg=central_avg,
         metadata=metadata,
         solver=solver,
+        stages=stages,
     )

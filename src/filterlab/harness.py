@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._artifacts import write_csv, write_json
+from ._artifacts import timed, write_csv, write_json
 from ._linalg import spd_inverse, sym
 from .errors import (
     NumericalError,
@@ -216,15 +216,6 @@ def _filter_runs(scenario: Scenario) -> list[tuple]:
             else:
                 runs.append(("cidf", L, WL, WL))
     return runs
-
-
-@contextlib.contextmanager
-def timed(stages: dict, name: str):
-    """Record in ``stages[name]`` the wall (``perf_counter``) and CPU
-    (``process_time``, every thread of the process) seconds of the block."""
-    wall, cpu = time.perf_counter(), time.process_time()
-    yield
-    stages[name] = {"wall_s": time.perf_counter() - wall, "cpu_s": time.process_time() - cpu}
 
 
 def _measured(plant, Y):

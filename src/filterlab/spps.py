@@ -17,7 +17,15 @@ loop is A_k with noise Q_k (``_silent``).
 A slot's change between sweeps is measured by its spectral norm, relative
 to its size. The stop test bounds that norm by the change's Frobenius norm
 F, between F / sqrt(n) and F, and takes an eigen-solve only for the slots
-whose bound leaves the stop undecided (``_iterate_to_period``).
+whose bound leaves the stop undecided (``_iterate_to_period``). F is summed
+from unscaled squares wherever it lies in (1e-150, 1e150), where no square
+overflows and what underflow drops lies far below the rounding
+(``frobenius_norm``). While every cell of a stack still runs, a step reads
+its per-cell tables as views.
+
+Uniform observability is decided on each anchor's window factor over n
+periods, built from one period of transitions and the powers of the
+monodromy from that anchor (``uniform_observability``).
 """
 
 import math
@@ -78,8 +86,10 @@ def _iterate_to_period(step, period, P0, tol, label):
     """Drive P_{k+1} = step(k, P_k, cells) over a (cells, n, n) stack until
     each cell's full period changes by < tol, relative to its size.
 
-    ``step`` advances the rows of the still-running cells, whose stack
-    indices it is given, and returns symmetric iterates. A slot's change is
+    ``step`` advances the rows of the still-running cells and returns
+    symmetric iterates. It is given their stack index: a full slice while
+    every cell runs, so that its reads of per-cell tables are views, and
+    their indices once some have stopped. A slot's change is
     the spectral norm of its (symmetric) change over its largest absolute
     entry, so the stop does not depend on the scale of the problem. Each
     cell stops, keeping its values, at the first sweep after the first in
@@ -105,6 +115,7 @@ def _iterate_to_period(step, period, P0, tol, label):
     sweeps = np.zeros(P.shape[0], dtype=int)
     residual = np.zeros(P.shape[0])
     cells = np.arange(P.shape[0])
+    running_cells = slice(None)
     running_at = math.sqrt(P.shape[-1]) * tol
     for sweep in range(max_sweeps):
         change = np.zeros(cells.size)
@@ -112,7 +123,7 @@ def _iterate_to_period(step, period, P0, tol, label):
         running = np.zeros(cells.size, dtype=bool)
         last = sweep == max_sweeps - 1
         for k in range(period):
-            P = step(k, P, cells)
+            P = step(k, P, running_cells)
             if not np.all(np.isfinite(P)):
                 raise NumericalError(
                     f"{label} produced non-finite values at sweep {sweep + 1}: "
@@ -120,8 +131,12 @@ def _iterate_to_period(step, period, P0, tol, label):
                 )
             s = (k + 1) % period
             if sweep > 0 and not running.all():
-                delta = P - slots[s, cells]
-                scale = np.maximum(np.abs(P).max(axis=(1, 2)), np.finfo(float).tiny)
+                delta = P - slots[s, running_cells]
+                # Each cell's largest absolute entry, reduced across the rows
+                # of a (n * n, cells) copy, which numpy does far faster than
+                # along each cell's n * n entries.
+                big = np.abs(P.reshape(len(P), -1).T, order="C").max(axis=0)
+                scale = np.maximum(big, np.finfo(float).tiny)
                 bound = frobenius_norm(delta) / scale
                 if not last:
                     # The margins cover the rounding of both norms.
@@ -130,14 +145,16 @@ def _iterate_to_period(step, period, P0, tol, label):
                 if measure.any():
                     exact = sym_spectral_norm(delta[measure]) / scale[measure]
                     change[measure] = np.maximum(change[measure], exact)
-            slots[s, cells] = P
+            slots[s, running_cells] = P
         if sweep > 0:
             done = ~running & (change < tol)
             sweeps[cells[done]] = sweep + 1
             residual[cells[done]] = change[done]
-            cells, P, change = cells[~done], P[~done], change[~done]
-            if cells.size == 0:
-                return slots, sweeps, residual
+            if done.any():
+                cells, P, change = cells[~done], P[~done], change[~done]
+                if cells.size == 0:
+                    return slots, sweeps, residual
+                running_cells = cells
     worst = float(change.max())
     raise ConvergenceError(
         f"{label} did not converge within {max_sweeps} sweeps "
@@ -295,26 +312,32 @@ def uniform_observability(A, C) -> bool:
     n, with rank decided by Gramian eigenvalues above OBSERVABILITY_REL_TOL
     times the largest. The rank is evaluated on the stacked observability
     factor, whose squared singular values are the Gramian's, to avoid forming
-    the square. Blocks of anchors advance through their windows together and
-    take one batched SVD, each block's factors holding at most
-    OBSERVABILITY_BLOCK entries.
+    the square. The factor is built from one period: with O_k the rows
+    C_{k+j} Phi(k+j, k) of j < T and Psi_k = Phi(k+T, k) the monodromy from
+    anchor k, the rows of period p are O_k Psi_k^p, since A is T-periodic.
+    Blocks of anchors advance through one period together and take one
+    batched SVD, each block's factors holding at most OBSERVABILITY_BLOCK
+    entries.
     """
     A, C = normalize_period([A, C])
     C = C.stack[:, C.stack.any(axis=(0, 2))]
     n, period, rows = A.shape[0], A.period, C.shape[1]
     if rows == 0:
         return False
-    window = n * period
-    block = max(1, OBSERVABILITY_BLOCK // (window * rows * n))
+    height = period * rows
+    block = max(1, OBSERVABILITY_BLOCK // (n * height * n))
     for first in range(0, period, block):
         anchors = np.arange(first, min(first + block, period))
-        factor = np.empty((anchors.size, window * rows, n))
+        factor = np.empty((anchors.size, n, height, n))
         Phi = np.broadcast_to(np.eye(n), (anchors.size, n, n))
-        for j in range(window):
+        for j in range(period):
             t = (anchors + j) % period
-            factor[:, j * rows : (j + 1) * rows] = C[t] @ Phi
+            factor[:, 0, j * rows : (j + 1) * rows] = C[t] @ Phi
             Phi = A.stack[t] @ Phi
-        sv = np.linalg.svd(factor, compute_uv=False)
+        # Phi is now each anchor's monodromy Psi_k.
+        for p in range(1, n):
+            np.matmul(factor[:, p - 1], Phi, out=factor[:, p])
+        sv = np.linalg.svd(factor.reshape(anchors.size, n * height, n), compute_uv=False)
         if not np.all(sv[:, 0] > 0.0):
             return False
         ranks = np.count_nonzero(sv > math.sqrt(OBSERVABILITY_REL_TOL) * sv[:, :1], axis=1)

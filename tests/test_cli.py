@@ -445,9 +445,9 @@ class TestPipelines:
         node_calls = []
         fused_solve = filterlab.gap._fused_solve
 
-        def recording_fused(model, weights, L_values, tol, reduce):
+        def recording_fused(model, weights, L_values, tol, reduce, stages):
             node_calls.append((list(L_values), tol))
-            return fused_solve(model, weights, L_values, tol, reduce)
+            return fused_solve(model, weights, L_values, tol, reduce, stages)
 
         monkeypatch.setattr(filterlab.gap, "_fused_solve", recording_fused)
         argv = ["simulate", "--scenario", tiny_scenario, "--out", str(tmp_path)]
@@ -457,6 +457,23 @@ class TestPipelines:
         # Lyapunov of the node cells.
         assert node_calls == [([1, 2, 3], 1e-7)]
         assert stacks == [("riccati", 3 * 3 + 1, 1e-7), ("lyapunov", 3 * 3, 1e-7)]
+
+    def test_run_info_records_theory_stages(self, tiny_scenario, tmp_path, capsys):
+        # Wall and CPU seconds of the report's observability checks, Riccati
+        # stack and Lyapunov stack, and how many support checks met how many
+        # distinct masks: 3 nodes at each of L = 1, 2, 3, 4 on the complete
+        # graph, all fusing every sensor. The timings are not checked.
+        for command in ("gap", "rates", "simulate", "paper"):
+            out = tmp_path / command
+            argv = [command, "--scenario", tiny_scenario, "--out", str(out)]
+            assert main(argv + ["--fusion-steps", "1,3"]) == 0
+            stages = json.loads((out / "run_info.json").read_text())["theory_stages"]
+            assert list(stages) == ["observability", "riccati", "lyapunov"]
+            checks = stages["observability"]
+            assert sorted(checks) == ["cpu_s", "masks", "observable_support", "wall_s"]
+            assert (checks["observable_support"], checks["masks"]) == (12, 1)
+            for stage in stages.values():
+                assert all(isinstance(stage[key], float) for key in ("wall_s", "cpu_s"))
 
     def test_run_info_records_solver(self, tiny_scenario, tmp_path, capsys):
         # Per solved L (the sweep and each rate's L + 1), the worst sweep
@@ -596,14 +613,14 @@ class TestPaperPipeline:
         calls, rows = [], []
         solver = filterlab.gap._fused_solve
 
-        def counting(model, weights, L_values, tol, reduce):
+        def counting(model, weights, L_values, tol, reduce, stages):
             calls.append(list(L_values))
 
             def reducing(riccati):
                 rows.append(("riccati", riccati[0].shape[:2]))
                 return reduce(riccati)
 
-            kept, lyapunov = solver(model, weights, L_values, tol, reducing)
+            kept, lyapunov = solver(model, weights, L_values, tol, reducing, stages)
             rows.append(("lyapunov", lyapunov[0].shape[:2]))
             return kept, lyapunov
 

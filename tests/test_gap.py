@@ -418,6 +418,8 @@ class TestStackedSolve:
         report = build_gap_report(bench_plant, bench_weights, L_values=[2])
         masks = {m.tobytes() for L in (2, 3) for m in weight_power(bench_weights, L)[1]}
         assert len(checked) == len(masks) == 15
+        checks = report.stages["observability"]
+        assert (checks["observable_support"], checks["masks"]) == (2 * bench_plant.N, 15)
         central = mf.centralized_dpre(bench_plant)
         for cell in report.cells:
             want = _measurement_form_cell(bench_plant, bench_weights, 2, cell.sensor, central)
@@ -607,6 +609,30 @@ class TestOneFusion:
         for (pass_fusion, pass_S), (fusion, S) in zip(step, [calls[0], calls[2]]):
             assert np.array_equal(pass_fusion, fusion)
             assert np.array_equal(pass_S, S[0])
+
+    def test_equal_weights_fuse_to_equal_bits(self, path):
+        # The fused sum rounds by the memory layout of its weights, so every
+        # layout of the same values must be read alike.
+        import filterlab.gap as gap
+
+        plant, _, weights = path
+        own = gap._sensor_information(plant)[3]
+        fusion = gap._fusion_matrix(plant, weights, self.L, {})
+        assert fusion.flags.c_contiguous
+        padded = np.zeros((2 * self.N, 3 * self.N))
+        padded[::2, 1::3] = fusion
+        layouts = [
+            np.asfortranarray(fusion),
+            fusion[:, np.arange(self.N)],
+            padded[::2, 1::3],
+            fusion.T.copy().T,
+        ]
+        want = gap._fused_information(fusion, own)
+        want_sq = gap._fused_information(fusion**2, own)
+        for layout in layouts:
+            assert np.array_equal(layout, fusion)
+            assert np.array_equal(gap._fused_information(layout, own), want)
+            assert np.array_equal(gap._fused_information(layout**2, own), want_sq)
 
     def test_the_observability_gates_read_the_mask(self, path, monkeypatch, tmp_path):
         import json

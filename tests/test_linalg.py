@@ -175,6 +175,59 @@ class TestSpdInverse:
                     spd_inverse(stack, what="prior")
 
 
+def mixed_scale_stack(shape, seed):
+    """Symmetric matrices whose scales differ from cell to cell: at 1e-200,
+    1e200 and 1, zero, wholly subnormal, and at 1 with subnormal entries.
+    Only the first three kinds' norms lie in (1e-150, 1e150), so the others
+    take the scaled sum."""
+    rng = np.random.default_rng(seed)
+    D = sym(rng.standard_normal(shape))
+    kind = rng.integers(0, 6, shape[:-2])
+    D[kind == 0] *= 1e-200
+    D[kind == 1] *= 1e200
+    D[kind == 3] = 0.0
+    D[kind == 4] = np.round(D[kind == 4] * 8) * 5e-324
+    some = (kind == 5)[..., None, None] & (rng.random(shape) < 0.3)
+    some |= some.swapaxes(-1, -2)
+    D[some] = 5e-324 * np.sign(D[some])
+    return D
+
+
+def reference_frobenius(M):
+    """np.linalg.norm of each matrix scaled by a power of two to a largest
+    entry near 1, then scaled back: exact scalings, so no square under- or
+    overflows whatever the matrix's scale."""
+    out = np.zeros(M.shape[:-2])
+    for index in np.ndindex(out.shape):
+        m = M[index]
+        if m.any():
+            e = np.frexp(np.abs(m).max())[1]
+            out[index] = np.ldexp(np.linalg.norm(np.ldexp(m, -e)), e)
+    return out
+
+
+class TestUnscaledFrobenius:
+    """Norms within (1e-150, 1e150) are summed unscaled; the others fall
+    back to the scaled sum, cell by cell."""
+
+    def test_mixed_scales_match_the_reference(self):
+        M = mixed_scale_stack((6, 40, 4, 4), seed=15)
+        unscaled = linalg._unscaled_frobenius(M)[1]
+        assert 0 < np.count_nonzero(unscaled) < unscaled.size
+        got = frobenius_norm(M)
+        np.testing.assert_allclose(got, reference_frobenius(M), rtol=1e-14, atol=0)
+        assert np.all(got[(M == 0).all(axis=(-2, -1))] == 0.0)
+        assert np.all(got[~unscaled & (M != 0).any(axis=(-2, -1))] > 0.0)
+        # One matrix is a stack with no leading axes.
+        for m in M[0, :12]:
+            np.testing.assert_allclose(frobenius_norm(m), reference_frobenius(m), rtol=1e-14)
+
+    def test_max_sym_spectral_norm_of_mixed_scales_is_exact(self):
+        for seed in (16, 17, 18):
+            D = mixed_scale_stack((7, 30, 4, 4), seed)
+            assert np.array_equal(max_sym_spectral_norm(D), sym_spectral_norm(D).max(axis=0))
+
+
 class TestMaxSymSpectralNorm:
     """The bounded maximum equals the maximum of every slot's eigen-solve,
     bit for bit."""

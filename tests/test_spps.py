@@ -533,6 +533,49 @@ class TestUniformObservability:
             assert uniform_observability(A, padded) == verdicts[-1]
         assert 0 < sum(verdicts) < len(verdicts)
 
+    @staticmethod
+    def shift_chain(n, T, blind):
+        """A T-periodic pair on n states that C sees one at a time: A is the
+        identity but at slot 0, where it shifts state j to state j + 1
+        (mod n), and C sees state 0 at slot T - 1 only. So each period of a
+        window sees the state one step further back down the chain, and the
+        pair is observable only through all n periods. With ``blind`` the
+        shift drops its link from state 1 to state 2, which only the last
+        period's view passes through: that period sees nothing."""
+        A = np.broadcast_to(np.eye(n), (T, n, n)).copy()
+        A[0] = np.roll(np.eye(n), 1, axis=0)
+        if blind:
+            A[0, 2 % n, 1] = 0.0
+        C = np.zeros((T, 1, n))
+        C[T - 1, 0, 0] = 1.0
+        return A, C
+
+    @staticmethod
+    def window_rank(A, C, anchor, periods):
+        """Rank of the observability factor of ``periods`` periods from
+        ``anchor``, built step by step."""
+        T, n = A.shape[0], A.shape[-1]
+        rows, Phi = [], np.eye(n)
+        for j in range(anchor, anchor + periods * T):
+            rows.append(C[j % T] @ Phi)
+            Phi = A[j % T] @ Phi
+        return np.linalg.matrix_rank(np.vstack(rows))
+
+    @pytest.mark.parametrize("block", [1, 7, spps.OBSERVABILITY_BLOCK])
+    @pytest.mark.parametrize("n, T", [(2, 1), (2, 3), (3, 4), (4, 5), (6, 2)])
+    def test_shift_chain_needs_every_period(self, n, T, block, monkeypatch):
+        # The window's last period is the one the one-period factor reaches
+        # through the monodromy's highest power, Psi^(n-1).
+        monkeypatch.setattr(spps, "OBSERVABILITY_BLOCK", block)
+        A, C = self.shift_chain(n, T, blind=False)
+        assert (self.window_rank(A, C, 0, n - 1), self.window_rank(A, C, 0, n)) == (n - 1, n)
+        assert uniform_observability(A, C)
+        assert per_anchor_observability(A, C)
+        A, C = self.shift_chain(n, T, blind=True)
+        assert self.window_rank(A, C, T - 1, n) == n - 1
+        assert not uniform_observability(A, C)
+        assert not per_anchor_observability(A, C)
+
     @pytest.mark.parametrize("A", [np.eye(2), np.zeros((2, 2)), [np.eye(2), 2 * np.eye(2)]])
     def test_all_zero_c_is_not_observable(self, A):
         assert not uniform_observability(A, np.zeros((1, 3, 2)))
