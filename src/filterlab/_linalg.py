@@ -10,6 +10,12 @@ def sym(M: np.ndarray) -> np.ndarray:
     return (M + M.swapaxes(-1, -2)) / 2.0
 
 
+def transposed(M: np.ndarray) -> np.ndarray:
+    """The transpose of each matrix of a (..., n, n) stack, C-ordered: numpy's
+    stacked matmul takes a far slower path on a transposed view."""
+    return np.ascontiguousarray(M.swapaxes(-1, -2))
+
+
 def sym_spectral_norm(M: np.ndarray) -> np.ndarray:
     """Spectral norm of each symmetric matrix in a stack, at half an SVD's cost."""
     return np.abs(np.linalg.eigvalsh(M)).max(axis=-1)

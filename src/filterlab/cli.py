@@ -77,8 +77,7 @@ def _scenario(args) -> harness.Scenario:
 def _cmd_solve_dpre(args) -> dict:
     plant = _plant(harness.read_config(args.scenario))
     solution = gap_mod.centralized_dpre(plant, tol=args.tol)
-    sweeps, residual = solution.iterations, solution.residual
-    print(f"period {solution.period}, sweeps {sweeps}, residual {residual:.3e}")
+    print(f"period {solution.period}, doublings {solution.doublings}, defect {solution.defect:.3e}")
     print(f"steady average trace: {gap_mod.average_performance(solution):.10f}")
     if args.out is not None:
         solution.to_json(os.path.join(args.out, "dpre_solution.json"))
@@ -204,7 +203,8 @@ _FLAGS = {
     "seed": dict(type=int, help="master seed override"),
     "trials": dict(type=int, help="trial count override"),
     "fusion-steps": dict(type=_int_list, dest="L_values", help="comma list of fusion depths L"),
-    "tol": dict(type=_positive_float, default=DEFAULT_TOL, help="solver tolerance"),
+    "tol": dict(type=_positive_float, default=DEFAULT_TOL,
+                help="relative change below which the doubling stops"),
     "filters": dict(type=_str_list, help="comma list from {ckf,cmdf,cidf}"),
 }
 _ALL = " ".join(_FLAGS)

@@ -16,7 +16,7 @@ class NumericalError(FilterlabError, RuntimeError):
 
 
 class ConvergenceError(NumericalError):
-    """An iterative solver exhausted its sweep budget before reaching tolerance."""
+    """A solver exhausted its doubling budget before reaching tolerance."""
 
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)

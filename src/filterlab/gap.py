@@ -79,13 +79,13 @@ def centralized_dpre(model: PlantModel, tol: float = DEFAULT_TOL) -> SppsSolutio
 
 def centralized_solver(model: PlantModel, central: SppsSolution) -> dict:
     """The diagnostics of a centralized solve: the period slots where no
-    sensor measures, solved as pure prediction, and its sweeps and relative
-    residual. A gap report's ``solver`` adds its per-L entries to these."""
+    sensor measures, solved as pure prediction, and its doublings and
+    defect. A gap report's ``solver`` adds its per-L entries to these."""
     return {
         "silent_slots": int(np.count_nonzero(~_sensor_information(model)[1].any(axis=1))),
         "centralized": {
-            "riccati_sweeps": central.iterations,
-            "riccati_residual": central.residual,
+            "riccati_doublings": central.doublings,
+            "riccati_defect": central.defect,
         },
     }
 
@@ -135,14 +135,14 @@ def _fused_solve(model, weights, L_values, tol, reduce, stages):
     """Steady parameter and true error covariances of all N nodes at every
     fusion depth in ``L_values``, and of the centralized filter.
 
-    The Riccati recursions iterate as one stack of len(L_values) * N + 1
+    The Riccati equations are solved as one stack of len(L_values) * N + 1
     cells: the nodes depth by depth, then the centralized filter as the
-    fusion row 1'. Each cell stops on its own sweep. ``reduce`` takes that
-    ``_iterate_to_period`` result and returns what the caller keeps of it,
+    fusion row 1'. Each cell stops on its own doubling. ``reduce`` takes
+    that ``spps._sweep`` result and returns what the caller keeps of it,
     holding no view of its slots, whose memory is then reused. The closed
     loops and their noise are formed one depth at a time into the memory of
     the fused information S and of the Riccati slots, and the Lyapunov
-    recursions of all node cells iterate as one stack. So at most three
+    equations of all node cells are solved as one stack. So at most three
     arrays are held at full stack size: S and the Riccati slots, then the
     loops, the noise and the Lyapunov slots.
 
@@ -153,7 +153,7 @@ def _fused_solve(model, weights, L_values, tol, reduce, stages):
     and its reduction (``riccati``), and of the closed loops with the
     Lyapunov stack (``lyapunov``).
 
-    Returns (reduce(riccati), lyapunov), lyapunov the ``_iterate_to_period``
+    Returns (reduce(riccati), lyapunov), lyapunov the ``spps._sweep``
     result of the len(L_values) * N node cells.
     """
     verdicts = {}
@@ -305,9 +305,9 @@ def build_gap_report(
     reduced to the cells' numbers before the Lyapunov slots take their
     memory. A gap's maximum over the period eigen-solves only the slots
     that can hold it (``max_sym_spectral_norm``). Observability is decided
-    once per distinct support mask. The report's ``solver`` holds the worst
-    sweep count and relative residual of each needed L's Riccati and
-    Lyapunov cells, the centralized cell's, and ``silent_slots``: the number
+    once per distinct support mask. The report's ``solver`` holds the most
+    doublings and the largest fixed-point defect of each needed L's Riccati
+    and Lyapunov cells, the centralized cell's, and ``silent_slots``: the number
     of period slots where no sensor measures, which the Riccati stack takes
     as pure prediction steps and whose closed loops are the plant's own.
     """
@@ -317,9 +317,9 @@ def build_gap_report(
     needed_L = sorted(set(L_values) | {L + 1 for L in L_values})
 
     def reduce(riccati):
-        P, sweeps, residual = riccati
+        P, doublings, defect = riccati
         gaps = max_sym_spectral_norm(P[:, :-1] - P[:, -1:])
-        return _cell_solution(riccati, -1), gaps, sweeps[:-1], residual[:-1]
+        return _cell_solution(riccati, -1), gaps, doublings[:-1], defect[:-1]
 
     stages = {}
     (central, ric_gaps, *ric_stats), (X, *X_stats) = _fused_solve(
@@ -339,12 +339,12 @@ def build_gap_report(
         "L": [
             {
                 "L": L,
-                "riccati_sweeps": int(rs.max()),
-                "riccati_residual": float(rr.max()),
-                "lyapunov_sweeps": int(ls.max()),
-                "lyapunov_residual": float(lr.max()),
+                "riccati_doublings": int(rd.max()),
+                "riccati_defect": float(re.max()),
+                "lyapunov_doublings": int(ld.max()),
+                "lyapunov_defect": float(le.max()),
             }
-            for L, rs, rr, ls, lr in zip(needed_L, *map(by_L, ric_stats + X_stats))
+            for L, rd, re, ld, le in zip(needed_L, *map(by_L, ric_stats + X_stats))
         ],
     }
 

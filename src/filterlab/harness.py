@@ -168,7 +168,7 @@ class TrialResults:
 
     ``gap_report`` holds the steady theory of the scenario's sweep when it
     was solved; the steady theory of every run is read from it. ``solver``
-    holds the theory's sweep counts and residuals (``GapReport.solver``, or
+    holds the theory's doublings and defects (``GapReport.solver``, or
     the centralized solve's alone without a sweep) and ``stages`` the wall
     and CPU seconds of each stage of the run (``timed``). ``filter_blocks``
     holds the row count of each estimate block of the filter pass

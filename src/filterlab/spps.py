@@ -1,27 +1,26 @@
 """Steady-state solvers and analysis for discrete-time periodic Riccati and
 Lyapunov equations.
 
-The solvers iterate the defining recursions forward in time until one full
-period stops changing, which converges whenever the standard uniform
-observability (Riccati) or monodromy stability (Lyapunov) hypotheses hold.
 Solutions are the symmetric periodic positive semidefinite (SPPS) family
-P_0..P_{T-1} with P_{k+T} = P_k.
+P_0..P_{T-1} with P_{k+T} = P_k. A Riccati step is the map
+g(P) = alpha P (I + beta P)^{-1} alpha' + gamma of the triple
+(alpha, beta, gamma) = (A_k, S_k, Q_k), S_k the measurement information; a
+Lyapunov step is the triple (M_k, 0, V_k). Two triples compose to one with
+a single linear solve (``_compose``), so one period from slot 0 is one
+triple, and composing it with itself d times advances 2^d periods from
+P_0 = 0 (``_double``): structure-preserving doubling (Chu, Fan, Lin & Wang
+2004), for the Lyapunov equation squared Smith, (Psi, V) <- (Psi^2,
+V + Psi V Psi') (Smith 1968). It converges quadratically whenever uniform
+observability (Riccati) or monodromy stability (Lyapunov) holds; its gamma
+is then P_0, and one sweep of the steps from it fills the other slots,
+leaving P_T - P_0 as the fixed-point defect (``_sweep``).
 
 A slot without information is a prediction step. Where no cell of a stack
 has any measurement information S_k (every sensor's C_k is zero there, as
 on the slots where a scheduled network measures nothing), the update
 (P^{-1} + S_k)^{-1} is the identity, so the Riccati step is the prediction
-P_{k+1} = A_k P_k A_k' + Q_k and takes no inverse, and the slot's closed
-loop is A_k with noise Q_k (``_silent``).
-
-A slot's change between sweeps is measured by its spectral norm, relative
-to its size. The stop test bounds that norm by the change's Frobenius norm
-F, between F / sqrt(n) and F, and takes an eigen-solve only for the slots
-whose bound leaves the stop undecided (``_iterate_to_period``). F is summed
-from unscaled squares wherever it lies in (1e-150, 1e150), where no square
-overflows and what underflow drops lies far below the rounding
-(``frobenius_norm``). While every cell of a stack still runs, a step reads
-its per-cell tables as views.
+P_{k+1} = A_k P_k A_k' + Q_k and composes without a solve, and the slot's
+closed loop is A_k with noise Q_k (``_silent``).
 
 Uniform observability is decided on each anchor's window factor over n
 periods, built from one period of transitions and the powers of the
@@ -34,13 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._artifacts import write_csv, write_json
-from ._linalg import frobenius_norm, spd_inverse, sym, sym_spectral_norm
+from ._linalg import spd_inverse, sym, sym_spectral_norm, transposed
 from .errors import ConvergenceError, NumericalError
 from .periodic import normalize_period
 
 DEFAULT_TOL = 1e-10
-# The sweep budget: about 1e5 individual time steps whatever the period.
-MAX_STEP_BUDGET = 100_000
+# The doubling budget: 2^60 periods of the recursion.
+MAX_DOUBLINGS = 60
 # Window Gramian eigenvalues above this fraction of the largest count toward
 # the rank in uniform_observability.
 OBSERVABILITY_REL_TOL = 1e-9
@@ -51,18 +50,17 @@ OBSERVABILITY_BLOCK = 1 << 15
 
 @dataclass(frozen=True)
 class SppsSolution:
-    """One period of a converged periodic Riccati/Lyapunov solution.
+    """One period of a periodic Riccati/Lyapunov solution.
 
-    ``P[k]`` is the steady covariance at time slot k. ``iterations`` counts
-    completed full-period sweeps and ``residual`` is the largest relative
-    change of any slot during the final sweep: its spectral-norm change over
-    its largest absolute entry.
+    ``P[k]`` is the steady covariance at time slot k. ``doublings`` counts
+    the doublings of the period map and ``defect`` is the fixed-point
+    defect, the ``_relative_change`` of P_0 over one period's steps from it.
     """
 
     period: int
     P: tuple
-    iterations: int
-    residual: float
+    doublings: int
+    defect: float
 
     def __post_init__(self):
         for M in self.P:
@@ -72,7 +70,7 @@ class SppsSolution:
         return self.P[k % self.period]
 
     def to_json(self, path) -> None:
-        data = {"period": self.period, "iterations": self.iterations, "residual": self.residual}
+        data = {"period": self.period, "doublings": self.doublings, "defect": self.defect}
         write_json(path, {**data, "P": [M.tolist() for M in self.P]})
 
     def to_csv(self, path) -> None:
@@ -82,96 +80,95 @@ class SppsSolution:
         write_csv(path, ["k", "i", "j", "value"], [(k, i, j, P.ravel())])
 
 
-def _iterate_to_period(step, period, P0, tol, label):
-    """Drive P_{k+1} = step(k, P_k, cells) over a (cells, n, n) stack until
-    each cell's full period changes by < tol, relative to its size.
+def _relative_change(P, P0):
+    """Per cell of two (cells, n, n) stacks of symmetric matrices, the
+    spectral norm of P - P0 over P's largest absolute entry, so that the
+    stop does not depend on the scale of the problem."""
+    scale = np.maximum(np.abs(P).max(axis=(-2, -1)), np.finfo(float).tiny)
+    return sym_spectral_norm(P - P0) / scale
 
-    ``step`` advances the rows of the still-running cells and returns
-    symmetric iterates. It is given their stack index: a full slice while
-    every cell runs, so that its reads of per-cell tables are views, and
-    their indices once some have stopped. A slot's change is
-    the spectral norm of its (symmetric) change over its largest absolute
-    entry, so the stop does not depend on the scale of the problem. Each
-    cell stops, keeping its values, at the first sweep after the first in
-    which its own largest slot change is below ``tol``.
 
-    The spectral norm is an eigen-solve, taken only where it can decide the
-    stop: the Frobenius norm F of an n x n change bounds its spectral norm
-    between F / sqrt(n) and F. A cell with a slot whose F / sqrt(n) is at
-    least ``tol`` keeps running, so the rest of its sweep is not measured,
-    and a slot whose F is below the cell's largest change so far cannot
-    raise it. The last allowed sweep is measured in full. So the stop
-    sweeps, residuals and ConvergenceError are those of measuring every
-    slot.
+def _compose(first, second):
+    """The triple of g_2(g_1(P)), for g_i the map of triple i; a beta of
+    None is no information. By the push-through identity, with
+    M = (I + gamma_1 beta_2)^{-1}: alpha = alpha_2 M alpha_1,
+    beta = beta_1 + alpha_1' beta_2 M alpha_1 and
+    gamma = gamma_2 + alpha_2 M gamma_1 alpha_2'; beta_2 = 0 makes M = I."""
+    a1, beta, g1 = first
+    a2, b2, g2 = second
+    Ma, Mg = a1, g1
+    if b2 is not None:
+        lhs = np.eye(g1.shape[-1]) + g1 @ b2
+        Ma, Mg = np.split(np.linalg.solve(lhs, np.concatenate([a1, g1], axis=-1)), 2, axis=-1)
+        beta = sym(transposed(a1) @ b2 @ Ma + (0.0 if beta is None else beta))
+    return a2 @ Ma, beta, sym(a2 @ Mg @ transposed(a2) + g2)
 
-    Returns (slots, sweeps, residual): slots[s, c] approximates cell c's SPPS
-    solution at time slot s; sweeps and residual are per cell. The budget is
-    about MAX_STEP_BUDGET time steps, and at least 2 sweeps, since the first
-    sweep has nothing to compare against.
-    """
-    max_sweeps = max(2, math.ceil(MAX_STEP_BUDGET / period))
-    P = sym(np.asarray(P0, dtype=float))
-    slots = np.empty((period,) + P.shape)
-    sweeps = np.zeros(P.shape[0], dtype=int)
-    residual = np.zeros(P.shape[0])
-    cells = np.arange(P.shape[0])
-    running_cells = slice(None)
-    running_at = math.sqrt(P.shape[-1]) * tol
-    for sweep in range(max_sweeps):
-        change = np.zeros(cells.size)
-        # Cells whose change this sweep is certainly at least tol.
-        running = np.zeros(cells.size, dtype=bool)
-        last = sweep == max_sweeps - 1
-        for k in range(period):
-            P = step(k, P, running_cells)
-            if not np.all(np.isfinite(P)):
-                raise NumericalError(
-                    f"{label} produced non-finite values at sweep {sweep + 1}: "
-                    "the recursion is divergent"
-                )
-            s = (k + 1) % period
-            if sweep > 0 and not running.all():
-                delta = P - slots[s, running_cells]
-                # Each cell's largest absolute entry, reduced across the rows
-                # of a (n * n, cells) copy, which numpy does far faster than
-                # along each cell's n * n entries.
-                big = np.abs(P.reshape(len(P), -1).T, order="C").max(axis=0)
-                scale = np.maximum(big, np.finfo(float).tiny)
-                bound = frobenius_norm(delta) / scale
-                if not last:
-                    # The margins cover the rounding of both norms.
-                    running |= bound * (1.0 - 1e-6) >= running_at
-                measure = ~running & (bound * (1.0 + 1e-12) >= change)
-                if measure.any():
-                    exact = sym_spectral_norm(delta[measure]) / scale[measure]
-                    change[measure] = np.maximum(change[measure], exact)
-            slots[s, running_cells] = P
-        if sweep > 0:
-            done = ~running & (change < tol)
-            sweeps[cells[done]] = sweep + 1
-            residual[cells[done]] = change[done]
-            if done.any():
-                cells, P, change = cells[~done], P[~done], change[~done]
-                if cells.size == 0:
-                    return slots, sweeps, residual
-                running_cells = cells
+
+def _period_map(slots, count):
+    """The triple of one period for each of ``count`` cells, composed from
+    the slots' triples in order, the first broadcast to every cell."""
+    first = next(slots)
+    composed = tuple(M if M is None else np.array(np.broadcast_to(M, (count,) + M.shape[-2:]))
+                     for M in first)
+    for slot in slots:
+        composed = _compose(composed, slot)
+    return composed
+
+
+def _double(period_map, tol, label):
+    """P_0 of each cell: the gamma of its period map composed with itself
+    until a doubling changes it by less than ``tol`` (``_relative_change``),
+    where the cell stops, keeping its values. Returns P_0 and the per-cell
+    doublings; non-finite values raise NumericalError, and MAX_DOUBLINGS
+    without a stop raises ConvergenceError."""
+    fixed = np.empty(period_map[2].shape)
+    doublings = np.zeros(len(fixed), dtype=int)
+    cells = np.arange(len(fixed))
+    for doubling in range(1, MAX_DOUBLINGS + 1):
+        gamma = period_map[2]
+        period_map = _compose(period_map, period_map)
+        if not all(np.isfinite(M).all() for M in period_map if M is not None):
+            raise NumericalError(
+                f"{label} produced non-finite values at doubling {doubling}: "
+                "the recursion is divergent"
+            )
+        change = _relative_change(period_map[2], gamma)
+        done = change < tol
+        fixed[cells[done]], doublings[cells[done]] = period_map[2][done], doubling
+        if done.all():
+            return fixed, doublings
+        if done.any():
+            cells, change = cells[~done], change[~done]
+            period_map = tuple(None if M is None else M[~done] for M in period_map)
     worst = float(change.max())
     raise ConvergenceError(
-        f"{label} did not converge within {max_sweeps} sweeps "
+        f"{label} did not converge within {MAX_DOUBLINGS} doublings "
         f"(relative residual {worst:.3e}, tol {tol:.1e})",
         residual=worst,
     )
 
 
+def _sweep(step, period, P0, doublings):
+    """One period of P_{k+1} = step(k, P_k) from the fixed points P0,
+    (cells, n, n): the slots (T, cells, n, n), the doublings and the
+    per-cell fixed-point defect of P_T against P_0."""
+    slots = np.empty((period,) + P0.shape)
+    slots[0] = P = P0
+    for k in range(period):
+        P = step(k, P)
+        if k + 1 < period:
+            slots[k + 1] = P
+    return slots, doublings, _relative_change(P, P0)
+
+
 def _cell_solution(run, cell: int = 0) -> SppsSolution:
-    """Cell ``cell`` of an ``_iterate_to_period`` result as an SppsSolution,
-    holding a copy of its slots."""
-    slots, sweeps, residual = run
+    """Cell ``cell`` of a ``_sweep`` result as an SppsSolution of copies."""
+    slots, doublings, defect = run
     return SppsSolution(
         period=slots.shape[0],
         P=tuple(slots[:, cell].copy()),
-        iterations=int(sweeps[cell]),
-        residual=float(residual[cell]),
+        doublings=int(doublings[cell]),
+        defect=float(defect[cell]),
     )
 
 
@@ -186,30 +183,29 @@ def _information_step(Ak, Qk, P, S):
     a (cells, n, n) stack P with measurement information S."""
     prior = spd_inverse(P, what="predicted covariance")
     post = spd_inverse(prior + S, what="posterior information")
-    return sym(Ak @ post @ Ak.T + Qk)
+    return sym(Ak @ post @ transposed(Ak) + Qk)
 
 
 def _information_riccati(A, Q, S, tol):
-    """Stacked Riccati recursion in information form,
-    P_{k+1} = A_k (P_k^{-1} + S_k)^{-1} A_k' + Q_k from P_0 = I, for the
-    measurement information S_k of each cell given as a (T, cells, n, n)
-    stack. A slot where no cell has information is the prediction
+    """Stacked Riccati equation in information form,
+    P_{k+1} = A_k (P_k^{-1} + S_k)^{-1} A_k' + Q_k, for the measurement
+    information S_k of each cell given as a (T, cells, n, n) stack, solved
+    by doubling. A slot where no cell has information is the prediction
     A_k P_k A_k' + Q_k; a slot where any cell has some takes the full step
-    for every cell. Returns the ``_iterate_to_period`` result.
+    for every cell. Returns the ``_sweep`` result.
     """
-    period, count, n = S.shape[:3]
+    period, count = S.shape[:2]
     silent = _silent(S)
+    slots = ((A.at(k), None if silent[k] else S[k], Q.at(k)) for k in range(period))
+    P0, doublings = _double(_period_map(slots, count), tol, "periodic Riccati recursion")
 
-    def step(k: int, P: np.ndarray, cells) -> np.ndarray:
+    def step(k: int, P: np.ndarray) -> np.ndarray:
         Ak, Qk = A.at(k), Q.at(k)
         if silent[k]:
-            return sym(Ak @ P @ Ak.T + Qk)
-        return _information_step(Ak, Qk, P, S[k, cells])
+            return sym(Ak @ P @ transposed(Ak) + Qk)
+        return _information_step(Ak, Qk, P, S[k])
 
-    return _iterate_to_period(
-        step, period, np.broadcast_to(np.eye(n), (count, n, n)), tol,
-        "periodic Riccati recursion",
-    )
+    return _sweep(step, period, P0, doublings)
 
 
 def _closed_loops(A, Q, P, S, S2):
@@ -231,7 +227,7 @@ def _closed_loops(A, Q, P, S, S2):
     prior = spd_inverse(P[live], what="predicted covariance")
     post_gain = A @ spd_inverse(prior + S[live], what="posterior information")
     gain[live], loops[live] = post_gain, post_gain @ prior
-    noise[live] = sym(Q + post_gain @ S2 @ post_gain.swapaxes(2, 3))
+    noise[live] = sym(Q + post_gain @ S2 @ transposed(post_gain))
     return gain, loops, noise
 
 
@@ -244,11 +240,11 @@ def dpre_spps(
 ) -> SppsSolution:
     """SPPS solution of the periodic filter Riccati equation.
 
-    Iterates its information form (R_k positive definite)
+    Solves its information form (R_k positive definite)
         P_{k+1} = A_k (P_k^{-1} + C_k' R_k^{-1} C_k)^{-1} A_k' + Q_k
-    forward from the identity until one full period changes by less than
+    by doubling its period map until a doubling moves P_0 by less than
     ``tol`` relative to its size. Convergence requires the pair (A., C.) to
-    be uniformly observable; exhausting the sweep budget raises
+    be uniformly observable; exhausting the doubling budget raises
     ConvergenceError.
     """
     A, C, Q, R = normalize_period([A, C, Q, R])
@@ -258,33 +254,30 @@ def dpre_spps(
 
 
 def _lyapunov_stack(loops, noise, tol):
-    """Stacked periodic Lyapunov recursion X_{k+1} = M_k X_k M_k' + V_k from
-    X_0 = 0, for loops M and noise V given as (T, cells, n, n) stacks.
+    """Stacked periodic Lyapunov equation X_{k+1} = M_k X_k M_k' + V_k, for
+    loops M and noise V given as (T, cells, n, n) stacks, solved by squared
+    Smith doubling of the monodromy and the one-period noise from X_0 = 0.
 
-    Every cell's one-period transition product must be Schur stable,
-    otherwise no steady solution exists and NumericalError is raised.
-    Returns the ``_iterate_to_period`` result.
+    Every cell's monodromy must be Schur stable, otherwise no steady
+    solution exists and NumericalError is raised. Returns the ``_sweep``
+    result.
     """
-    period, count, n = loops.shape[:3]
-    phi = np.broadcast_to(np.eye(n), (count, n, n))
-    for M in loops:
-        phi = M @ phi
-    rho = np.abs(np.linalg.eigvals(phi)).max(axis=-1)
+    period, count = loops.shape[:2]
+    period_map = _period_map(zip(loops, [None] * period, noise), count)
+    rho = np.abs(np.linalg.eigvals(period_map[0])).max(axis=-1)
     unstable = rho >= 1.0 - 1e-9
     if unstable.any():
         raise NumericalError(
             f"unstable monodromy (spectral radius {rho[unstable][0]:.6f}): "
             "the periodic Lyapunov recursion has no steady solution"
         )
+    X0, doublings = _double(period_map, tol, "periodic Lyapunov recursion")
 
-    def step(k: int, X: np.ndarray, cells) -> np.ndarray:
-        M = loops[k, cells]
-        return sym(M @ X @ M.swapaxes(1, 2) + noise[k, cells])
+    def step(k: int, X: np.ndarray) -> np.ndarray:
+        M = loops[k]
+        return sym(M @ X @ transposed(M) + noise[k])
 
-    return _iterate_to_period(
-        step, period, np.zeros((count, n, n)), tol,
-        "periodic Lyapunov recursion",
-    )
+    return _sweep(step, period, X0, doublings)
 
 
 def dple_spps(

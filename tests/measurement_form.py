@@ -60,7 +60,8 @@ def riccati_step(Ak, Ck, Qk, Rk, P):
 def dpre(A, C, Q, R, tol: float = 1e-10, max_sweeps: int = 100_000) -> SppsSolution:
     """Periodic Riccati solution by the measurement-form recursion from the
     identity, stopped at the first sweep after the first whose slots all
-    change by less than ``tol`` relative to their largest absolute entry."""
+    change by less than ``tol`` relative to their largest absolute entry.
+    It doubles nothing; its defect is that last sweep's largest change."""
     A, C, Q, R = normalize_period([A, C, Q, R])
     T = A.period
     P = np.eye(A.shape[0])
@@ -74,7 +75,7 @@ def dpre(A, C, Q, R, tol: float = 1e-10, max_sweeps: int = 100_000) -> SppsSolut
                 change = max(change, np.linalg.norm(P - slots[s], 2) / np.abs(P).max())
             slots[s] = P
         if sweep > 0 and change < tol:
-            return SppsSolution(period=T, P=tuple(slots), iterations=sweep + 1, residual=change)
+            return SppsSolution(period=T, P=tuple(slots), doublings=0, defect=change)
     raise AssertionError(f"measurement-form recursion did not converge in {max_sweeps} sweeps")
 
 

@@ -105,6 +105,26 @@ class TestSolveDpre:
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["solve-dpre", "--scenario", config]) == 2
 
+    @pytest.mark.parametrize(
+        "a, message",
+        [(2.0, "the recursion is divergent"), (1.0, "did not converge within 60 doublings")],
+    )
+    def test_failed_doubling_exits_two(self, a, message, tmp_path, capsys):
+        # An unobserved a = 2 overflows (NumericalError); an unobserved a = 1
+        # grows without end and exhausts the budget (ConvergenceError).
+        config = write_json(
+            tmp_path / "bad.json",
+            {
+                "plant": {
+                    "A": [[[a]]], "Q": [[[1.0]]],
+                    "sensors": [{"C": [[[0.0]]], "R": [[[1.0]]]}],
+                }
+            },
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["solve-dpre", "--scenario", config]) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
     def test_bad_tol_rejected_before_solving(self, golden_config, tol, capsys):
         assert main(["solve-dpre", "--scenario", golden_config, "--tol", tol]) == 1
@@ -476,8 +496,9 @@ class TestPipelines:
                 assert all(isinstance(stage[key], float) for key in ("wall_s", "cpu_s"))
 
     def test_run_info_records_solver(self, tiny_scenario, tmp_path, capsys):
-        # Per solved L (the sweep and each rate's L + 1), the worst sweep
-        # count and relative residual of both stacks; the centralized cell's;
+        # Per solved L (the sweep and each rate's L + 1), the most doublings
+        # and the largest fixed-point defect of both stacks; the centralized
+        # cell's;
         # and the slots solved as pure prediction, none for this plant of
         # period 1 with two measuring sensors. The data files do not carry
         # them.
@@ -489,22 +510,22 @@ class TestPipelines:
             assert sorted(solver) == ["L", "centralized", "silent_slots"]
             assert solver["silent_slots"] == 0
             central = solver["centralized"]
-            assert sorted(central) == ["riccati_residual", "riccati_sweeps"]
-            assert central["riccati_sweeps"] >= 2
-            assert 0 <= central["riccati_residual"] < 1e-9
+            assert sorted(central) == ["riccati_defect", "riccati_doublings"]
+            assert central["riccati_doublings"] >= 1
+            assert 0 <= central["riccati_defect"] <= 1e-12
             assert [row["L"] for row in solver["L"]] == [1, 2, 3, 4]
             for row in solver["L"]:
                 assert sorted(row) == [
-                    "L", "lyapunov_residual", "lyapunov_sweeps",
-                    "riccati_residual", "riccati_sweeps",
+                    "L", "lyapunov_defect", "lyapunov_doublings",
+                    "riccati_defect", "riccati_doublings",
                 ]
                 for stack in ("riccati", "lyapunov"):
-                    assert isinstance(row[f"{stack}_sweeps"], int)
-                    assert row[f"{stack}_sweeps"] >= 2
-                    assert 0 <= row[f"{stack}_residual"] < 1e-9
+                    assert isinstance(row[f"{stack}_doublings"], int)
+                    assert row[f"{stack}_doublings"] >= 1
+                    assert 0 <= row[f"{stack}_defect"] <= 1e-12
         for path in tmp_path.glob("*/*"):
             if path.name != "run_info.json":
-                assert "sweeps" not in path.read_text(), path
+                assert "doublings" not in path.read_text(), path
 
     def test_run_info_records_stages(self, tiny_scenario, tmp_path, monkeypatch, capsys):
         # Wall and CPU seconds of each stage, and the process's peak RSS
@@ -558,9 +579,9 @@ class TestPipelines:
         assert sorted(solver) == ["centralized", "silent_slots"]
         assert solver["silent_slots"] == 0
         central = solver["centralized"]
-        assert sorted(central) == ["riccati_residual", "riccati_sweeps"]
-        assert isinstance(central["riccati_sweeps"], int) and central["riccati_sweeps"] >= 2
-        assert 0 <= central["riccati_residual"] < 1e-9
+        assert sorted(central) == ["riccati_defect", "riccati_doublings"]
+        assert isinstance(central["riccati_doublings"], int) and central["riccati_doublings"] >= 1
+        assert 0 <= central["riccati_defect"] <= 1e-12
 
     @pytest.fixture
     def growing_gap(self, tmp_path):

@@ -76,7 +76,7 @@ class TestCmdfDpre:
         for i in (0, 4, 13):
             sol = nodes[i][0]
             assert sol.period == 30
-            assert sol.residual < 1e-10
+            assert sol.defect < 1e-10
 
 
 class TestCmdfErrorDple:
@@ -173,7 +173,7 @@ class TestGapSeries:
 class TestAveragePerformance:
     def test_constant_scalar(self):
         sol = SppsSolution(
-            period=30, P=tuple(np.eye(1) for _ in range(30)), iterations=1, residual=0.0
+            period=30, P=tuple(np.eye(1) for _ in range(30)), doublings=1, defect=0.0
         )
         assert average_performance(sol) == pytest.approx(1.0)
 
@@ -181,8 +181,8 @@ class TestAveragePerformance:
         sol = SppsSolution(
             period=2,
             P=(np.array([[1.0]]), np.array([[3.0]])),
-            iterations=1,
-            residual=0.0,
+            doublings=1,
+            defect=0.0,
         )
         assert average_performance(sol) == pytest.approx(2.0)
 
@@ -371,17 +371,22 @@ class TestGapReport:
                 np.testing.assert_allclose(getattr(cell, name), getattr(ref, name), rtol=1e-9)
 
 
-def _measurement_form_cell(model, weights, L, i, central):
-    """(gap_ric, gap_cov, avg_perf) of one cell, solved alone in measurement
-    form: the Riccati equation of the node's modified observation model,
-    then the Lyapunov equation of its closed loop with the masked noise."""
+# The tolerance of the scalar oracle: its sweeps stop at rounding.
+ORACLE_TOL = 1e-15
+
+
+def _measurement_form_cell(model, weights, L, i, central, tol=1e-10):
+    """(gap_ric, gap_cov, avg_perf) of one cell, solved alone to ``tol`` in
+    measurement form: the Riccati equation of the node's modified
+    observation model, then the Lyapunov equation of its closed loop with
+    the masked noise."""
     C, R_eff, R_mask, _ = mf.modified_sequences(model, weights, L, i)
-    P = mf.dpre(model.A, C, model.Q, R_eff)
+    P = mf.dpre(model.A, C, model.Q, R_eff, tol=tol)
     gains, loops = mf.closed_loop_sequence(model.A, C, R_eff, P)
     noise = PeriodicSequence(
         [model.Q.at(k) + gains[k] @ R_mask.at(k) @ gains[k].T for k in range(model.period)]
     )
-    X = dple_spps(loops, noise)
+    X = dple_spps(loops, noise, tol=tol)
     T = model.period
     return (
         max(np.linalg.norm(P.at(k) - central.at(k), 2) for k in range(T)),
@@ -391,13 +396,24 @@ def _measurement_form_cell(model, weights, L, i, central):
 
 
 class TestStackedSolve:
-    def test_scalar_pair_matches_measurement_form(self, small_report):
+    @staticmethod
+    def assert_scalar_pair_matches(small_report, rtol):
         report, model, weights = small_report
-        central = mf.centralized_dpre(model)
+        central = mf.centralized_dpre(model, tol=ORACLE_TOL)
         for cell in report.cells:
-            want = _measurement_form_cell(model, weights, cell.L, cell.sensor, central)
+            want = _measurement_form_cell(
+                model, weights, cell.L, cell.sensor, central, ORACLE_TOL
+            )
             got = (cell.gap_ric, cell.gap_cov, cell.avg_perf)
-            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+            np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
+
+    def test_scalar_pair_matches_measurement_form(self, small_report):
+        self.assert_scalar_pair_matches(small_report, rtol=1e-9)
+
+    def test_scalar_pair_is_exact_at_the_default_tol(self, small_report):
+        # Doubling converges quadratically, so a solve stopped at the
+        # default tol lies within rounding of the fixed point.
+        self.assert_scalar_pair_matches(small_report, rtol=1e-11)
 
     def test_benchmark_mixed_supports_match_measurement_form(
         self, bench_plant, bench_weights, monkeypatch
@@ -505,8 +521,8 @@ class TestStackedSolve:
         central = centralized_dpre(bench_plant)
         assert report.centralized_avg == average_performance(central)
         assert report.solver["centralized"] == {
-            "riccati_sweeps": central.iterations,
-            "riccati_residual": central.residual,
+            "riccati_doublings": central.doublings,
+            "riccati_defect": central.defect,
         }
 
     def test_stack_memory_stays_bounded(self, bench_plant, bench_graph, bench_weights):

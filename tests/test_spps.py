@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from filterlab import (
     dpre_spps,
     uniform_observability,
 )
-from filterlab.spps import DEFAULT_TOL, OBSERVABILITY_REL_TOL, _iterate_to_period
+from filterlab.spps import DEFAULT_TOL, OBSERVABILITY_REL_TOL
 import filterlab.gap as gap
 import filterlab.spps as spps
 import reference_spps
@@ -56,7 +57,7 @@ class TestDpreSpps:
     def test_scalar_golden_ratio(self):
         sol = dpre_spps([[1.0]], [[1.0]], [[1.0]], [[1.0]], tol=1e-13)
         assert abs(sol.P[0][0, 0] - PHI) < 1e-12
-        assert sol.residual < 1e-13
+        assert sol.defect < 1e-13
         # Cross-check with brute iteration from a different start.
         brute = brute_riccati([[1.0]], [[1.0]], [[1.0]], [[1.0]], 200, P0=[[1.0]])
         assert abs(brute[-1][0, 0] - sol.P[0][0, 0]) < 1e-12
@@ -104,15 +105,17 @@ class TestDpreSpps:
             sol = dpre_spps(A, C, Qs, Rs, tol=tol)
             assert fixed_point_defect(sol, A, C, Qs, Rs) <= 10 * tol
 
-    def test_divergent_recursion_raises(self, monkeypatch):
-        # 200 sweeps of a period-1 recursion, before it overflows.
-        monkeypatch.setattr(spps, "MAX_STEP_BUDGET", 200)
-        with pytest.raises(ConvergenceError):
+    def test_divergent_recursion_raises(self):
+        # An unobserved a = 2: each doubling squares the period map's growth,
+        # so it overflows long before the doubling budget runs out.
+        with pytest.raises(NumericalError, match="the recursion is divergent") as info:
             with np.errstate(over="ignore", invalid="ignore"):
                 dpre_spps([[2.0]], [[0.0]], [[1.0]], [[1.0]])
+        assert not isinstance(info.value, ConvergenceError)
+        doubling = int(re.search(r"at doubling (\d+):", str(info.value)).group(1))
+        assert doubling < spps.MAX_DOUBLINGS
 
-    def test_indefinite_innovation_raises(self, monkeypatch):
-        monkeypatch.setattr(spps, "MAX_STEP_BUDGET", 50)
+    def test_indefinite_innovation_raises(self):
         bad_R = PeriodicSequence([[[-1.0]]])
         with pytest.raises(NumericalError):
             dpre_spps([[0.5]], [[0.0]], [[1.0]], bad_R)
@@ -204,141 +207,155 @@ class TestDpleSpps:
         # Per-step norms above one are fine if the period product contracts.
         A = PeriodicSequence([[[1.6]], [[0.3]]])
         sol = dple_spps(A, PeriodicSequence([[[1.0]]] * 2))
-        assert sol.residual < 1e-10
+        assert sol.defect < 1e-10
 
 
-class TestIterateToPeriod:
-    def test_stacked_cells_stop_at_their_own_sweep(self):
-        # Two scalar 2-periodic Lyapunov recursions contracting at different
-        # rates: in one stack, each cell must stop where it stops alone.
-        gains = np.array([0.3, 0.9])
-        noise = np.array([[1.0, 2.0], [0.5, 1.5]])
+def apply_triple(triple, P):
+    """g(P) = alpha P (I + beta P)^{-1} alpha' + gamma of a triple, per cell;
+    a beta of None is no information."""
+    alpha, beta, gamma = triple
+    if beta is not None:
+        P = P @ np.linalg.inv(np.eye(P.shape[-1]) + beta @ P)
+    return alpha @ P @ alpha.swapaxes(-1, -2) + gamma
 
-        def step_of(ids):
-            def step(k, P, cells):
-                c = ids[cells]
-                return gains[c, None, None] ** 2 * P + noise[c, k][:, None, None]
 
-            return step
+def direct_riccati(A, Q, S, P, steps):
+    """``steps`` information-form steps of P, (cells, n, n), each silent slot
+    a prediction: the recursion the doubling replaces."""
+    silent = spps._silent(S)
+    for k in range(steps):
+        Ak, Qk = A.at(k), Q.at(k)
+        if silent[k % A.period]:
+            P = spps.sym(Ak @ P @ Ak.T + Qk)
+        else:
+            P = spps._information_step(Ak, Qk, P, S[k % A.period])
+    return P
 
-        def run(ids):
-            return _iterate_to_period(
-                step_of(np.array(ids)), 2, np.zeros((len(ids), 1, 1)), 1e-10, "test"
-            )
 
-        slots, sweeps, residual = run([0, 1])
-        assert sweeps[0] < sweeps[1]
+def scaled_information(seed, pattern, exponent):
+    """A random periodic system with Q and R scaled by 2**exponent, and the
+    information stack (T, 2, n, n) of two cells, the second fusing half of
+    the first. ``pattern`` zeroes S at no slot ("live"), at a random set of
+    slots for both cells ("silent") or at one slot for the second cell only
+    ("partly silent")."""
+    A, C, Q, R, rng = random_periodic_system(seed)
+    scale = 2.0**exponent
+    own = C.stack.swapaxes(1, 2) @ np.linalg.solve(scale * R.stack, C.stack)
+    S = np.stack([own, 0.5 * own], axis=1)
+    if pattern == "silent":
+        S[rng.random(A.period) < 0.5] = 0.0
+        S[int(rng.integers(0, A.period))] = 0.0
+    elif pattern == "partly silent":
+        S[int(rng.integers(0, A.period)), 1] = 0.0
+    return A, PeriodicSequence(scale * Q.stack), spps.sym(S), rng
+
+
+class TestDoubling:
+    """The period map is one period of steps, composed; doubling it lands on
+    the periodic fixed point the iteration approaches."""
+
+    @pytest.mark.parametrize("exponent", [-40, 0, 40])
+    @pytest.mark.parametrize("pattern", ["live", "silent", "partly silent"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_period_map_is_one_period_of_steps(self, seed, pattern, exponent):
+        A, Q, S, rng = scaled_information(seed, pattern, exponent)
+        silent = spps._silent(S)
+        assert silent.any() == (pattern == "silent")
+        slots = ((A.at(k), None if silent[k] else S[k], Q.at(k)) for k in range(A.period))
+        triple = spps._period_map(slots, 2)
+        n = A.shape[0]
+        P = np.stack([spd(rng, n, scale=2.0**exponent) for _ in range(2)])
+        got, want = apply_triple(triple, P), direct_riccati(A, Q, S, P, A.period)
+        assert relative_change(got, want) < 1e-12
+        # Doubling it is two periods of steps.
+        got = apply_triple(spps._compose(triple, triple), P)
+        assert relative_change(got, direct_riccati(A, Q, S, P, 2 * A.period)) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_lyapunov_doubling_matches_scipy(self, seed):
+        # Each cell's slot 0 solves X = Psi X Psi' + V for its monodromy Psi
+        # and one-period noise V, both formed here step by step.
+        rng = np.random.default_rng(seed)
+        T, n, cells = int(rng.integers(1, 6)), int(rng.integers(1, 5)), 3
+        loops = rng.normal(size=(T, cells, n, n))
+        noise = np.stack([[spd(rng, n) for _ in range(cells)] for _ in range(T)])
+        for c in range(cells):
+            psi = np.linalg.multi_dot([loops[k, c] for k in reversed(range(T))] + [np.eye(n)])
+            loops[:, c] *= (0.9 / np.abs(np.linalg.eigvals(psi)).max()) ** (1 / T)
+        X = spps._lyapunov_stack(loops, noise, 1e-13)[0]
+        for c in range(cells):
+            psi, V = np.eye(n), np.zeros((n, n))
+            for k in range(T):
+                psi, V = loops[k, c] @ psi, loops[k, c] @ V @ loops[k, c].T + noise[k, c]
+            want = solve_discrete_lyapunov(psi, V)
+            np.testing.assert_allclose(X[0, c], want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+
+    def test_stacked_cells_stop_at_their_own_doubling(self):
+        # Two scalar 2-periodic Lyapunov equations contracting at different
+        # rates: in one stack, each cell stops where it stops alone.
+        loops = np.array([[0.3, 0.9], [0.5, 0.95]])[:, :, None, None]
+        noise = np.array([[1.0, 2.0], [0.5, 1.5]])[:, :, None, None]
+        slots, doublings, defect = spps._lyapunov_stack(loops, noise, 1e-10)
+        assert doublings[0] < doublings[1]
         for c in (0, 1):
-            alone = run([c])
-            assert sweeps[c] == alone[1][0]
-            np.testing.assert_allclose(slots[:, c], alone[0][:, 0], rtol=1e-12, atol=0)
-            np.testing.assert_allclose(residual[c], alone[2][0], rtol=1e-12, atol=0)
+            alone = spps._lyapunov_stack(loops[:, c : c + 1], noise[:, c : c + 1], 1e-10)
+            assert doublings[c] == alone[1][0]
+            assert np.array_equal(slots[:, c], alone[0][:, 0])
+            assert defect[c] == alone[2][0]
 
-
-def _stop_outcome(iterate, *args):
-    """A stop test's result, or the ConvergenceError it raised."""
-    try:
-        return iterate(*args)
-    except ConvergenceError as exc:
-        return exc
-
-
-def _assert_same_stop(got, want):
-    """Bit-equal slots, sweeps and residuals, or the same ConvergenceError."""
-    if isinstance(want, ConvergenceError):
-        assert isinstance(got, ConvergenceError)
-        assert (str(got), got.residual) == (str(want), want.residual)
-    else:
-        assert not isinstance(got, ConvergenceError)
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
-
-
-def _both_stops(step, period, P0, tol, max_sweeps, monkeypatch):
-    """Both stop tests' outcomes, at a budget of ``max_sweeps`` sweeps."""
-    monkeypatch.setattr(spps, "MAX_STEP_BUDGET", max_sweeps * period)
-    got = _stop_outcome(_iterate_to_period, step, period, P0, tol, "test")
-    want = _stop_outcome(
-        reference_spps.iterate_to_period, step, period, P0, tol, max_sweeps, "test"
-    )
-    _assert_same_stop(got, want)
-    return want
-
-
-def _scalar_cells(gains, shapes, period=3):
-    """A step over 3 x 3 cells P = x U_c + F_{c,k} whose scalar x follows
-    x' = a_c x + b_k, with its start.
-
-    U_c is either the identity, with F = 0, or the rank-1 [[1, 1, 0],
-    [1, 1, 0], [0, 0, 0]] with F = diag(0, 0, f). Every change between
-    sweeps is x's change times U_c exactly, so its Frobenius norm is sqrt(3)
-    times its spectral norm or equal to it: the two ends of the stop test's
-    bound. x's change shrinks by |a_c| from one step to the next; f, which
-    sets a rank-1 cell's scale, shrinks by |a_c| (1 - 1e-13), so each slot's
-    relative change is within rounding of the one before it.
-    """
-    rank1 = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
-    U = np.stack([rank1 if s == "rank1" else np.eye(3) for s in shapes])
-    F = np.zeros((period, len(shapes), 3, 3))
-    for c, (a, shape) in enumerate(zip(gains, shapes)):
-        if shape == "rank1":
-            shrink = abs(a) * (1 - 1e-13)
-            F[:, c, 2, 2] = np.roll(1e3 * shrink ** np.arange(period), 1)
-    gains, b = np.asarray(gains, dtype=float), np.linspace(1.0, 1.7, period)
-
-    def step(k, P, cells):
-        x = gains[cells] * P[:, 0, 0] + b[k]
-        return x[:, None, None] * U[cells] + F[(k + 1) % period, cells]
-
-    return step, np.zeros((len(shapes), 3, 3))
+    def test_exhausted_budget_raises_convergence_error(self, monkeypatch):
+        # An unobserved a = 1 gains Q = 1 a period, so from P = 0 each
+        # doubling moves P by half of its size, at every budget.
+        with pytest.raises(ConvergenceError, match="within 60 doublings") as info:
+            dpre_spps([[1.0]], [[0.0]], [[1.0]], [[1.0]])
+        assert info.value.residual == 0.5
+        monkeypatch.setattr(spps, "MAX_DOUBLINGS", 3)
+        with pytest.raises(ConvergenceError, match="within 3 doublings") as info:
+            dple_spps([[0.99]], [[1.0]])
+        assert info.value.residual > DEFAULT_TOL
+        # A case that stops on the last allowed doubling returns.
+        assert dple_spps([[0.01]], [[1.0]]).doublings == 3
 
 
 class TestStopMatchesReference:
-    """The stop test takes an eigen-solve only where its Frobenius bound
-    leaves the stop undecided; ``reference_spps`` measures every slot. The
-    two must agree bit for bit: slots, sweeps, residuals and errors."""
-
-    GAINS = [0.3, -0.8, 0.95, 0.0, 0.3, -0.8, 0.95]
-    SHAPES = ["rank1"] * 3 + ["identity"] * 4
-
-    def test_changes_landing_at_the_tolerance(self, monkeypatch):
-        # Cells contracting at different rates, each stopped exactly at,
-        # just above and within 1e-12 of its own final change.
-        step, P0 = _scalar_cells(self.GAINS, self.SHAPES)
-        residual = reference_spps.iterate_to_period(step, 3, P0, 1e-9, 1000, "test")[2]
-        for r in residual[residual > 0]:
-            for tol in (r, np.nextafter(r, np.inf), r * (1 + 1e-12), r * (1 - 1e-12)):
-                sweeps = _both_stops(step, 3, P0, tol, 1000, monkeypatch)[1]
-                assert len(set(sweeps)) > 2
-
-    @pytest.mark.parametrize("max_sweeps", [2, 3, 8])
-    def test_exhausted_budget(self, max_sweeps, monkeypatch):
-        step, P0 = _scalar_cells(self.GAINS, self.SHAPES)
-        outcome = _both_stops(step, 3, P0, 1e-9, max_sweeps, monkeypatch)
-        assert isinstance(outcome, ConvergenceError)
-        # Cells that stop within two sweeps return.
-        step, P0 = _scalar_cells([0.0, 0.0], ["rank1", "identity"])
-        assert _both_stops(step, 3, P0, 1e-9, 2, monkeypatch)[1].tolist() == [2, 2]
+    """The doubling solves land within the tolerance of the plain iteration
+    of ``reference_spps``, which steps one period at a time."""
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-12, 1e-13])
     def test_benchmark_stacks(self, tol, monkeypatch, bench_plant, bench_weights):
         # The report's Riccati stack (depths 2, 3, 5, 6 and the centralized
-        # cell) and its Lyapunov stack, each run through both stop tests.
-        fast, stacks = spps._iterate_to_period, []
+        # cell) and its Lyapunov stack, each set against the iteration.
+        riccati, lyapunov, stacks = gap._information_riccati, gap._lyapunov_stack, []
 
-        def both(step, period, P0, stop_tol, label):
-            want = _stop_outcome(
-                reference_spps.iterate_to_period, step, period, P0, stop_tol, None, label
-            )
-            _assert_same_stop(_stop_outcome(fast, step, period, P0, stop_tol, label), want)
+        def against_reference(label, got, step, P0, stop_tol):
+            want = reference_spps.iterate_to_period(step, len(got[0]), P0, stop_tol, None, label)
+            assert relative_change(got[0], want[0]) <= 10 * stop_tol
             stacks.append((label, len(P0)))
-            return want
+            return got
 
-        monkeypatch.setattr(spps, "_iterate_to_period", both)
+        def checked_riccati(A, Q, S, stop_tol):
+            silent = spps._silent(S)
+
+            def step(k, P, cells):
+                if silent[k]:
+                    return spps.sym(A.at(k) @ P @ A.at(k).T + Q.at(k))
+                return spps._information_step(A.at(k), Q.at(k), P, S[k, cells])
+
+            P0 = np.broadcast_to(np.eye(S.shape[-1]), S.shape[1:])
+            return against_reference("riccati", riccati(A, Q, S, stop_tol), step, P0, stop_tol)
+
+        def checked_lyapunov(loops, noise, stop_tol):
+            def step(k, X, cells):
+                M = loops[k, cells]
+                return spps.sym(M @ X @ M.swapaxes(1, 2) + noise[k, cells])
+
+            got = lyapunov(loops, noise, stop_tol)
+            return against_reference("lyapunov", got, step, np.zeros(loops.shape[1:]), stop_tol)
+
+        monkeypatch.setattr(gap, "_information_riccati", checked_riccati)
+        monkeypatch.setattr(gap, "_lyapunov_stack", checked_lyapunov)
         build_gap_report(bench_plant, bench_weights, [2, 5], tol=tol)
-        assert stacks == [
-            ("periodic Riccati recursion", 81), ("periodic Lyapunov recursion", 80),
-        ]
+        assert stacks == [("riccati", 81), ("lyapunov", 80)]
 
 
 class TestClosedLoop:
@@ -627,17 +644,17 @@ def blind_slot_system(seed):
 class TestSilentSlots:
     """A slot where no cell has information is a prediction step: the
     shortcut agrees with the full information step to rounding and stops
-    on the same sweeps."""
+    on the same doublings."""
 
     def assert_shortcut_matches_full_step(self, A, Q, S, S2, monkeypatch):
         assert spps._silent(S).any()
-        slots, sweeps, _ = spps._information_riccati(A, Q, S, DEFAULT_TOL)
+        slots, doublings, _ = spps._information_riccati(A, Q, S, DEFAULT_TOL)
         loops = spps._closed_loops(A, Q, slots, S, S2)
         with monkeypatch.context() as patch:
             patch.setattr(spps, "_silent", all_slots_live)
-            full, full_sweeps, _ = spps._information_riccati(A, Q, S, DEFAULT_TOL)
+            full, full_doublings, _ = spps._information_riccati(A, Q, S, DEFAULT_TOL)
             full_loops = spps._closed_loops(A, Q, slots, S, S2)
-        assert sweeps.tolist() == full_sweeps.tolist()
+        assert doublings.tolist() == full_doublings.tolist()
         assert relative_change(slots, full) < 1e-12
         for got, want in zip(loops, full_loops):
             assert relative_change(got, want) < 1e-12
@@ -653,23 +670,34 @@ class TestSilentSlots:
         self.assert_shortcut_matches_full_step(A, Q, S, 0.5 * S, monkeypatch)
 
     def count_inverses(self, monkeypatch):
-        shapes = []
-        inverse = spps.spd_inverse
+        """The shapes passed to ``spd_inverse`` and to the linear solves that
+        compose the period map and double it."""
+        shapes, solves = [], []
+        inverse, solve = spps.spd_inverse, np.linalg.solve
 
         def counted(M, what="matrix"):
             shapes.append(M.shape)
             return inverse(M, what)
 
+        def counted_solve(a, b):
+            solves.append(a.shape)
+            return solve(a, b)
+
         monkeypatch.setattr(spps, "spd_inverse", counted)
-        return shapes
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        return shapes, solves
 
     def test_benchmark_inverts_only_live_slots(self, bench_plant, bench_weights, monkeypatch):
         S, S2 = benchmark_information(bench_plant, bench_weights, 4)
         A, Q = bench_plant.A, bench_plant.Q
-        shapes = self.count_inverses(monkeypatch)
-        P, sweeps, _ = spps._information_riccati(A, Q, S, DEFAULT_TOL)
-        # Two inverses per live slot of every sweep, none on the 15 silent.
-        assert len(shapes) == 2 * 15 * sweeps.max()
+        shapes, solves = self.count_inverses(monkeypatch)
+        P, doublings, _ = spps._information_riccati(A, Q, S, DEFAULT_TOL)
+        # The period map starts at silent slot 0 and takes one solve per
+        # live slot, then one per doubling; the filling sweep takes two
+        # inverses per live slot. No silent slot takes either.
+        assert solves[:15] == [(21, 4, 4)] * 15
+        assert len(solves) == 15 + doublings.max()
+        assert shapes == [(21, 4, 4)] * 2 * 15
         shapes.clear()
         spps._closed_loops(A, Q, P, S, S2)
         assert shapes == [(15, 21, 4, 4)] * 2
@@ -679,9 +707,10 @@ class TestSilentSlots:
         A, Q, S = blind_slot_system(0)
         S = np.concatenate([S + np.eye(S.shape[-1]), S], axis=1)
         assert not spps._silent(S).any()
-        shapes = self.count_inverses(monkeypatch)
-        _, sweeps, _ = spps._information_riccati(A, Q, S, DEFAULT_TOL)
-        assert len(shapes) == 2 * A.period * sweeps.max()
+        shapes, solves = self.count_inverses(monkeypatch)
+        _, doublings, _ = spps._information_riccati(A, Q, S, DEFAULT_TOL)
+        assert len(solves) == A.period - 1 + doublings.max()
+        assert shapes == [S.shape[1:]] * 2 * A.period
 
 
 class TestMonotonicityProbe:
