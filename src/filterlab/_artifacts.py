@@ -28,6 +28,9 @@ _PLAIN = frozenset({str, int, bool, type(None)})
 # What csv.writer's default dialect quotes: delimiter, quote char, line ends.
 _QUOTE = re.compile('[,"\r\n]')
 _JSON_SCALARS = frozenset({str, int, float, bool, type(None), np.float64})
+# _json_chunks' encoder of a container of scalars per indent, built on first
+# use: json.dumps with separators builds a new encoder on every call.
+_SCALAR_ENCODERS = {}
 
 
 def _cell(x) -> str:
@@ -119,7 +122,9 @@ def _json_chunks(value, depth: int):
         # separator carrying the newline and indent json.dump would write.
         # Passed on in pieces, its text is copied once (the slice) rather
         # than once per concatenation.
-        text = json.dumps(value, separators=("," + inner, ": "))
+        if inner not in _SCALAR_ENCODERS:
+            _SCALAR_ENCODERS[inner] = json.JSONEncoder(separators=("," + inner, ": ")).encode
+        text = _SCALAR_ENCODERS[inner](value)
         yield brackets[0] + inner
         yield text[1:-1]
         yield outer + brackets[1]

@@ -230,20 +230,24 @@ _SETTINGS = {
 }
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv=()) -> _Parser:
+    """Every subcommand, with its flags; where ``argv`` starts with a
+    subcommand's name, only that one's, since parsing reads no other."""
     parser = _Parser(prog="filterlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
     for name, (run, text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=text, description=text)
         p.set_defaults(run=run)
-        for flag in flags.split():
+        for flag in flags.split() if only in (None, name) else ():
             p.add_argument(f"--{flag}", **{**_FLAGS[flag], **_SETTINGS.get((name, flag), {})})
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     out = getattr(args, "out", None)

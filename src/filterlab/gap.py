@@ -20,7 +20,6 @@ from .spps import (
     DEFAULT_TOL,
     SppsSolution,
     _cell_solution,
-    _closed_loops,
     _information_riccati,
     _lyapunov_stack,
     uniform_observability,
@@ -137,20 +136,21 @@ def _fused_solve(model, weights, L_values, tol, reduce, stages):
 
     The Riccati equations are solved as one stack of len(L_values) * N + 1
     cells: the nodes depth by depth, then the centralized filter as the
-    fusion row 1'. Each cell stops on its own doubling. ``reduce`` takes
-    that ``spps._sweep`` result and returns what the caller keeps of it,
-    holding no view of its slots, whose memory is then reused. The closed
-    loops and their noise are formed one depth at a time into the memory of
-    the fused information S and of the Riccati slots, and the Lyapunov
-    equations of all node cells are solved as one stack. So at most three
-    arrays are held at full stack size: S and the Riccati slots, then the
-    loops, the noise and the Lyapunov slots.
+    fusion row 1'. Each cell stops on its own doubling. The filling sweep
+    also builds the nodes' Lyapunov inputs, each live slot's S2 of every
+    depth fused in one call (``spps._information_riccati``). ``reduce``
+    takes the ``spps._sweep`` result and returns what the caller keeps,
+    holding no view of the slots, which it may overwrite. Three arrays of
+    full stack size are held: the fused information S, whose node cells the
+    sweep overwrites slot by slot with their closed loops, the noise, and
+    the Riccati slots, into whose node cells, once reduced, the Lyapunov
+    stack of the node cells writes its slots.
 
     ``stages`` receives the wall and CPU seconds (``timed``) of the fusion
     weights with their observability checks (``observability``, which also
     counts the ``observable_support`` calls and the distinct support
-    ``masks`` they checked), of the fused information with the Riccati stack
-    and its reduction (``riccati``), and of the closed loops with the
+    ``masks`` they checked), of the fused information with the Riccati stack,
+    the closed loops it builds and its reduction (``riccati``), and of the
     Lyapunov stack (``lyapunov``).
 
     Returns (reduce(riccati), lyapunov), lyapunov the ``spps._sweep``
@@ -169,17 +169,13 @@ def _fused_solve(model, weights, L_values, tol, reduce, stages):
         for d, fusion in enumerate(fusions):
             S[:, d * N : (d + 1) * N] = _fused_information(fusion, own)
         S[:, nodes:] = _fused_information(np.ones((1, own.shape[1])), own)
-        riccati = _information_riccati(model.A, model.Q, S, tol)
-        kept, P = reduce(riccati), riccati[0]
+        squares, noise = np.vstack(fusions) ** 2, np.empty((model.period, nodes) + own.shape[2:])
+        *riccati, period_map = _information_riccati(
+            model.A, model.Q, S, tol, (lambda k: _fused_information(squares, own[k]), noise)
+        )
+        kept = reduce(riccati)
     with timed(stages, "lyapunov"):
-        for d, fusion in enumerate(fusions):
-            cells = slice(d * N, (d + 1) * N)
-            S2 = _fused_information(fusion**2, own)
-            # The loops and noise take the place of the S and P they come from.
-            _, S[:, cells], P[:, cells] = _closed_loops(
-                model.A, model.Q, P[:, cells], S[:, cells], S2
-            )
-        lyapunov = _lyapunov_stack(S[:, :nodes], P[:, :nodes], tol)
+        lyapunov = _lyapunov_stack(S[:, :nodes], noise, tol, period_map, riccati[0][:, :nodes])
     return kept, lyapunov
 
 
@@ -318,7 +314,8 @@ def build_gap_report(
 
     def reduce(riccati):
         P, doublings, defect = riccati
-        gaps = max_sym_spectral_norm(P[:, :-1] - P[:, -1:])
+        # The node slots are not read again, so their gaps take their memory.
+        gaps = max_sym_spectral_norm(np.subtract(P[:, :-1], P[:, -1:], out=P[:, :-1]))
         return _cell_solution(riccati, -1), gaps, doublings[:-1], defect[:-1]
 
     stages = {}

@@ -22,6 +22,11 @@ on the slots where a scheduled network measures nothing), the update
 P_{k+1} = A_k P_k A_k' + Q_k and composes without a solve, and the slot's
 closed loop is A_k with noise Q_k (``_silent``).
 
+The consensus filter's Lyapunov equation is driven by the Riccati solution's
+closed loop A_k P+ P_k^{-1} with noise Q_k + A_k P+ S2_k P+ A_k', for
+P+ = (P_k^{-1} + S_k)^{-1}: the Riccati fill sweep builds both, and their
+period map, from the two inverses its step takes (``_information_riccati``).
+
 Uniform observability is decided on each anchor's window factor over n
 periods, built from one period of transitions and the powers of the
 monodromy from that anchor (``uniform_observability``).
@@ -148,11 +153,11 @@ def _double(period_map, tol, label):
     )
 
 
-def _sweep(step, period, P0, doublings):
+def _sweep(step, period, P0, doublings, slots=None):
     """One period of P_{k+1} = step(k, P_k) from the fixed points P0,
-    (cells, n, n): the slots (T, cells, n, n), the doublings and the
-    per-cell fixed-point defect of P_T against P_0."""
-    slots = np.empty((period,) + P0.shape)
+    (cells, n, n): the slots (T, cells, n, n), into ``slots`` if given, the
+    doublings and the per-cell fixed-point defect of P_T against P_0."""
+    slots = np.empty((period,) + P0.shape) if slots is None else slots
     slots[0] = P = P0
     for k in range(period):
         P = step(k, P)
@@ -180,55 +185,55 @@ def _silent(S: np.ndarray) -> np.ndarray:
 
 def _information_step(Ak, Qk, P, S):
     """One information-form Riccati step A_k (P^{-1} + S)^{-1} A_k' + Q_k of
-    a (cells, n, n) stack P with measurement information S."""
+    a (cells, n, n) stack P with measurement information S, and the two
+    inverses it takes, P^{-1} and P+ = (P^{-1} + S)^{-1}."""
     prior = spd_inverse(P, what="predicted covariance")
     post = spd_inverse(prior + S, what="posterior information")
-    return sym(Ak @ post @ transposed(Ak) + Qk)
+    return sym(Ak @ post @ transposed(Ak) + Qk), prior, post
 
 
-def _information_riccati(A, Q, S, tol):
+def _information_riccati(A, Q, S, tol, lyapunov=None):
     """Stacked Riccati equation in information form,
     P_{k+1} = A_k (P_k^{-1} + S_k)^{-1} A_k' + Q_k, for the measurement
     information S_k of each cell given as a (T, cells, n, n) stack, solved
     by doubling. A slot where no cell has information is the prediction
     A_k P_k A_k' + Q_k; a slot where any cell has some takes the full step
     for every cell. Returns the ``_sweep`` result.
+
+    Given ``lyapunov`` = (S2, noise), S2 the function of a live slot k
+    giving the information (c, n, n) of the noise that fusion injects into
+    the first c cells and noise a (T, c, n, n) array, the sweep also writes
+    those cells' closed loops over S[k, :c] once the step has used it (A_k
+    on a silent slot) and their noise into noise[k] (Q_k there); the result
+    then ends with their Lyapunov period map, composed as ``_period_map``
+    composes it.
     """
     period, count = S.shape[:2]
     silent = _silent(S)
     slots = ((A.at(k), None if silent[k] else S[k], Q.at(k)) for k in range(period))
     P0, doublings = _double(_period_map(slots, count), tol, "periodic Riccati recursion")
+    S2, noise = lyapunov or (None, None)
+    cells, period_map = (0 if noise is None else noise.shape[1]), None
 
     def step(k: int, P: np.ndarray) -> np.ndarray:
+        nonlocal period_map
         Ak, Qk = A.at(k), Q.at(k)
         if silent[k]:
-            return sym(Ak @ P @ transposed(Ak) + Qk)
-        return _information_step(Ak, Qk, P, S[k])
+            loop, V = Ak, sym(Qk)
+            P = sym(Ak @ P @ transposed(Ak) + Qk)
+        else:
+            P, prior, post = _information_step(Ak, Qk, P, S[k])
+            if S2 is not None:
+                gain = Ak @ post[:cells]
+                loop, V = gain @ prior[:cells], sym(Qk + gain @ S2(k) @ transposed(gain))
+        if S2 is not None:
+            S[k, :cells], noise[k] = loop, V
+            slot = (S[k, :cells], None, noise[k])
+            period_map = _compose(period_map, slot) if k else slot
+        return P
 
-    return _sweep(step, period, P0, doublings)
-
-
-def _closed_loops(A, Q, P, S, S2):
-    """Per slot and cell, for Riccati solutions P, (T, cells, n, n): the gain
-    A P+ with the posterior P+ = (P^{-1} + S)^{-1}, the closed loop
-    A P+ P^{-1}, and the noise Q + A P+ S2 P+ A' that drives the true error
-    covariance through that loop. A slot where neither S nor S2 holds any
-    information keeps its prior: gain A P, loop A and noise Q; only the
-    other slots are inverted."""
-    T = P.shape[0]
-    A, Q = A.with_period(T).stack[:, None], Q.with_period(T).stack[:, None]
-    silent = _silent(S) & _silent(S2)
-    gain, loops, noise = np.empty(P.shape), np.empty(P.shape), np.empty(P.shape)
-    gain[silent] = A[silent] @ P[silent]
-    loops[silent] = A[silent]
-    noise[silent] = sym(Q[silent])
-    live = ~silent
-    A, Q, S2 = A[live], Q[live], S2[live]
-    prior = spd_inverse(P[live], what="predicted covariance")
-    post_gain = A @ spd_inverse(prior + S[live], what="posterior information")
-    gain[live], loops[live] = post_gain, post_gain @ prior
-    noise[live] = sym(Q + post_gain @ S2 @ transposed(post_gain))
-    return gain, loops, noise
+    run = _sweep(step, period, P0, doublings)
+    return run if lyapunov is None else run + (period_map,)
 
 
 def dpre_spps(
@@ -253,17 +258,19 @@ def dpre_spps(
     return _cell_solution(_information_riccati(A, Q, S, tol))
 
 
-def _lyapunov_stack(loops, noise, tol):
+def _lyapunov_stack(loops, noise, tol, period_map=None, out=None):
     """Stacked periodic Lyapunov equation X_{k+1} = M_k X_k M_k' + V_k, for
     loops M and noise V given as (T, cells, n, n) stacks, solved by squared
-    Smith doubling of the monodromy and the one-period noise from X_0 = 0.
+    Smith doubling of the monodromy and the one-period noise from X_0 = 0:
+    their ``_period_map``, unless the caller has composed it.
 
     Every cell's monodromy must be Schur stable, otherwise no steady
     solution exists and NumericalError is raised. Returns the ``_sweep``
-    result.
+    result, its slots written into ``out`` if given.
     """
     period, count = loops.shape[:2]
-    period_map = _period_map(zip(loops, [None] * period, noise), count)
+    if period_map is None:
+        period_map = _period_map(zip(loops, [None] * period, noise), count)
     rho = np.abs(np.linalg.eigvals(period_map[0])).max(axis=-1)
     unstable = rho >= 1.0 - 1e-9
     if unstable.any():
@@ -277,7 +284,7 @@ def _lyapunov_stack(loops, noise, tol):
         M = loops[k]
         return sym(M @ X @ transposed(M) + noise[k])
 
-    return _sweep(step, period, X0, doublings)
+    return _sweep(step, period, X0, doublings, out)
 
 
 def dple_spps(

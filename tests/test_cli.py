@@ -333,6 +333,20 @@ class TestErrorPaths:
         listed = set(re.findall(r"--([a-z-]+)", capsys.readouterr().out))
         assert listed - {"help"} == flags
 
+    @pytest.mark.parametrize(
+        "argv",
+        [[command, "--help"] for command in filterlab.cli._COMMANDS]
+        + [["--help"], ["gap", "--trials", "5"], ["paper", "--tol", "0"], ["frobnicate"]],
+    )
+    def test_parser_of_one_command_reads_as_the_full_parser(self, argv, capsys):
+        # Naming a subcommand builds only its flags; what it prints, help
+        # and errors alike, is the full parser's word for word.
+        code = main(argv)
+        printed = capsys.readouterr()
+        with pytest.raises(SystemExit) as full:
+            filterlab.cli._build_parser().parse_args(argv)
+        assert (code, printed) == (full.value.code, capsys.readouterr())
+
     def test_unknown_flag_rejected(self, capsys):
         assert main(["solve-dpre", "--scenario", "x.json", "--bogus"]) == 1
 
@@ -452,13 +466,13 @@ class TestPipelines:
         stacks = []
         riccati, lyapunov = filterlab.gap._information_riccati, filterlab.gap._lyapunov_stack
 
-        def recording_riccati(A, Q, S, tol):
+        def recording_riccati(A, Q, S, tol, *lyapunov):
             stacks.append(("riccati", S.shape[1], tol))
-            return riccati(A, Q, S, tol)
+            return riccati(A, Q, S, tol, *lyapunov)
 
-        def recording_lyapunov(loops, noise, tol):
+        def recording_lyapunov(loops, noise, tol, *period_map):
             stacks.append(("lyapunov", loops.shape[1], tol))
-            return lyapunov(loops, noise, tol)
+            return lyapunov(loops, noise, tol, *period_map)
 
         monkeypatch.setattr(filterlab.gap, "_information_riccati", recording_riccati)
         monkeypatch.setattr(filterlab.gap, "_lyapunov_stack", recording_lyapunov)

@@ -502,16 +502,16 @@ class TestStackedSolve:
         stacks = []
         riccati, lyapunov = gap._information_riccati, gap._lyapunov_stack
 
-        def recording_riccati(A, Q, S, tol):
+        def recording_riccati(A, Q, S, tol, *lyapunov):
             stacks.append(("riccati", S.shape[1]))
             own = gap._sensor_information(bench_plant)[3]
             central = gap._fused_information(np.ones((1, len(own[0]))), own)
             assert np.array_equal(S[:, -1:], central)
-            return riccati(A, Q, S, tol)
+            return riccati(A, Q, S, tol, *lyapunov)
 
-        def recording_lyapunov(loops, noise, tol):
+        def recording_lyapunov(loops, noise, tol, *period_map):
             stacks.append(("lyapunov", loops.shape[1]))
-            return lyapunov(loops, noise, tol)
+            return lyapunov(loops, noise, tol, *period_map)
 
         monkeypatch.setattr(gap, "_information_riccati", recording_riccati)
         monkeypatch.setattr(gap, "_lyapunov_stack", recording_lyapunov)
@@ -527,9 +527,9 @@ class TestStackedSolve:
 
     def test_stack_memory_stays_bounded(self, bench_plant, bench_graph, bench_weights):
         # At most three arrays of the 10-depth stack's full size are held:
-        # the Riccati slots and the fused information, into which the closed
-        # loops and their noise are formed one depth at a time, and the
-        # Lyapunov slots.
+        # the fused information, over which the Riccati sweep writes the
+        # closed loops, their noise, and the Riccati slots, which hold the
+        # gaps once reduced and then the Lyapunov slots.
         import tracemalloc
 
         from filterlab import diameter
@@ -608,7 +608,8 @@ class TestOneFusion:
         ((_, _, _, fusion),) = specs
         assert np.array_equal(fusion, gap._fusion_matrix(plant, weights, self.L, {}))
         # Each step of the pass fuses S and, for its theory curve, S2; the
-        # theory fuses the nodes' S, the centralized S, then the nodes' S2.
+        # theory fuses the nodes' S over the period, the centralized S, then
+        # the nodes' S2 slot by slot as its Riccati sweep reaches each slot.
         calls = []
         fused_information = gap._fused_information
 
@@ -622,9 +623,13 @@ class TestOneFusion:
         step = calls[:2]
         calls.clear()
         cmdf_spps(plant, weights, self.L)
-        for (pass_fusion, pass_S), (fusion, S) in zip(step, [calls[0], calls[2]]):
-            assert np.array_equal(pass_fusion, fusion)
-            assert np.array_equal(pass_S, S[0])
+        (pass_fusion, pass_S), (pass_squares, pass_S2) = step
+        (fusion, S), (squares, S2) = calls[0], calls[2]
+        assert np.array_equal(pass_fusion, fusion)
+        assert np.array_equal(pass_S, S[0])
+        # The sweep's first S2 is slot 0's, (N, n, n).
+        assert np.array_equal(pass_squares, squares)
+        assert np.array_equal(pass_S2, S2)
 
     def test_equal_weights_fuse_to_equal_bits(self, path):
         # The fused sum rounds by the memory layout of its weights, so every

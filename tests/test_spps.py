@@ -24,6 +24,7 @@ import filterlab.spps as spps
 import reference_spps
 from measurement_form import closed_loop, closed_loop_sequence, stacked_observation
 from theory_checks import (
+    _closed_loops,
     dpre_monotonicity_probe,
     fixed_point_defect,
     monodromy,
@@ -228,7 +229,7 @@ def direct_riccati(A, Q, S, P, steps):
         if silent[k % A.period]:
             P = spps.sym(Ak @ P @ Ak.T + Qk)
         else:
-            P = spps._information_step(Ak, Qk, P, S[k % A.period])
+            P = spps._information_step(Ak, Qk, P, S[k % A.period])[0]
     return P
 
 
@@ -333,23 +334,25 @@ class TestStopMatchesReference:
             stacks.append((label, len(P0)))
             return got
 
-        def checked_riccati(A, Q, S, stop_tol):
-            silent = spps._silent(S)
+        def checked_riccati(A, Q, S, stop_tol, *lyapunov):
+            # The solve writes the nodes' closed loops over S.
+            silent, information = spps._silent(S), S.copy()
 
             def step(k, P, cells):
                 if silent[k]:
                     return spps.sym(A.at(k) @ P @ A.at(k).T + Q.at(k))
-                return spps._information_step(A.at(k), Q.at(k), P, S[k, cells])
+                return spps._information_step(A.at(k), Q.at(k), P, information[k, cells])[0]
 
             P0 = np.broadcast_to(np.eye(S.shape[-1]), S.shape[1:])
-            return against_reference("riccati", riccati(A, Q, S, stop_tol), step, P0, stop_tol)
+            got = riccati(A, Q, S, stop_tol, *lyapunov)
+            return against_reference("riccati", got, step, P0, stop_tol)
 
-        def checked_lyapunov(loops, noise, stop_tol):
+        def checked_lyapunov(loops, noise, stop_tol, *period_map):
             def step(k, X, cells):
                 M = loops[k, cells]
                 return spps.sym(M @ X @ M.swapaxes(1, 2) + noise[k, cells])
 
-            got = lyapunov(loops, noise, stop_tol)
+            got = lyapunov(loops, noise, stop_tol, *period_map)
             return against_reference("lyapunov", got, step, np.zeros(loops.shape[1:]), stop_tol)
 
         monkeypatch.setattr(gap, "_information_riccati", checked_riccati)
@@ -641,6 +644,24 @@ def blind_slot_system(seed):
     raise AssertionError(f"no blind-slot system found from seed {seed}")
 
 
+def partly_silent_system():
+    """``blind_slot_system(0)`` beside a cell that has information at every
+    slot, so that no slot of the stack (T, 2, n, n) is silent."""
+    A, Q, S = blind_slot_system(0)
+    return A, Q, np.concatenate([S + np.eye(S.shape[-1]), S], axis=1)
+
+
+def solve_with_loops(A, Q, S, S2):
+    """The Riccati solve of S that also builds every cell's Lyapunov inputs
+    from S2, (T, cells, n, n): the slots, the doublings, the closed loops,
+    their noise and their period map. S is left as it was."""
+    loops, noise = S.copy(), np.empty(S2.shape)
+    slots, doublings, _, period_map = spps._information_riccati(
+        A, Q, loops, DEFAULT_TOL, (S2.__getitem__, noise)
+    )
+    return slots, doublings, loops, noise, period_map
+
+
 class TestSilentSlots:
     """A slot where no cell has information is a prediction step: the
     shortcut agrees with the full information step to rounding and stops
@@ -648,12 +669,10 @@ class TestSilentSlots:
 
     def assert_shortcut_matches_full_step(self, A, Q, S, S2, monkeypatch):
         assert spps._silent(S).any()
-        slots, doublings, _ = spps._information_riccati(A, Q, S, DEFAULT_TOL)
-        loops = spps._closed_loops(A, Q, slots, S, S2)
+        slots, doublings, *loops = solve_with_loops(A, Q, S, S2)[:4]
         with monkeypatch.context() as patch:
             patch.setattr(spps, "_silent", all_slots_live)
-            full, full_doublings, _ = spps._information_riccati(A, Q, S, DEFAULT_TOL)
-            full_loops = spps._closed_loops(A, Q, slots, S, S2)
+            full, full_doublings, *full_loops = solve_with_loops(A, Q, S, S2)[:4]
         assert doublings.tolist() == full_doublings.tolist()
         assert relative_change(slots, full) < 1e-12
         for got, want in zip(loops, full_loops):
@@ -688,29 +707,67 @@ class TestSilentSlots:
         return shapes, solves
 
     def test_benchmark_inverts_only_live_slots(self, bench_plant, bench_weights, monkeypatch):
-        S, S2 = benchmark_information(bench_plant, bench_weights, 4)
+        S, _ = benchmark_information(bench_plant, bench_weights, 4)
         A, Q = bench_plant.A, bench_plant.Q
         shapes, solves = self.count_inverses(monkeypatch)
-        P, doublings, _ = spps._information_riccati(A, Q, S, DEFAULT_TOL)
+        _, doublings, _ = spps._information_riccati(A, Q, S, DEFAULT_TOL)
         # The period map starts at silent slot 0 and takes one solve per
         # live slot, then one per doubling; the filling sweep takes two
         # inverses per live slot. No silent slot takes either.
         assert solves[:15] == [(21, 4, 4)] * 15
         assert len(solves) == 15 + doublings.max()
         assert shapes == [(21, 4, 4)] * 2 * 15
-        shapes.clear()
-        spps._closed_loops(A, Q, P, S, S2)
-        assert shapes == [(15, 21, 4, 4)] * 2
+
+    def test_report_inverts_only_in_the_riccati_sweep(
+        self, bench_plant, bench_graph, bench_weights, monkeypatch
+    ):
+        # A 10-depth report (201 cells): the closed loops are built from the
+        # two inverses the filling sweep takes at each of the 15 live slots,
+        # so nothing else is inverted.
+        from filterlab import diameter
+
+        shapes, _ = self.count_inverses(monkeypatch)
+        d = diameter(bench_graph)
+        build_gap_report(bench_plant, bench_weights, range(d, d + 9))
+        assert shapes == [(201, 4, 4)] * 2 * 15
 
     def test_partly_silent_slot_takes_the_full_step(self, monkeypatch):
         # Cell 1 has no information at the blind slot, cell 0 has some.
-        A, Q, S = blind_slot_system(0)
-        S = np.concatenate([S + np.eye(S.shape[-1]), S], axis=1)
+        A, Q, S = partly_silent_system()
         assert not spps._silent(S).any()
         shapes, solves = self.count_inverses(monkeypatch)
         _, doublings, _ = spps._information_riccati(A, Q, S, DEFAULT_TOL)
         assert len(solves) == A.period - 1 + doublings.max()
         assert shapes == [S.shape[1:]] * 2 * A.period
+
+
+class TestSweepLoops:
+    """The closed loops, noise and Lyapunov period map that the Riccati
+    filling sweep builds are those of the reference ``_closed_loops`` and
+    ``spps._period_map``, bit for bit."""
+
+    @staticmethod
+    def assert_sweep_builds_the_reference(A, Q, S, S2):
+        slots, _, loops, noise, period_map = solve_with_loops(A, Q, S, S2)
+        _, want_loops, want_noise = _closed_loops(A, Q, slots, S, S2)
+        assert np.array_equal(loops, want_loops)
+        assert np.array_equal(noise, want_noise)
+        want_map = spps._period_map(zip(loops, [None] * len(loops), noise), loops.shape[1])
+        for got, want in zip(period_map, want_map):
+            assert got is want is None or np.array_equal(got, want)
+
+    def test_benchmark_stack(self, bench_plant, bench_weights):
+        S, S2 = benchmark_information(bench_plant, bench_weights, 4)
+        self.assert_sweep_builds_the_reference(bench_plant.A, bench_plant.Q, S, S2)
+
+    @pytest.mark.parametrize("seed", [0, 10, 20])
+    def test_random_plant_with_a_blind_slot(self, seed):
+        A, Q, S = blind_slot_system(seed)
+        self.assert_sweep_builds_the_reference(A, Q, S, 0.5 * S)
+
+    def test_partly_silent_slot(self):
+        A, Q, S = partly_silent_system()
+        self.assert_sweep_builds_the_reference(A, Q, S, 0.5 * S)
 
 
 class TestMonotonicityProbe:

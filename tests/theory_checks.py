@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from filterlab._linalg import spd_inverse, sym, sym_spectral_norm
+from filterlab._linalg import spd_inverse, sym, sym_spectral_norm, transposed
 from filterlab.errors import NumericalError, ValidationError
 from filterlab.gap import _fused_information, _sensor_information
 from filterlab.network import (
@@ -21,7 +21,7 @@ from filterlab.network import (
 )
 from filterlab.periodic import PeriodicSequence, PlantModel, as_periodic, normalize_period
 from filterlab.spps import (
-    DEFAULT_TOL, SppsSolution, _closed_loops, _information_riccati, _information_step,
+    DEFAULT_TOL, SppsSolution, _information_riccati, _information_step, _silent,
     dple_spps, dpre_spps,
 )
 
@@ -49,6 +49,31 @@ def _measurement_information(C, R, period: int) -> np.ndarray:
     Rinv = spd_inverse(R.with_period(period).stack, what="measurement noise covariance")
     C = C.with_period(period).stack
     return sym(C.swapaxes(1, 2) @ Rinv @ C)[:, None]
+
+
+def _closed_loops(A, Q, P, S, S2):
+    """Per slot and cell, for Riccati solutions P, (T, cells, n, n): the gain
+    A P+ with the posterior P+ = (P^{-1} + S)^{-1}, the closed loop
+    A P+ P^{-1}, and the noise Q + A P+ S2 P+ A' that drives the true error
+    covariance through that loop. A slot where neither S nor S2 holds any
+    information keeps its prior: gain A P, loop A and noise Q; only the
+    other slots are inverted. The reference that the loops and noise the
+    Riccati filling sweep builds (``spps._information_riccati``) are pinned
+    to."""
+    T = P.shape[0]
+    A, Q = A.with_period(T).stack[:, None], Q.with_period(T).stack[:, None]
+    silent = _silent(S) & _silent(S2)
+    gain, loops, noise = np.empty(P.shape), np.empty(P.shape), np.empty(P.shape)
+    gain[silent] = A[silent] @ P[silent]
+    loops[silent] = A[silent]
+    noise[silent] = sym(Q[silent])
+    live = ~silent
+    A, Q, S2 = A[live], Q[live], S2[live]
+    prior = spd_inverse(P[live], what="predicted covariance")
+    post_gain = A @ spd_inverse(prior + S[live], what="posterior information")
+    gain[live], loops[live] = post_gain, post_gain @ prior
+    noise[live] = sym(Q + post_gain @ S2 @ transposed(post_gain))
+    return gain, loops, noise
 
 
 @dataclass(frozen=True)
@@ -168,7 +193,7 @@ def fixed_point_defect(solution: SppsSolution, A, C, Q, R) -> float:
     S = _measurement_information(C, R, solution.period)
     worst = 0.0
     for k in range(solution.period):
-        P_next = _information_step(A.at(k), Q.at(k), solution.at(k), S[k, 0])
+        P_next = _information_step(A.at(k), Q.at(k), solution.at(k), S[k, 0])[0]
         target = solution.at(k + 1)
         worst = max(worst, sym_spectral_norm(P_next - target) / np.abs(target).max())
     return worst
